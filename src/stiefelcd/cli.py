@@ -35,12 +35,7 @@ import time
 import numpy as np
 
 from .diagnostics import format_reports, run_identity_suite, run_stationarity_suite
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    GridSearchError,
-    SafeguardViolationError,
-)
+from .errors import ConfigurationError, DivergenceError, SafeguardViolationError
 from .problems import (
     NoiseModel,
     attach_noise,
@@ -250,13 +245,18 @@ def build_solver(conf: dict, problem):
         raise ConfigurationError(
             'solver.safeguards: expected "estimate" or a list of three numbers'
         )
+    shell_check = conf.get("feas_shell_check", False)
+    if not isinstance(shell_check, bool):
+        raise ConfigurationError(
+            f"solver.feas_shell_check: expected true or false, got {shell_check!r}"
+        )
 
     try:
         cfg = SolverConfig(
             beta=_get_num(conf, "beta", "solver", default=0.1),
             schedule=schedule,
             max_iters=_get_num(conf, "max_iters", "solver", default=1000, integer=True),
-            feas_shell_check=bool(conf.get("feas_shell_check", False)),
+            feas_shell_check=shell_check,
             safeguards=safeguards,
             seed=_get_num(conf, "seed", "solver", default=0, integer=True),
             stop_tol_stationarity=_get_num(
@@ -402,11 +402,7 @@ def cmd_grid(args) -> int:
     if budget is None:
         raise ConfigurationError("solver.budget_epochs: required for grid search")
     workers = args.workers or os.cpu_count() or 1
-    try:
-        rows = run_step_grid(problem, solver_cfg, budget, algorithm, workers=workers)
-    except GridSearchError as err:
-        print(f"grid search failed: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
+    rows = run_step_grid(problem, solver_cfg, budget, algorithm, workers=workers)
     best_eta, best_val = None, float("inf")
     for eta, val in rows:
         print(f"{_fmt(eta)} {_fmt(val)}")

@@ -12,8 +12,16 @@ unconstrained surrogate whose values and (generalized) gradients agree
 with the constrained problem on the manifold.
 
 All matrices are dense float64 arrays with at least as many rows as
-columns.  Gram matrices are formed once per call and symmetrized before
-use so that downstream polynomials act on exactly symmetric inputs.
+columns.  Gram matrices are symmetrized before use so that downstream
+polynomials act on exactly symmetric inputs.
+
+The public kernels validate their inputs at the boundary and then call
+private, unchecked helpers (_gram, _map_poly, _map, _jacobian,
+_tangent).  The solver loop calls the same helpers directly on one
+per-iterate state: the Gram matrix G, its residual G - I and the map
+polynomial M = 15 I - 10 G + 3 G^2, formed once per iterate and reused
+for the feasibility guard, A(X) = X M / 8, the Jacobian and the penalty
+gradient X (G - I).
 """
 
 from __future__ import annotations
@@ -64,6 +72,42 @@ def _gram(x: np.ndarray) -> np.ndarray:
     # X'X symmetrized once; every polynomial below works on this copy.
     g = x.T @ x
     return 0.5 * (g + g.T)
+
+
+def _map_poly(g: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """The map polynomial 15 I - 10 G + 3 G^2, in the dtype of g and eye."""
+    c0, c1, c2 = _A_COEFFS
+    return c0 * eye + c1 * g + c2 * (g @ g)
+
+
+def _state(x: np.ndarray):
+    """Per-iterate state (G - I, M) of an unchecked x: Gram residual and map polynomial."""
+    g = _gram(x)
+    eye = np.eye(x.shape[1])
+    return g - eye, _map_poly(g, eye)
+
+
+def _map(x: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """A(X) = X M / 8 for the map polynomial M of x."""
+    return x @ poly / 8.0
+
+
+def _jacobian(x, d, resid, poly) -> np.ndarray:
+    """J(X)[D] from x's Gram residual G - I and map polynomial M; see jacobian_apply."""
+    s = 0.5 * (x.T @ d + d.T @ x)
+    mix = s @ resid
+    return d @ poly / 8.0 - x @ s + 1.5 * (x @ (0.5 * (mix + mix.T)))
+
+
+def _tangent(x, w) -> np.ndarray:
+    """W - X sym(X'W), unchecked; see project_tangent."""
+    return w - x @ (0.5 * (x.T @ w + w.T @ x))
+
+
+def _polar(x):
+    """Polar factor U V' of an unchecked x and its smallest singular value."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    return u @ vt, s[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +172,7 @@ class PenaltyConfig:
 def apply_A(x) -> np.ndarray:
     """Evaluate the constraint-dissolving map X (15 I - 10 G + 3 G^2) / 8."""
     x = validate_matrix(x)
-    c0, c1, c2 = _A_COEFFS
-    g = _gram(x)
-    eye = np.eye(x.shape[1])
-    return x @ (c0 * eye + c1 * g + c2 * (g @ g)) / 8.0
+    return _map(x, _map_poly(_gram(x), np.eye(x.shape[1])))
 
 
 def feasibility_violation(x) -> float:
@@ -160,8 +201,7 @@ def ata_residual_identity(x):
     eye = np.eye(x.shape[1], dtype=ld)
     g = xl.T @ xl
     g = 0.5 * (g + g.T)
-    c0, c1, c2 = (ld(c) for c in _A_COEFFS)
-    a = xl @ (c0 * eye + c1 * g + c2 * (g @ g)) / ld(8)
+    a = _map(xl, _map_poly(g, eye))
     lhs = a.T @ a - eye
     r = g - eye
     d0, d1, d2 = (ld(c) for c in _RESIDUAL_COEFFS)
@@ -180,13 +220,7 @@ def jacobian_apply(x, d) -> np.ndarray:
     d = validate_matrix(d, "d")
     if d.shape != x.shape:
         raise DimensionError(f"direction shape {d.shape} != base shape {x.shape}")
-    c0, c1, c2 = _A_COEFFS
-    g = _gram(x)
-    eye = np.eye(x.shape[1])
-    s = 0.5 * (x.T @ d + d.T @ x)
-    poly = d @ (c0 * eye + c1 * g + c2 * (g @ g)) / 8.0
-    mix = s @ (g - eye)
-    return poly - x @ s + 1.5 * (x @ (0.5 * (mix + mix.T)))
+    return _jacobian(x, d, *_state(x))
 
 
 def project_tangent(x, w) -> np.ndarray:
@@ -195,7 +229,7 @@ def project_tangent(x, w) -> np.ndarray:
     w = validate_matrix(w, "w")
     if w.shape != x.shape:
         raise DimensionError(f"shape {w.shape} != base shape {x.shape}")
-    return w - x @ (0.5 * (x.T @ w + w.T @ x))
+    return _tangent(x, w)
 
 
 def project_stiefel(x) -> StiefelPoint:
@@ -205,9 +239,9 @@ def project_stiefel(x) -> StiefelPoint:
     singular value is below 1e-12 the projection is not unique; the
     returned point carries rank_deficient=True in that case.
     """
-    x = validate_matrix(x)
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return StiefelPoint(matrix=u @ vt, rank_deficient=bool(s[-1] < 1e-12))
+    q, smallest = _polar(validate_matrix(x))
+    return StiefelPoint(matrix=q, rank_deficient=bool(smallest < 1e-12))
+
 
 
 def scalar_map(t):
@@ -291,8 +325,9 @@ def inverse_A(y, tol: float = 1e-14) -> np.ndarray:
 def ncdf_value(f_value, x, penalty: PenaltyConfig) -> float:
     """Dissolved objective h(X) = f(A(X)) + (beta/4) ||X'X - I||_F^2."""
     x = validate_matrix(x)
-    v = feasibility_violation(x)
-    return float(f_value(apply_A(x))) + 0.25 * penalty.beta * v * v
+    resid, poly = _state(x)
+    v = float(np.linalg.norm(resid))
+    return float(f_value(_map(x, poly))) + 0.25 * penalty.beta * v * v
 
 
 def ncdf_subgradient(f_subgrad, x, penalty: PenaltyConfig) -> np.ndarray:
@@ -303,12 +338,11 @@ def ncdf_subgradient(f_subgrad, x, penalty: PenaltyConfig) -> np.ndarray:
     at A(X).  On the manifold this equals the projected subgradient of f.
     """
     x = validate_matrix(x)
-    w = validate_matrix(np.asarray(f_subgrad(apply_A(x)), dtype=float), "subgradient")
+    resid, poly = _state(x)
+    w = validate_matrix(np.asarray(f_subgrad(_map(x, poly)), dtype=float), "subgradient")
     if w.shape != x.shape:
         raise DimensionError(f"subgradient shape {w.shape} != point shape {x.shape}")
-    g = _gram(x)
-    eye = np.eye(x.shape[1])
-    return jacobian_apply(x, w) + penalty.beta * (x @ (g - eye))
+    return _jacobian(x, w, resid, poly) + penalty.beta * (x @ resid)
 
 
 def apply_A_generalized(x, b) -> np.ndarray:
@@ -333,9 +367,7 @@ def apply_A_generalized(x, b) -> np.ndarray:
         raise ValueError("B must be positive definite") from exc
     g = x.T @ bs @ x
     g = 0.5 * (g + g.T)
-    c0, c1, c2 = _A_COEFFS
-    eye = np.eye(x.shape[1])
-    return x @ (c0 * eye + c1 * g + c2 * (g @ g)) / 8.0
+    return _map(x, _map_poly(g, np.eye(x.shape[1])))
 
 
 def apply_A_product(blocks, euclidean=None):

@@ -13,6 +13,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +37,11 @@ from .problems import ProblemDefinition, estimate_constants, make_quadratic_trac
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one named check; passed is always max_violation <= tolerance."""
+    """Outcome of one named check; passed is always max_violation <= tolerance.
+
+    error is "<Type>: <message>" when the check raised instead of finishing
+    (it then reports an infinite violation), and None otherwise.
+    """
 
     name: str
     samples: int
@@ -44,6 +49,7 @@ class CheckReport:
     tolerance: float
     passed: bool
     seed: int
+    error: Optional[str] = None
 
     def to_line(self) -> str:
         return json.dumps(
@@ -54,12 +60,13 @@ class CheckReport:
                 "tolerance": self.tolerance,
                 "passed": self.passed,
                 "seed": self.seed,
+                "error": self.error,
             },
             sort_keys=True,
         )
 
 
-def _report(name, samples, max_violation, tolerance, seed) -> CheckReport:
+def _report(name, samples, max_violation, tolerance, seed, error=None) -> CheckReport:
     max_violation = float(max_violation)
     tolerance = float(tolerance)
     return CheckReport(
@@ -69,6 +76,7 @@ def _report(name, samples, max_violation, tolerance, seed) -> CheckReport:
         tolerance=tolerance,
         passed=bool(max_violation <= tolerance),
         seed=int(seed),
+        error=error,
     )
 
 
@@ -294,13 +302,15 @@ def run_identity_suite(seed=0, samples=1000, tol_scale=1.0, workers=1):
     def run_one(item):
         index, (name, fn) = item
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 7, index]))
+        error = None
         try:
             violation, tolerance = fn(rng, int(samples), float(tol_scale))
-        except Exception:
+        except Exception as exc:
             # a check that cannot even execute is a failed check, and the
             # suite's contract is to report failures rather than throw
             violation, tolerance = float("inf"), 0.0
-        return _report(name, samples, violation, tolerance, seed)
+            error = f"{type(exc).__name__}: {exc}"
+        return _report(name, samples, violation, tolerance, seed, error)
 
     items = list(enumerate(IDENTITY_CHECKS))
     if workers > 1:

@@ -11,7 +11,14 @@ Two penalty-based iterations and one feasible baseline:
 
 Runs are deterministic given (problem, config, seed): every iteration
 draws from a generator keyed by (seed, stream, iteration), so oracle
-noise at iteration k is reproducible bitwise.
+noise at iteration k is reproducible bitwise.  Oracles receive a stand-in
+that builds that generator on first attribute access, so deterministic
+oracles skip its set-up.
+
+The loops validate x0 once and then run on core's unchecked kernels,
+sharing one state per iterate (Gram residual and map polynomial) between
+the guard, the trace and the update; oracle outputs are shape-checked
+and every step's result is checked for finiteness.
 """
 
 from __future__ import annotations
@@ -24,10 +31,16 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    OMEGA_SIXTH,
     StiefelPoint,
+    _gram,
+    _jacobian,
+    _map,
+    _polar,
+    _state,
+    _tangent,
     apply_A,
     feasibility_violation,
-    jacobian_apply,
     project_stiefel,
     project_tangent,
     random_stiefel,
@@ -35,6 +48,7 @@ from .core import (
 )
 from .errors import (
     ConfigurationError,
+    DimensionError,
     DivergenceError,
     GridSearchError,
     SafeguardViolationError,
@@ -46,11 +60,30 @@ ALGORITHMS = ("ncdf_sgd", "ncdf_proxsgd", "rsgd_baseline")
 
 # iterates whose Gram residual passes this are treated as runaways
 DIVERGENCE_FEAS_LIMIT = 10.0
-SHELL_RADIUS = 1.0 / 6.0
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
+
+
+class _LazyRng:
+    """Stand-in for _rng(seed, *key) that builds the generator on first attribute access.
+
+    Oracles call it like a Generator (rng.normal, rng.standard_normal, ...);
+    one that never draws costs no SeedSequence set-up, and one that does
+    gets exactly the generator _rng would have built.
+    """
+
+    __slots__ = ("_key", "_gen")
+
+    def __init__(self, seed: int, *key: int):
+        self._key = (seed, *key)
+        self._gen = None
+
+    def __getattr__(self, name):
+        if self._gen is None:
+            self._gen = _rng(*self._key)
+        return getattr(self._gen, name)
 
 
 @dataclass(frozen=True)
@@ -189,10 +222,12 @@ def subgradient_step(x, d, eta: float, beta: float) -> np.ndarray:
         raise ConfigurationError(f"direction shape {d.shape} != iterate shape {x.shape}")
     if eta < 0:
         raise ConfigurationError(f"step size must be nonnegative, got {eta}")
-    g = x.T @ x
-    g = 0.5 * (g + g.T)
-    out = x - eta * (d + beta * (x @ (g - np.eye(x.shape[1]))))
-    if not np.all(np.isfinite(out)):
+    return _penalty_step(x, d, eta, beta, _gram(x) - np.eye(x.shape[1]))
+
+
+def _penalty_step(x, d, eta, beta, resid):
+    out = x - eta * (d + beta * (x @ resid))
+    if not np.isfinite(out).all():
         raise DivergenceError("subgradient step produced non-finite entries")
     return out
 
@@ -205,13 +240,17 @@ def prox_subgradient_step(x, d, eta: float, reg=None) -> np.ndarray:
         raise ConfigurationError(f"direction shape {d.shape} != iterate shape {x.shape}")
     if eta < 0:
         raise ConfigurationError(f"step size must be nonnegative, got {eta}")
-    y = apply_A(x) - eta * d
+    return _prox_step(apply_A(x), d, eta, reg)
+
+
+def _prox_step(mapped, d, eta, reg):
+    y = mapped - eta * d
     if reg is not None:
         if reg.prox is None:
             raise ConfigurationError("regularizer has no proximal map")
         y = reg.prox(y, eta)
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise DivergenceError("proximal step produced non-finite entries")
     return y
 
@@ -264,13 +303,13 @@ def _check_algorithm2_safeguards(cfg: SolverConfig, m_r: float):
 
 
 def _guard(x, feas: float, k: int, shell_check: bool):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DivergenceError(f"iterate became non-finite at iteration {k}")
     if feas > DIVERGENCE_FEAS_LIMIT:
         raise DivergenceError(
             f"Gram residual {feas:.3g} exceeded the divergence guard at iteration {k}"
         )
-    if shell_check and feas > SHELL_RADIUS + 1e-12:
+    if shell_check and feas > OMEGA_SIXTH.radius + 1e-12:
         raise SafeguardViolationError(
             f"iterate left the 1/6 feasibility shell at iteration {k} "
             f"(residual {feas:.6g}); the bound beta >= max(16 M1, 60 Mt, 16 Mh) "
@@ -295,18 +334,21 @@ def _run_loop(problem, cfg, x0, update, record_mapped=False):
     t0 = time.perf_counter()
     try:
         for k in range(cfg.max_iters):
-            feas = feasibility_violation(x)
+            # the guard, the trace and the update all share this one state
+            resid, poly = _state(x)
+            feas = float(np.linalg.norm(resid))
             _guard(x, feas, k, cfg.feas_shell_check)
             stat = None
             if k % cfg.trace_stride == 0:
-                mapped = apply_A(x)
+                mapped = _map(x, poly)
                 h = problem.f_value(mapped) + 0.25 * cfg.beta * feas * feas
                 proj = project_stiefel(x)
-                stat = stationarity_estimate(problem, proj, _rng(cfg.seed, 3, k))
+                stat = stationarity_estimate(problem, proj, _LazyRng(cfg.seed, 3, k))
                 h_mapped = None
                 if record_mapped:
-                    feas_m = feasibility_violation(mapped)
-                    h_mapped = problem.f_value(apply_A(mapped)) + 0.25 * cfg.beta * feas_m**2
+                    resid_m, poly_m = _state(mapped)
+                    feas_m = float(np.linalg.norm(resid_m))
+                    h_mapped = problem.f_value(_map(mapped, poly_m)) + 0.25 * cfg.beta * feas_m**2
                 trace.append(
                     k,
                     problem.f_value(proj.matrix),
@@ -319,16 +361,16 @@ def _run_loop(problem, cfg, x0, update, record_mapped=False):
             if stop_on and k % 10 == 0:
                 if stat is None:
                     stat = stationarity_estimate(
-                        problem, project_stiefel(x), _rng(cfg.seed, 3, k)
+                        problem, project_stiefel(x), _LazyRng(cfg.seed, 3, k)
                     )
                 if stat <= cfg.stop_tol_stationarity and feas <= cfg.stop_tol_feasibility:
                     termination = "tol_met"
                     break
-            x = update(x, k)
+            x = update(x, k, resid, poly)
             steps = k + 1
         if termination == "max_iters":
             # the loop guards iterates on entry, so vet the last update too
-            _guard(x, feasibility_violation(x), steps, cfg.feas_shell_check)
+            _guard(x, float(np.linalg.norm(_state(x)[0])), steps, cfg.feas_shell_check)
     except (DivergenceError, SafeguardViolationError) as err:
         # hand the partial run back with the error so callers can still
         # emit whatever trace was collected before the abort
@@ -359,10 +401,13 @@ def run_subgradient(problem: ProblemDefinition, cfg: SolverConfig, x0=None) -> S
     if cfg.feas_shell_check:
         _check_algorithm1_safeguards(cfg)
 
-    def update(x, k):
-        w = problem.f_subgrad(apply_A(x), _rng(cfg.seed, 0, k))
-        d = jacobian_apply(x, np.asarray(w, dtype=float))
-        return subgradient_step(x, d, cfg.schedule.step(k), cfg.beta)
+    def update(x, k, resid, poly):
+        w = problem.f_subgrad(_map(x, poly), _LazyRng(cfg.seed, 0, k))
+        w = np.asarray(w, dtype=float)
+        if w.shape != x.shape:
+            raise DimensionError(f"direction shape {w.shape} != base shape {x.shape}")
+        d = _jacobian(x, w, resid, poly)
+        return _penalty_step(x, d, cfg.schedule.step(k), cfg.beta, resid)
 
     return _run_loop(problem, cfg, x0, update)
 
@@ -381,9 +426,11 @@ def run_prox_subgradient(problem: ProblemDefinition, cfg: SolverConfig, x0=None)
     if cfg.feas_shell_check:
         _check_algorithm2_safeguards(cfg, reg.lipschitz if reg is not None else 0.0)
 
-    def update(x, k):
-        d = np.asarray(problem.phi_subgrad(x, _rng(cfg.seed, 0, k)), dtype=float)
-        return prox_subgradient_step(x, d, cfg.schedule.step(k), reg)
+    def update(x, k, resid, poly):
+        d = np.asarray(problem.phi_subgrad(x, _LazyRng(cfg.seed, 0, k)), dtype=float)
+        if d.shape != x.shape:
+            raise ConfigurationError(f"direction shape {d.shape} != iterate shape {x.shape}")
+        return _prox_step(_map(x, poly), d, cfg.schedule.step(k), reg)
 
     return _run_loop(problem, cfg, x0, update, record_mapped=True)
 
@@ -391,12 +438,14 @@ def run_prox_subgradient(problem: ProblemDefinition, cfg: SolverConfig, x0=None)
 def run_riemannian_baseline(problem: ProblemDefinition, cfg: SolverConfig, x0=None) -> SolverResult:
     """Feasible baseline: projected subgradient step plus polar retraction."""
 
-    def update(x, k):
-        w = problem.f_subgrad(x, _rng(cfg.seed, 0, k))
-        step = x - cfg.schedule.step(k) * project_tangent(x, np.asarray(w, dtype=float))
-        if not np.all(np.isfinite(step)):
+    def update(x, k, resid, poly):
+        w = np.asarray(problem.f_subgrad(x, _LazyRng(cfg.seed, 0, k)), dtype=float)
+        if w.shape != x.shape:
+            raise DimensionError(f"shape {w.shape} != base shape {x.shape}")
+        step = x - cfg.schedule.step(k) * _tangent(x, w)
+        if not np.isfinite(step).all():
             raise DivergenceError(f"baseline step produced non-finite entries at iteration {k}")
-        return project_stiefel(step).matrix
+        return _polar(step)[0]
 
     return _run_loop(problem, cfg, x0, update)
 
@@ -424,12 +473,18 @@ def run_step_grid(
 
     Candidates run independently (optionally on a thread pool), each with
     a seed derived from (cfg.seed, candidate index).  Failed candidates
-    (divergence, safeguard or cap violations) score +inf.
+    (divergence, safeguard or cap violations) score +inf.  A custom
+    schedule is rejected, because it ignores the eta0 that the grid varies.
     """
     if algorithm not in ALGORITHM_RUNNERS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     if budget_epochs < 1:
         raise ConfigurationError(f"budget_epochs must be >= 1, got {budget_epochs}")
+    if cfg.schedule.kind == "custom":
+        raise ConfigurationError(
+            "grid search varies eta0, which a custom schedule ignores; "
+            "use a harmonic_decay or constant schedule"
+        )
     runner = ALGORITHM_RUNNERS[algorithm]
     candidates = grid_candidates()
 

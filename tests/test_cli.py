@@ -148,6 +148,14 @@ def test_run_safeguard_violation_exits_3(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+def test_run_feas_shell_check_must_be_boolean(tmp_path, capsys):
+    # bool("false") is True, so a string would silently turn the check on
+    cfg = minimal_config(tmp_path, feas_shell_check="false")
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    assert "solver.feas_shell_check" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_run_other_problem_kinds(tmp_path):
     for problem in [
         {"kind": "sparse_pca", "n": 20, "p": 2, "gamma": 0.1, "seed": 1},
@@ -245,6 +253,30 @@ def test_grid_requires_budget(tmp_path, capsys):
     }
     assert main(["grid", write_config(tmp_path, cfg)]) == 3
     assert "budget_epochs" in capsys.readouterr().err
+
+
+def test_grid_rejects_custom_schedule(tmp_path, capsys):
+    cfg = {
+        "problem": {"kind": "quadratic_trace", "n": 6, "p": 2},
+        "solver": {
+            "schedule": {"kind": "custom", "values": [0.01] * 20},
+            "max_iters": 20,
+            "budget_epochs": 20,
+        },
+    }
+    assert main(["grid", write_config(tmp_path, cfg), "--workers", "1"]) == 3
+    assert "custom" in capsys.readouterr().err
+
+
+def test_grid_all_candidates_diverging_exits_2(tmp_path, capsys):
+    cfg = {
+        "problem": {"kind": "quadratic_trace", "n": 6, "p": 2, "scale": 1e6},
+        "solver": {"beta": 0.1, "schedule": {"kind": "constant"}, "budget_epochs": 50},
+    }
+    assert main(["grid", write_config(tmp_path, cfg), "--workers", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "every candidate diverged" in captured.err
+    assert all(line.split()[1] == "inf" for line in captured.out.splitlines())
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import stiefelcd.core as core
+import stiefelcd.diagnostics as diagnostics
 from stiefelcd.diagnostics import (
     IDENTITY_CHECKS,
     CheckReport,
@@ -102,10 +103,27 @@ def test_report_json_lines():
     assert len(lines) == len(reports)
     decoded = json.loads(lines[0])
     assert set(decoded) == {
-        "name", "samples", "max_violation", "tolerance", "passed", "seed",
+        "name", "samples", "max_violation", "tolerance", "passed", "seed", "error",
     }
     assert decoded["samples"] == 2
     assert decoded["seed"] == 0
+    assert decoded["error"] is None
+
+
+def test_identity_suite_reports_why_a_check_crashed(monkeypatch):
+    def crashing(rng, samples, scale):
+        raise RuntimeError("kaput")
+
+    monkeypatch.setattr(
+        diagnostics, "IDENTITY_CHECKS", diagnostics.IDENTITY_CHECKS + (("crashing", crashing),)
+    )
+    reports = {r.name: r for r in run_identity_suite(seed=0, samples=2)}
+    crashed = reports.pop("crashing")
+    assert not crashed.passed
+    assert crashed.max_violation == math.inf
+    assert crashed.error == "RuntimeError: kaput"
+    assert json.loads(crashed.to_line())["error"] == "RuntimeError: kaput"
+    assert all(r.error is None for r in reports.values())
 
 
 def test_check_report_fields():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stiefelcd import solvers
 from stiefelcd.core import (
     apply_A,
     feasibility_violation,
@@ -13,12 +14,15 @@ from stiefelcd.core import (
 )
 from stiefelcd.errors import (
     ConfigurationError,
+    DimensionError,
     DivergenceError,
     GridSearchError,
     SafeguardViolationError,
 )
 from stiefelcd.problems import (
+    NoiseModel,
     ProblemDefinition,
+    attach_noise,
     estimate_constants,
     gaussian_matrix,
     l1_regularizer,
@@ -533,6 +537,10 @@ def test_grid_search_validation():
         run_step_grid(problem, cfg, budget_epochs=0)
     with pytest.raises(ConfigurationError):
         run_step_grid(problem, cfg, budget_epochs=1, algorithm="adam")
+    # the grid varies eta0, which a custom schedule ignores
+    custom = SolverConfig(max_iters=10, schedule=StepSchedule(kind="custom", values=(0.1,) * 10))
+    with pytest.raises(ConfigurationError, match="custom"):
+        run_step_grid(problem, custom, budget_epochs=1)
 
 
 # ---------------------------------------------------------------------------
@@ -580,3 +588,147 @@ def test_trace_append_and_len():
     trace.append(1, 0.5, 1.5, 0.05, 0.4, 0.02, h_mapped=1.4)
     assert len(trace) == 2
     assert trace.h_mapped == [1.4]
+
+
+# ---------------------------------------------------------------------------
+# the fused loop against a step-by-step run on the public kernels
+
+
+def keyed_rng(seed, *key):
+    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
+
+
+def reference_run(problem, cfg, algorithm, x0):
+    """The loop rebuilt from public kernels only: (final x, trace rows)."""
+    x = x0.copy()
+    rows = []
+    for k in range(cfg.max_iters):
+        feas = feasibility_violation(x)
+        if k % cfg.trace_stride == 0:
+            mapped = apply_A(x)
+            h = problem.f_value(mapped) + 0.25 * cfg.beta * feas * feas
+            proj = project_stiefel(x).matrix
+            w = problem.f_subgrad(proj, keyed_rng(cfg.seed, 3, k))
+            stat = float(np.linalg.norm(project_tangent(proj, w)))
+            h_mapped = None
+            if algorithm == "ncdf_proxsgd":
+                feas_m = feasibility_violation(mapped)
+                h_mapped = problem.f_value(apply_A(mapped)) + 0.25 * cfg.beta * feas_m**2
+            rows.append((k, problem.f_value(proj), h, feas, stat, h_mapped))
+        eta = cfg.schedule.step(k)
+        rng = keyed_rng(cfg.seed, 0, k)
+        if algorithm == "ncdf_sgd":
+            w = problem.f_subgrad(apply_A(x), rng)
+            x = subgradient_step(x, jacobian_apply(x, w), eta, cfg.beta)
+        elif algorithm == "ncdf_proxsgd":
+            x = prox_subgradient_step(x, problem.phi_subgrad(x, rng), eta, problem.reg)
+        else:
+            w = problem.f_subgrad(x, rng)
+            x = project_stiefel(x - eta * project_tangent(x, w)).matrix
+    return x, rows
+
+
+RUNNERS = {
+    "ncdf_sgd": run_subgradient,
+    "ncdf_proxsgd": run_prox_subgradient,
+    "rsgd_baseline": run_riemannian_baseline,
+}
+
+
+def l1_pca_problem(noisy):
+    problem = make_l1_pca(gaussian_matrix(20, 6, seed=5), 2)
+    if noisy:
+        problem = attach_noise(problem, NoiseModel(sigma=0.05, bound=0.1))
+    return problem
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_fused_loop_bitwise_matches_public_kernels(algorithm, noisy, stride):
+    problem = l1_pca_problem(noisy)
+    cfg = SolverConfig(
+        beta=1.0,
+        schedule=StepSchedule(kind="harmonic_decay", eta0=0.002),
+        max_iters=60,
+        seed=9,
+        trace_stride=stride,
+    )
+    x0 = default_initial_point(problem, 4)
+    result = RUNNERS[algorithm](problem, cfg, x0=x0)
+    final_x, rows = reference_run(problem, cfg, algorithm, x0)
+    assert np.array_equal(result.final_x, final_x)
+    trace = result.trace
+    iters, f, h, feas, stat, h_mapped = (list(col) for col in zip(*rows))
+    assert trace.iters == iters
+    assert trace.f == f
+    assert trace.h == h
+    assert trace.feas == feas
+    assert trace.stat == stat
+    if algorithm == "ncdf_proxsgd":
+        assert trace.h_mapped == h_mapped
+    else:
+        assert trace.h_mapped is None
+
+
+def test_deterministic_oracle_builds_no_generator(monkeypatch):
+    built = []
+    real = solvers._rng
+
+    def counting(seed, *key):
+        built.append(key)
+        return real(seed, *key)
+
+    monkeypatch.setattr(solvers, "_rng", counting)
+    cfg = gentle_config(max_iters=30, trace_stride=30, seed=2)
+    problem = l1_pca_problem(noisy=False)
+    x0 = np.eye(problem.n, problem.p)
+    for runner in RUNNERS.values():
+        runner(problem, cfg, x0=x0)
+    assert built == []
+    # a noisy oracle draws at every step, so each step builds its generator
+    run_subgradient(l1_pca_problem(noisy=True), cfg, x0=x0)
+    assert sorted(built) == sorted([(3, 0)] + [(0, k) for k in range(30)])
+
+
+def problem_with_oracle(oracle):
+    return ProblemDefinition(
+        n=4, p=2, phi_value=lambda x: float(np.sum(x * x)), phi_subgrad=oracle
+    )
+
+
+@pytest.mark.parametrize(
+    "algorithm, error",
+    [
+        ("ncdf_sgd", DimensionError),
+        ("ncdf_proxsgd", ConfigurationError),
+        ("rsgd_baseline", DimensionError),
+    ],
+)
+def test_oracle_output_shape_checked_in_loop(algorithm, error):
+    calls = []
+
+    def oracle(x, rng):
+        # the trace's stationarity check at k = 0 gets a valid output
+        calls.append(1)
+        return 2.0 * x if len(calls) == 1 else np.ones((4, 3))
+
+    cfg = SolverConfig(max_iters=5, trace_stride=5)
+    with pytest.raises(error, match="shape"):
+        RUNNERS[algorithm](problem_with_oracle(oracle), cfg, x0=np.eye(4, 2))
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_non_finite_oracle_output_aborts_as_divergence(algorithm):
+    calls = []
+
+    def oracle(x, rng):
+        calls.append(1)
+        return 2.0 * x if len(calls) < 4 else np.full(x.shape, np.nan)
+
+    cfg = SolverConfig(max_iters=10, trace_stride=10, seed=1)
+    with pytest.raises(DivergenceError, match="non-finite") as excinfo:
+        RUNNERS[algorithm](problem_with_oracle(oracle), cfg, x0=np.eye(4, 2))
+    partial = excinfo.value.result
+    assert partial.iterations == 2
+    assert len(partial.trace) == 1

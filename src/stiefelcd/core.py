@@ -243,7 +243,6 @@ def project_stiefel(x) -> StiefelPoint:
     return StiefelPoint(matrix=q, rank_deficient=bool(smallest < 1e-12))
 
 
-
 def scalar_map(t):
     """Polynomial t (15 - 10 t^2 + 3 t^4) / 8 applied to each singular value."""
     t = np.asarray(t)

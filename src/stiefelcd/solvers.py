@@ -17,8 +17,9 @@ oracles skip its set-up.
 
 The loops validate x0 once and then run on core's unchecked kernels,
 sharing one state per iterate (Gram residual and map polynomial) between
-the guard, the trace and the update; oracle outputs are shape-checked
-and every step's result is checked for finiteness.
+the guard, the trace and the update.  Oracle outputs are shape-checked;
+every step's result and the trace's oracle outputs are checked for
+finiteness.
 """
 
 from __future__ import annotations
@@ -271,6 +272,20 @@ def stationarity_estimate(problem: ProblemDefinition, point, rng=None) -> float:
     return float(np.linalg.norm(project_tangent(x, w)))
 
 
+def _loop_stationarity(problem: ProblemDefinition, q, rng, k: int) -> float:
+    """stationarity_estimate at the loop's polar factor q, without re-validating q.
+
+    The oracle output is shape-checked; a non-finite one aborts the run as
+    a divergence, like a non-finite step does.
+    """
+    w = problem.f_subgrad(q, rng)
+    if w.shape != q.shape:
+        raise DimensionError(f"shape {w.shape} != base shape {q.shape}")
+    if not np.isfinite(w).all():
+        raise DivergenceError(f"stationarity oracle produced non-finite entries at iteration {k}")
+    return float(np.linalg.norm(_tangent(q, w)))
+
+
 def _check_algorithm1_safeguards(cfg: SolverConfig):
     m1, mt, mh = cfg.safeguards
     needed = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
@@ -342,8 +357,8 @@ def _run_loop(problem, cfg, x0, update, record_mapped=False):
             if k % cfg.trace_stride == 0:
                 mapped = _map(x, poly)
                 h = problem.f_value(mapped) + 0.25 * cfg.beta * feas * feas
-                proj = project_stiefel(x)
-                stat = stationarity_estimate(problem, proj, _LazyRng(cfg.seed, 3, k))
+                proj = _polar(x)[0]
+                stat = _loop_stationarity(problem, proj, _LazyRng(cfg.seed, 3, k), k)
                 h_mapped = None
                 if record_mapped:
                     resid_m, poly_m = _state(mapped)
@@ -351,7 +366,7 @@ def _run_loop(problem, cfg, x0, update, record_mapped=False):
                     h_mapped = problem.f_value(_map(mapped, poly_m)) + 0.25 * cfg.beta * feas_m**2
                 trace.append(
                     k,
-                    problem.f_value(proj.matrix),
+                    problem.f_value(proj),
                     h,
                     feas,
                     stat,
@@ -360,9 +375,7 @@ def _run_loop(problem, cfg, x0, update, record_mapped=False):
                 )
             if stop_on and k % 10 == 0:
                 if stat is None:
-                    stat = stationarity_estimate(
-                        problem, project_stiefel(x), _LazyRng(cfg.seed, 3, k)
-                    )
+                    stat = _loop_stationarity(problem, _polar(x)[0], _LazyRng(cfg.seed, 3, k), k)
                 if stat <= cfg.stop_tol_stationarity and feas <= cfg.stop_tol_feasibility:
                     termination = "tol_met"
                     break
@@ -403,7 +416,6 @@ def run_subgradient(problem: ProblemDefinition, cfg: SolverConfig, x0=None) -> S
 
     def update(x, k, resid, poly):
         w = problem.f_subgrad(_map(x, poly), _LazyRng(cfg.seed, 0, k))
-        w = np.asarray(w, dtype=float)
         if w.shape != x.shape:
             raise DimensionError(f"direction shape {w.shape} != base shape {x.shape}")
         d = _jacobian(x, w, resid, poly)
@@ -439,7 +451,7 @@ def run_riemannian_baseline(problem: ProblemDefinition, cfg: SolverConfig, x0=No
     """Feasible baseline: projected subgradient step plus polar retraction."""
 
     def update(x, k, resid, poly):
-        w = np.asarray(problem.f_subgrad(x, _LazyRng(cfg.seed, 0, k)), dtype=float)
+        w = problem.f_subgrad(x, _LazyRng(cfg.seed, 0, k))
         if w.shape != x.shape:
             raise DimensionError(f"shape {w.shape} != base shape {x.shape}")
         step = x - cfg.schedule.step(k) * _tangent(x, w)

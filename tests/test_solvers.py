@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stiefelcd import solvers
+from stiefelcd import core, solvers
 from stiefelcd.core import (
     apply_A,
     feasibility_violation,
@@ -732,3 +732,53 @@ def test_non_finite_oracle_output_aborts_as_divergence(algorithm):
     partial = excinfo.value.result
     assert partial.iterations == 2
     assert len(partial.trace) == 1
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_trace_oracle_output_checked_in_loop(algorithm):
+    # the first call is the trace's stationarity estimate at k = 0
+    def wrong_shape(x, rng):
+        return np.ones((4, 3))
+
+    cfg = SolverConfig(max_iters=5, trace_stride=5)
+    with pytest.raises(DimensionError, match="shape"):
+        RUNNERS[algorithm](problem_with_oracle(wrong_shape), cfg, x0=np.eye(4, 2))
+
+    def non_finite(x, rng):
+        return np.full(x.shape, np.inf)
+
+    with pytest.raises(DivergenceError, match="stationarity oracle") as excinfo:
+        RUNNERS[algorithm](problem_with_oracle(non_finite), cfg, x0=np.eye(4, 2))
+    assert excinfo.value.result.iterations == 0
+    assert len(excinfo.value.result.trace) == 0
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_loop_validates_only_at_the_boundary(monkeypatch, algorithm):
+    calls = []
+    real = core.validate_matrix
+
+    def counting(x, name="matrix"):
+        calls.append(name)
+        return real(x, name)
+
+    monkeypatch.setattr(core, "validate_matrix", counting)
+    monkeypatch.setattr(solvers, "validate_matrix", counting)
+    problem = l1_pca_problem(noisy=True)
+    x0 = default_initial_point(problem, 4)
+    per_run = []
+    for max_iters in (5, 40):
+        calls.clear()
+        cfg = SolverConfig(
+            beta=1.0,
+            schedule=StepSchedule(kind="constant", eta0=0.002),
+            max_iters=max_iters,
+            seed=3,
+            stop_tol_stationarity=1e-9,
+            stop_tol_feasibility=1e-9,
+        )
+        RUNNERS[algorithm](problem, cfg, x0=x0)
+        per_run.append(list(calls))
+    # x0 on entry plus the final projection, however many iterations ran
+    assert per_run[0] == per_run[1]
+    assert per_run[0][0] == "x0"

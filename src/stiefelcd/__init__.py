@@ -69,6 +69,7 @@ from .solvers import (
     SolverConfig,
     SolverResult,
     StepSchedule,
+    best_grid_step,
     default_initial_point,
     grid_candidates,
     grid_search_eta0,

@@ -6,17 +6,18 @@ Subcommands:
                                    and a summary record
   stiefelcd verify [--seed --samples --tol-scale --workers]
                                    run the identity and stationarity suites
-  stiefelcd grid <config.json> [--workers]
-                                   step-size grid table and selection
+  stiefelcd grid <config.json>     step-size grid table and selection
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 divergence, 3 configuration error (including bad arguments or configs).
 
-Config files are JSON with three sections:
+Config files are JSON objects with at most these three sections:
 
   {"problem": {"kind": ..., ...},
    "solver": {"algorithm": ..., "beta": ..., "schedule": {...}, ...},
    "output": {"trace_path": ..., "summary_path": ...}}
+
+Any other top-level key is a configuration error.
 
 Trace CSV columns are fixed: iter,f,h,feas,stat,seconds.  Floats are
 written with shortest round-trip formatting, so parsing the file back
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -54,6 +54,7 @@ from .solvers import (
     ALGORITHM_RUNNERS,
     SolverConfig,
     StepSchedule,
+    best_grid_step,
     run_step_grid,
     stationarity_estimate,
 )
@@ -92,6 +93,12 @@ def _load_config(path) -> dict:
         ) from err
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"config {path} must be a JSON object at top level")
+    unknown = sorted(set(cfg) - {"problem", "solver", "output"})
+    if unknown:
+        raise ConfigurationError(
+            f"config: unknown top-level keys {unknown}; the sections are problem, solver "
+            "and output"
+        )
     return cfg
 
 
@@ -110,6 +117,12 @@ def _known_keys(sec: dict, allowed, path: str):
     unknown = sorted(set(sec) - set(allowed))
     if unknown:
         raise ConfigurationError(f"{path}: unknown keys {unknown}")
+
+
+def _output_section(cfg: dict) -> dict:
+    out_spec = _section(cfg, "output", required=False)
+    _known_keys(out_spec, {"trace_path", "summary_path"}, "output")
+    return out_spec
 
 
 def _get_num(sec, key, path, default=None, required=False, minimum=None, integer=False):
@@ -205,7 +218,7 @@ def build_solver(conf: dict, problem):
         {
             "algorithm", "beta", "max_iters", "seed", "schedule", "feas_shell_check",
             "safeguards", "stop_tol_stationarity", "stop_tol_feasibility",
-            "trace_stride", "budget_epochs", "workers",
+            "trace_stride", "budget_epochs",
         },
         "solver",
     )
@@ -350,8 +363,7 @@ def cmd_run(args) -> int:
     cfg_dict = _load_config(args.config)
     problem = build_problem(_section(cfg_dict, "problem"))
     solver_cfg, algorithm, _ = build_solver(_section(cfg_dict, "solver"), problem)
-    out_spec = _section(cfg_dict, "output", required=False)
-    _known_keys(out_spec, {"trace_path", "summary_path"}, "output")
+    out_spec = _output_section(cfg_dict)
     runner = ALGORITHM_RUNNERS[algorithm]
     t0 = time.perf_counter()
     try:
@@ -399,15 +411,13 @@ def cmd_grid(args) -> int:
     cfg_dict = _load_config(args.config)
     problem = build_problem(_section(cfg_dict, "problem"))
     solver_cfg, algorithm, budget = build_solver(_section(cfg_dict, "solver"), problem)
+    _output_section(cfg_dict)  # grid writes no files, but a typo in output is still an error
     if budget is None:
         raise ConfigurationError("solver.budget_epochs: required for grid search")
-    workers = args.workers or os.cpu_count() or 1
-    rows = run_step_grid(problem, solver_cfg, budget, algorithm, workers=workers)
-    best_eta, best_val = None, float("inf")
+    rows = run_step_grid(problem, solver_cfg, budget, algorithm)
     for eta, val in rows:
         print(f"{_fmt(eta)} {_fmt(val)}")
-        if val < best_val:
-            best_eta, best_val = eta, val
+    best_eta = best_grid_step(rows)
     if best_eta is None:
         print("grid search failed: every candidate diverged", file=sys.stderr)
         return EXIT_DIVERGED
@@ -432,7 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_grid = sub.add_parser("grid", help="step-size grid search over 10 candidates")
     p_grid.add_argument("config", help="path to a JSON run config with budget_epochs")
-    p_grid.add_argument("--workers", type=int, default=0, help="0 = logical cores")
     p_grid.set_defaults(func=cmd_grid)
     return parser
 

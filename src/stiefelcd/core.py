@@ -16,12 +16,15 @@ columns.  Gram matrices are symmetrized before use so that downstream
 polynomials act on exactly symmetric inputs.
 
 The public kernels validate their inputs at the boundary and then call
-private, unchecked helpers (_gram, _map_poly, _map, _jacobian,
-_tangent).  The solver loop calls the same helpers directly on one
-per-iterate state: the Gram matrix G, its residual G - I and the map
-polynomial M = 15 I - 10 G + 3 G^2, formed once per iterate and reused
-for the feasibility guard, A(X) = X M / 8, the Jacobian and the penalty
-gradient X (G - I).
+private, unchecked helpers (_gram, _map_poly, _state, _fro, _map,
+_jacobian, _tangent, _polar).  The solver loop calls the same helpers
+directly on one per-iterate state: the Gram matrix G, its residual G - I
+and the map polynomial M = 15 I - 10 G + 3 G^2, formed once per iterate
+and reused for the feasibility guard, A(X) = X M / 8, the Jacobian and
+the penalty gradient X (G - I).  The private helpers transpose only the
+last two axes, so they also accept a stack of iterates of shape (B, n, p)
+and act on each slice exactly as on the 2-d matrix alone; the step-size
+grid advances all its candidates that way.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ def sym(m) -> np.ndarray:
 
 def _gram(x: np.ndarray) -> np.ndarray:
     # X'X symmetrized once; every polynomial below works on this copy.
-    g = x.T @ x
-    return 0.5 * (g + g.T)
+    g = x.swapaxes(-1, -2) @ x
+    return 0.5 * (g + g.swapaxes(-1, -2))
 
 
 def _map_poly(g: np.ndarray, eye: np.ndarray) -> np.ndarray:
@@ -83,8 +86,18 @@ def _map_poly(g: np.ndarray, eye: np.ndarray) -> np.ndarray:
 def _state(x: np.ndarray):
     """Per-iterate state (G - I, M) of an unchecked x: Gram residual and map polynomial."""
     g = _gram(x)
-    eye = np.eye(x.shape[1])
+    eye = np.eye(x.shape[-1])
     return g - eye, _map_poly(g, eye)
+
+
+def _fro(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm over the last two axes, bitwise np.linalg.norm of each slice.
+
+    Both take the square root of the same dot product of the flattened
+    slice; the batched matmul of a row by a column runs that dot product.
+    """
+    flat = m.reshape(*m.shape[:-2], 1, -1)
+    return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
 
 
 def _map(x: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -94,20 +107,20 @@ def _map(x: np.ndarray, poly: np.ndarray) -> np.ndarray:
 
 def _jacobian(x, d, resid, poly) -> np.ndarray:
     """J(X)[D] from x's Gram residual G - I and map polynomial M; see jacobian_apply."""
-    s = 0.5 * (x.T @ d + d.T @ x)
+    s = 0.5 * (x.swapaxes(-1, -2) @ d + d.swapaxes(-1, -2) @ x)
     mix = s @ resid
-    return d @ poly / 8.0 - x @ s + 1.5 * (x @ (0.5 * (mix + mix.T)))
+    return d @ poly / 8.0 - x @ s + 1.5 * (x @ (0.5 * (mix + mix.swapaxes(-1, -2))))
 
 
 def _tangent(x, w) -> np.ndarray:
     """W - X sym(X'W), unchecked; see project_tangent."""
-    return w - x @ (0.5 * (x.T @ w + w.T @ x))
+    return w - x @ (0.5 * (x.swapaxes(-1, -2) @ w + w.swapaxes(-1, -2) @ x))
 
 
 def _polar(x):
     """Polar factor U V' of an unchecked x and its smallest singular value."""
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return u @ vt, s[-1]
+    return u @ vt, s[..., -1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,20 +20,26 @@ sharing one state per iterate (Gram residual and map polynomial) between
 the guard, the trace and the update.  Oracle outputs are shape-checked;
 every step's result and the trace's oracle outputs are checked for
 finiteness.
+
+The step-size grid runs its candidates in lockstep on one stacked
+(B, n, p) iterate through the same kernels, per-run bookkeeping (_Run)
+and per-algorithm step (_Method) as a single run, so each candidate
+scores bitwise what its single run would.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core import (
     OMEGA_SIXTH,
     StiefelPoint,
+    _fro,
     _gram,
     _jacobian,
     _map,
@@ -223,14 +229,12 @@ def subgradient_step(x, d, eta: float, beta: float) -> np.ndarray:
         raise ConfigurationError(f"direction shape {d.shape} != iterate shape {x.shape}")
     if eta < 0:
         raise ConfigurationError(f"step size must be nonnegative, got {eta}")
-    return _penalty_step(x, d, eta, beta, _gram(x) - np.eye(x.shape[1]))
+    y = _penalty_step(x, d, eta, beta, _gram(x) - np.eye(x.shape[1]))
+    return _METHODS["ncdf_sgd"].settle(None, y, eta, 0)
 
 
 def _penalty_step(x, d, eta, beta, resid):
-    out = x - eta * (d + beta * (x @ resid))
-    if not np.isfinite(out).all():
-        raise DivergenceError("subgradient step produced non-finite entries")
-    return out
+    return x - eta * (d + beta * (x @ resid))
 
 
 def prox_subgradient_step(x, d, eta: float, reg=None) -> np.ndarray:
@@ -241,19 +245,9 @@ def prox_subgradient_step(x, d, eta: float, reg=None) -> np.ndarray:
         raise ConfigurationError(f"direction shape {d.shape} != iterate shape {x.shape}")
     if eta < 0:
         raise ConfigurationError(f"step size must be nonnegative, got {eta}")
-    return _prox_step(apply_A(x), d, eta, reg)
-
-
-def _prox_step(mapped, d, eta, reg):
-    y = mapped - eta * d
-    if reg is not None:
-        if reg.prox is None:
-            raise ConfigurationError("regularizer has no proximal map")
-        y = reg.prox(y, eta)
-    y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
-        raise DivergenceError("proximal step produced non-finite entries")
-    return y
+    if reg is not None and reg.prox is None:
+        raise ConfigurationError("regularizer has no proximal map")
+    return _METHODS["ncdf_proxsgd"].settle(reg, apply_A(x) - eta * d, eta, 0)
 
 
 def stationarity_estimate(problem: ProblemDefinition, point, rng=None) -> float:
@@ -286,7 +280,9 @@ def _loop_stationarity(problem: ProblemDefinition, q, rng, k: int) -> float:
     return float(np.linalg.norm(_tangent(q, w)))
 
 
-def _check_algorithm1_safeguards(cfg: SolverConfig):
+def _check_algorithm1_safeguards(problem: ProblemDefinition, cfg: SolverConfig):
+    if not cfg.feas_shell_check:
+        return
     m1, mt, mh = cfg.safeguards
     needed = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
     if cfg.beta < needed:
@@ -303,9 +299,14 @@ def _check_algorithm1_safeguards(cfg: SolverConfig):
         )
 
 
-def _check_algorithm2_safeguards(cfg: SolverConfig, m_r: float):
+def _check_algorithm2_safeguards(problem: ProblemDefinition, cfg: SolverConfig):
+    reg = problem.reg
+    if reg is not None and reg.prox is None:
+        raise ConfigurationError("proximal solver needs a regularizer with a prox")
+    if not cfg.feas_shell_check:
+        return
     _, mt, _ = cfg.safeguards
-    denom = 19.0 * (mt + m_r)
+    denom = 19.0 * (mt + (reg.lipschitz if reg is not None else 0.0))
     if denom <= 0:
         return
     cap = 1.0 / denom
@@ -317,23 +318,168 @@ def _check_algorithm2_safeguards(cfg: SolverConfig, m_r: float):
         )
 
 
-def _guard(x, feas: float, k: int, shell_check: bool):
-    if not np.isfinite(x).all():
-        raise DivergenceError(f"iterate became non-finite at iteration {k}")
-    if feas > DIVERGENCE_FEAS_LIMIT:
-        raise DivergenceError(
-            f"Gram residual {feas:.3g} exceeded the divergence guard at iteration {k}"
+def _remap(mapped):
+    """(G - I, A(.)) of the mapped point(s), for the proximal run's h_mapped merit."""
+    resid, poly = _state(mapped)
+    return resid, _map(mapped, poly)
+
+
+class _Run:
+    """One run's bookkeeping: its guard, trace rows, stopping rule and result.
+
+    The single-run loop drives one of these and the lockstep grid one per
+    candidate; the iterate itself lives with the loop that drives it.
+    """
+
+    __slots__ = ("problem", "cfg", "trace", "t0")
+
+    def __init__(self, problem: ProblemDefinition, cfg: SolverConfig):
+        self.problem = problem
+        self.cfg = cfg
+        self.trace = IterateTrace()
+        self.t0 = time.perf_counter()
+
+    def guard(self, x, feas: float, k: int):
+        """Raise if iterate k, with Gram residual feas, is non-finite, runaway or off the shell."""
+        # a non-finite entry of x makes feas non-finite, so x is scanned only then
+        if not math.isfinite(feas) and not np.isfinite(x).all():
+            raise DivergenceError(f"iterate became non-finite at iteration {k}")
+        if feas > DIVERGENCE_FEAS_LIMIT:
+            raise DivergenceError(
+                f"Gram residual {feas:.3g} exceeded the divergence guard at iteration {k}"
+            )
+        if self.cfg.feas_shell_check and feas > OMEGA_SIXTH.radius + 1e-12:
+            raise SafeguardViolationError(
+                f"iterate left the 1/6 feasibility shell at iteration {k} "
+                f"(residual {feas:.6g}); the bound beta >= max(16 M1, 60 Mt, 16 Mh) "
+                "did not hold for this run"
+            )
+
+    def record(self, k, feas, mapped, proj, remapped=None) -> float:
+        """Append iterate k's trace row and return its stationarity estimate.
+
+        mapped is A(x), proj the polar factor of x, and remapped the
+        _remap of mapped when the run records h_mapped.
+        """
+        problem, beta = self.problem, self.cfg.beta
+        h = problem.f_value(mapped) + 0.25 * beta * feas * feas
+        stat = _loop_stationarity(problem, proj, _LazyRng(self.cfg.seed, 3, k), k)
+        h_mapped = None
+        if remapped is not None:
+            feas_m = float(_fro(remapped[0]))
+            h_mapped = problem.f_value(remapped[1]) + 0.25 * beta * feas_m**2
+        self.trace.append(
+            k, problem.f_value(proj), h, feas, stat, time.perf_counter() - self.t0, h_mapped
         )
-    if shell_check and feas > OMEGA_SIXTH.radius + 1e-12:
-        raise SafeguardViolationError(
-            f"iterate left the 1/6 feasibility shell at iteration {k} "
-            f"(residual {feas:.6g}); the bound beta >= max(16 M1, 60 Mt, 16 Mh) "
-            "did not hold for this run"
+        return stat
+
+    def tol_met(self, k, feas, stat, proj) -> bool:
+        """The stopping rule at iterate k; stat is None when k was not traced."""
+        cfg = self.cfg
+        if stat is None:
+            stat = _loop_stationarity(self.problem, proj, _LazyRng(cfg.seed, 3, k), k)
+        return stat <= cfg.stop_tol_stationarity and feas <= cfg.stop_tol_feasibility
+
+    def result(self, x, termination: str, steps: int) -> SolverResult:
+        finite = bool(np.all(np.isfinite(x)))
+        return SolverResult(
+            final_x=x,
+            projected=project_stiefel(x) if finite else None,
+            trace=self.trace,
+            termination=termination,
+            iterations=steps,
         )
 
 
-def _run_loop(problem, cfg, x0, update, record_mapped=False):
-    """Shared driver: trace recording, stopping rule, guards, bookkeeping."""
+def _sgd_direction(problem, seed, k, x, mapped):
+    w = problem.f_subgrad(mapped, _LazyRng(seed, 0, k))
+    if w.shape != x.shape:
+        raise DimensionError(f"direction shape {w.shape} != base shape {x.shape}")
+    return w
+
+
+def _sgd_step(x, mapped, w, eta, beta, resid, poly):
+    return _penalty_step(x, _jacobian(x, w, resid, poly), eta, beta, resid)
+
+
+def _prox_direction(problem, seed, k, x, mapped):
+    d = np.asarray(problem.phi_subgrad(x, _LazyRng(seed, 0, k)), dtype=float)
+    if d.shape != x.shape:
+        raise ConfigurationError(f"direction shape {d.shape} != iterate shape {x.shape}")
+    return d
+
+
+def _prox_step(x, mapped, d, eta, beta, resid, poly):
+    return mapped - eta * d
+
+
+def _baseline_direction(problem, seed, k, x, mapped):
+    w = problem.f_subgrad(x, _LazyRng(seed, 0, k))
+    if w.shape != x.shape:
+        raise DimensionError(f"shape {w.shape} != base shape {x.shape}")
+    return w
+
+
+def _baseline_step(x, mapped, w, eta, beta, resid, poly):
+    return x - eta * _tangent(x, w)
+
+
+@dataclass(frozen=True)
+class _Method:
+    """One algorithm's iteration, split where the lockstep grid must go per run.
+
+    check(problem, cfg)                    safeguard checks before the run
+    direction(problem, seed, k, x, A(x))   one run's oracle call, shape-checked
+    step(x, A(x), d, eta, beta, G - I, M)  update algebra on 2-d or stacked iterates
+    settle(reg, y, eta, k)                 one run's update vetted: prox, finiteness
+    retract(y)                             applied to the settled iterate(s), if set
+    """
+
+    check: Callable
+    direction: Callable
+    step: Callable
+    nonfinite: str  # DivergenceError message for a non-finite update, formatted with k
+    retract: Optional[Callable] = None
+    maps: bool = False  # direction or step reads A(x)
+    proximal: bool = False  # settle applies reg.prox; the trace records h_mapped
+
+    def settle(self, reg, y, eta, k):
+        if self.proximal and reg is not None:
+            y = np.asarray(reg.prox(y, eta), dtype=float)
+        if not np.isfinite(y).all():
+            raise DivergenceError(self.nonfinite.format(k=k))
+        return y
+
+
+_METHODS = {
+    "ncdf_sgd": _Method(
+        _check_algorithm1_safeguards,
+        _sgd_direction,
+        _sgd_step,
+        "subgradient step produced non-finite entries",
+        maps=True,
+    ),
+    "ncdf_proxsgd": _Method(
+        _check_algorithm2_safeguards,
+        _prox_direction,
+        _prox_step,
+        "proximal step produced non-finite entries",
+        maps=True,
+        proximal=True,
+    ),
+    "rsgd_baseline": _Method(
+        lambda problem, cfg: None,
+        _baseline_direction,
+        _baseline_step,
+        "baseline step produced non-finite entries at iteration {k}",
+        retract=lambda y: _polar(y)[0],
+    ),
+}
+
+
+def _run_loop(problem, cfg, x0, method: _Method):
+    """Single-run loop: one iterate, its guards, trace, stopping rule and step."""
+    method.check(problem, cfg)
     if x0 is None:
         x = default_initial_point(problem, cfg.seed)
     else:
@@ -342,67 +488,45 @@ def _run_loop(problem, cfg, x0, update, record_mapped=False):
             raise ConfigurationError(
                 f"x0 shape {x.shape} does not match problem ({problem.n}, {problem.p})"
             )
-    trace = IterateTrace()
+    run = _Run(problem, cfg)
     stop_on = cfg.stop_tol_stationarity > 0 and cfg.stop_tol_feasibility > 0
     termination = "max_iters"
     steps = 0
-    t0 = time.perf_counter()
     try:
         for k in range(cfg.max_iters):
             # the guard, the trace and the update all share this one state
             resid, poly = _state(x)
-            feas = float(np.linalg.norm(resid))
-            _guard(x, feas, k, cfg.feas_shell_check)
-            stat = None
-            if k % cfg.trace_stride == 0:
-                mapped = _map(x, poly)
-                h = problem.f_value(mapped) + 0.25 * cfg.beta * feas * feas
+            feas = float(_fro(resid))
+            run.guard(x, feas, k)
+            traced = k % cfg.trace_stride == 0
+            mapped = _map(x, poly) if traced or method.maps else None
+            stat = proj = None
+            if traced:
                 proj = _polar(x)[0]
-                stat = _loop_stationarity(problem, proj, _LazyRng(cfg.seed, 3, k), k)
-                h_mapped = None
-                if record_mapped:
-                    resid_m, poly_m = _state(mapped)
-                    feas_m = float(np.linalg.norm(resid_m))
-                    h_mapped = problem.f_value(_map(mapped, poly_m)) + 0.25 * cfg.beta * feas_m**2
-                trace.append(
-                    k,
-                    problem.f_value(proj),
-                    h,
-                    feas,
-                    stat,
-                    time.perf_counter() - t0,
-                    h_mapped,
-                )
+                remapped = _remap(mapped) if method.proximal else None
+                stat = run.record(k, feas, mapped, proj, remapped)
             if stop_on and k % 10 == 0:
-                if stat is None:
-                    stat = _loop_stationarity(problem, _polar(x)[0], _LazyRng(cfg.seed, 3, k), k)
-                if stat <= cfg.stop_tol_stationarity and feas <= cfg.stop_tol_feasibility:
+                if proj is None:
+                    proj = _polar(x)[0]
+                if run.tol_met(k, feas, stat, proj):
                     termination = "tol_met"
                     break
-            x = update(x, k, resid, poly)
+            d = method.direction(problem, cfg.seed, k, x, mapped)
+            eta = cfg.schedule.step(k)
+            y = method.step(x, mapped, d, eta, cfg.beta, resid, poly)
+            x = method.settle(problem.reg, y, eta, k)
+            if method.retract is not None:
+                x = method.retract(x)
             steps = k + 1
         if termination == "max_iters":
             # the loop guards iterates on entry, so vet the last update too
-            _guard(x, float(np.linalg.norm(_state(x)[0])), steps, cfg.feas_shell_check)
+            run.guard(x, float(_fro(_state(x)[0])), steps)
     except (DivergenceError, SafeguardViolationError) as err:
         # hand the partial run back with the error so callers can still
         # emit whatever trace was collected before the abort
-        finite = bool(np.all(np.isfinite(x)))
-        err.result = SolverResult(
-            final_x=x,
-            projected=project_stiefel(x) if finite else None,
-            trace=trace,
-            termination="divergence_guard",
-            iterations=steps,
-        )
+        err.result = run.result(x, "divergence_guard", steps)
         raise
-    return SolverResult(
-        final_x=x,
-        projected=project_stiefel(x),
-        trace=trace,
-        termination=termination,
-        iterations=steps,
-    )
+    return run.result(x, termination, steps)
 
 
 def run_subgradient(problem: ProblemDefinition, cfg: SolverConfig, x0=None) -> SolverResult:
@@ -411,17 +535,7 @@ def run_subgradient(problem: ProblemDefinition, cfg: SolverConfig, x0=None) -> S
     The direction at iteration k transports one subgradient of f,
     evaluated at the mapped point A(x_k), through the map's Jacobian.
     """
-    if cfg.feas_shell_check:
-        _check_algorithm1_safeguards(cfg)
-
-    def update(x, k, resid, poly):
-        w = problem.f_subgrad(_map(x, poly), _LazyRng(cfg.seed, 0, k))
-        if w.shape != x.shape:
-            raise DimensionError(f"direction shape {w.shape} != base shape {x.shape}")
-        d = _jacobian(x, w, resid, poly)
-        return _penalty_step(x, d, cfg.schedule.step(k), cfg.beta, resid)
-
-    return _run_loop(problem, cfg, x0, update)
+    return _run_loop(problem, cfg, x0, _METHODS["ncdf_sgd"])
 
 
 def run_prox_subgradient(problem: ProblemDefinition, cfg: SolverConfig, x0=None) -> SolverResult:
@@ -432,34 +546,12 @@ def run_prox_subgradient(problem: ProblemDefinition, cfg: SolverConfig, x0=None)
     at x_k (h column) and at A(x_k) (h_mapped), the latter being the
     monotone-ish merit of this iteration.
     """
-    reg = problem.reg
-    if reg is not None and reg.prox is None:
-        raise ConfigurationError("proximal solver needs a regularizer with a prox")
-    if cfg.feas_shell_check:
-        _check_algorithm2_safeguards(cfg, reg.lipschitz if reg is not None else 0.0)
-
-    def update(x, k, resid, poly):
-        d = np.asarray(problem.phi_subgrad(x, _LazyRng(cfg.seed, 0, k)), dtype=float)
-        if d.shape != x.shape:
-            raise ConfigurationError(f"direction shape {d.shape} != iterate shape {x.shape}")
-        return _prox_step(_map(x, poly), d, cfg.schedule.step(k), reg)
-
-    return _run_loop(problem, cfg, x0, update, record_mapped=True)
+    return _run_loop(problem, cfg, x0, _METHODS["ncdf_proxsgd"])
 
 
 def run_riemannian_baseline(problem: ProblemDefinition, cfg: SolverConfig, x0=None) -> SolverResult:
     """Feasible baseline: projected subgradient step plus polar retraction."""
-
-    def update(x, k, resid, poly):
-        w = problem.f_subgrad(x, _LazyRng(cfg.seed, 0, k))
-        if w.shape != x.shape:
-            raise DimensionError(f"shape {w.shape} != base shape {x.shape}")
-        step = x - cfg.schedule.step(k) * _tangent(x, w)
-        if not np.isfinite(step).all():
-            raise DivergenceError(f"baseline step produced non-finite entries at iteration {k}")
-        return _polar(step)[0]
-
-    return _run_loop(problem, cfg, x0, update)
+    return _run_loop(problem, cfg, x0, _METHODS["rsgd_baseline"])
 
 
 ALGORITHM_RUNNERS = {
@@ -467,6 +559,128 @@ ALGORITHM_RUNNERS = {
     "ncdf_proxsgd": run_prox_subgradient,
     "rsgd_baseline": run_riemannian_baseline,
 }
+
+# errors that end one grid candidate with score +inf; any other propagates
+_MASKED = (DivergenceError, SafeguardViolationError, ConfigurationError)
+
+
+def _fails(check, *args) -> bool:
+    """Whether check(*args) raises an error that ends a grid candidate."""
+    try:
+        check(*args)
+    except _MASKED:
+        return True
+    return False
+
+
+def _guard_rows(live, x, feas, k, limit):
+    """Rows of the stack whose run passes its guard at iterate k.
+
+    The guard passes every residual at or below limit (the divergence
+    limit, or the shell radius under feas_shell_check), so only the other
+    rows, nan included, are handed to their run's guard.
+    """
+    return [
+        i
+        for i, run in enumerate(live)
+        if feas[i] <= limit or not _fails(run.guard, x[i], feas[i], k)
+    ]
+
+
+def _keep(rows, live, *stacks):
+    """live and each stack (None passes through) cut down to the given rows."""
+    return [live[i] for i in rows], *(None if a is None else a[rows] for a in stacks)
+
+
+def _lockstep(problem, method: _Method, live: list) -> dict:
+    """Advance runs that share max_iters, trace stride and stop rule as one (B, n, p) stack.
+
+    Returns {run: SolverResult} for every run that finishes; a run whose
+    guard, trace, oracle or step raises a masked error leaves the stack.
+    Each iteration forms the Gram state, the map, the polar factor and the
+    step once for the whole stack; each run keeps its own guard, trace
+    row, stopping rule, oracle call and proximal map on its slice.
+    """
+    cfg = live[0].cfg
+    stop_on = cfg.stop_tol_stationarity > 0 and cfg.stop_tol_feasibility > 0
+    limit = DIVERGENCE_FEAS_LIMIT
+    if cfg.feas_shell_check:
+        limit = min(limit, OMEGA_SIXTH.radius + 1e-12)
+    prox_each = method.proximal and problem.reg is not None
+    x = np.stack([default_initial_point(problem, run.cfg.seed) for run in live])
+    results = {}
+    for k in range(cfg.max_iters):
+        resid, poly = _state(x)
+        feas = _fro(resid).tolist()
+        rows = _guard_rows(live, x, feas, k, limit)
+        traced = k % cfg.trace_stride == 0
+        stopping = stop_on and k % 10 == 0
+        if traced or stopping:
+            feas = [feas[i] for i in rows]
+            live, x, resid, poly = _keep(rows, live, x, resid, poly)
+            mapped = _map(x, poly) if traced else None
+            proj = _polar(x)[0]
+            remapped = _remap(mapped) if traced and method.proximal else None
+            rows = []
+            for i, run in enumerate(live):
+                try:
+                    stat = None
+                    if traced:
+                        mine = None if remapped is None else (remapped[0][i], remapped[1][i])
+                        stat = run.record(k, feas[i], mapped[i], proj[i], mine)
+                    if stopping and run.tol_met(k, feas[i], stat, proj[i]):
+                        results[run] = run.result(x[i], "tol_met", k)
+                        continue
+                except _MASKED:
+                    continue
+                rows.append(i)
+        if len(rows) < len(live):
+            live, x, resid, poly = _keep(rows, live, x, resid, poly)
+        if not live:
+            return results
+        mapped = _map(x, poly) if method.maps else None
+        d = np.empty_like(x)
+        etas, rows = [], []
+        for i, run in enumerate(live):
+            try:
+                mine = None if mapped is None else mapped[i]
+                d[i] = method.direction(problem, run.cfg.seed, k, x[i], mine)
+                etas.append(run.cfg.schedule.step(k))
+            except _MASKED:
+                continue
+            rows.append(i)
+        if len(rows) < len(live):
+            live, x, resid, poly, mapped, d = _keep(rows, live, x, resid, poly, mapped, d)
+            if not live:
+                return results
+        y = method.step(x, mapped, d, np.array(etas)[:, None, None], cfg.beta, resid, poly)
+        if prox_each:
+            rows, settled = [], []
+            for i, run in enumerate(live):
+                try:
+                    settled.append(method.settle(problem.reg, y[i], etas[i], k))
+                except _MASKED:
+                    continue
+                rows.append(i)
+            if not rows:
+                return results
+            y = np.stack(settled)
+        else:
+            # without a proximal map, settling only rejects non-finite updates
+            finite = np.isfinite(y).all(axis=(-2, -1))
+            rows = range(len(live))
+            if not finite.all():
+                rows = np.flatnonzero(finite).tolist()
+                if not rows:
+                    return results
+                y = y[rows]
+        live = [live[i] for i in rows]
+        x = y if method.retract is None else method.retract(y)
+    # the loop guards iterates on entry, so vet the last update too
+    feas = _fro(_state(x)[0]).tolist()
+    for i in _guard_rows(live, x, feas, cfg.max_iters, limit):
+        results[live[i]] = live[i].result(x[i], "max_iters", cfg.max_iters)
+    return results
 
 
 def grid_candidates() -> tuple:
@@ -479,16 +693,18 @@ def run_step_grid(
     cfg: SolverConfig,
     budget_epochs: int,
     algorithm: str = "ncdf_sgd",
-    workers: int = 1,
 ):
-    """Final projected objective for every grid candidate.
+    """(eta0, final projected objective) for every grid candidate, in grid order.
 
-    Candidates run independently (optionally on a thread pool), each with
-    a seed derived from (cfg.seed, candidate index).  Failed candidates
-    (divergence, safeguard or cap violations) score +inf.  A custom
-    schedule is rejected, because it ignores the eta0 that the grid varies.
+    Candidate i runs cfg with eta0 set to the candidate, max_iters to
+    budget_epochs epochs and a seed derived from (cfg.seed, i); its row is
+    bitwise what the single run of that config scores.  The candidates
+    advance in lockstep as one stacked iterate.  A candidate that diverges,
+    trips a guard or fails a configuration check scores +inf; any other
+    error propagates.  A custom schedule is rejected, because it ignores
+    the eta0 that the grid varies.
     """
-    if algorithm not in ALGORITHM_RUNNERS:
+    if algorithm not in _METHODS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
     if budget_epochs < 1:
         raise ConfigurationError(f"budget_epochs must be >= 1, got {budget_epochs}")
@@ -497,31 +713,41 @@ def run_step_grid(
             "grid search varies eta0, which a custom schedule ignores; "
             "use a harmonic_decay or constant schedule"
         )
-    runner = ALGORITHM_RUNNERS[algorithm]
+    method = _METHODS[algorithm]
     candidates = grid_candidates()
-
-    def score(i_and_eta):
-        i, eta = i_and_eta
+    runs = {}
+    for i, eta in enumerate(candidates):
         derived = int(np.random.SeedSequence([cfg.seed, 1000 + i]).generate_state(1)[0])
         run_cfg = replace(
             cfg,
-            schedule=replace(cfg.schedule, kind=cfg.schedule.kind, eta0=eta),
+            schedule=replace(cfg.schedule, eta0=eta),
             max_iters=budget_epochs * cfg.schedule.epoch_len,
             seed=derived,
         )
         try:
-            result = runner(problem, run_cfg)
-        except (DivergenceError, SafeguardViolationError, ConfigurationError):
-            return eta, float("inf")
-        return eta, problem.f_value(result.projected.matrix)
-
-    items = list(enumerate(candidates))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(score, items))
-    else:
-        rows = [score(item) for item in items]
+            method.check(problem, run_cfg)
+        except ConfigurationError:
+            continue
+        runs[i] = _Run(problem, run_cfg)
+    results = _lockstep(problem, method, list(runs.values())) if runs else {}
+    rows = []
+    for i, eta in enumerate(candidates):
+        result = results.get(runs.get(i))
+        value = float("inf") if result is None else problem.f_value(result.projected.matrix)
+        rows.append((eta, value))
     return rows
+
+
+def best_grid_step(rows) -> Optional[float]:
+    """eta0 of the first strict minimum of (eta0, value) rows, or None if none beats +inf.
+
+    The rows come in ascending eta0 order, so ties go to the smaller step.
+    """
+    best_eta, best_val = None, float("inf")
+    for eta, val in rows:
+        if val < best_val:
+            best_eta, best_val = eta, val
+    return best_eta
 
 
 def grid_search_eta0(
@@ -529,14 +755,9 @@ def grid_search_eta0(
     cfg: SolverConfig,
     budget_epochs: int,
     algorithm: str = "ncdf_sgd",
-    workers: int = 1,
 ) -> float:
     """Grid candidate with the best final objective; ties go to the smaller step."""
-    rows = run_step_grid(problem, cfg, budget_epochs, algorithm, workers)
-    best_eta, best_val = None, float("inf")
-    for eta, val in rows:  # ascending candidate order, so first win is smallest
-        if val < best_val:
-            best_eta, best_val = eta, val
-    if best_eta is None:
+    best = best_grid_step(run_step_grid(problem, cfg, budget_epochs, algorithm))
+    if best is None:
         raise GridSearchError("every step-size candidate diverged or was rejected")
-    return best_eta
+    return best

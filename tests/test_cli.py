@@ -1,6 +1,7 @@
 """CLI tests: exit codes, config validation, trace files, verify wiring."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +119,43 @@ def test_run_unknown_solver_key(tmp_path, capsys):
     assert "etaO" in capsys.readouterr().err
 
 
+def test_run_rejects_solver_workers(tmp_path, capsys):
+    # the grid runs its candidates in lockstep, so there is no worker count to set
+    cfg = minimal_config(tmp_path, workers=7)
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "solver" in err and "workers" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_unknown_top_level_keys_rejected(tmp_path, capsys, command):
+    cfg = minimal_config(tmp_path, budget_epochs=5)
+    cfg["trace_path"] = cfg["output"].pop("trace_path")
+    assert main([command, write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "trace_path" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_grid_rejects_unknown_output_key(tmp_path, capsys):
+    cfg = minimal_config(tmp_path, budget_epochs=5)
+    cfg["output"]["trace"] = "t.csv"
+    assert main(["grid", write_config(tmp_path, cfg)]) == 3
+    assert "output: unknown keys ['trace']" in capsys.readouterr().err
+
+
+def test_readme_example_config_writes_its_outputs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(example)
+    assert main(["run", "config.json"]) == 0
+    assert read_trace_csv(tmp_path / "trace.csv")["iter"].size > 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["termination"] == "max_iters"
+
+
 def test_run_missing_problem_section(tmp_path, capsys):
     cfg = minimal_config(tmp_path)
     del cfg["problem"]
@@ -233,7 +271,7 @@ def test_grid_prints_table_and_selection(tmp_path, capsys):
             "budget_epochs": 150,
         },
     }
-    assert main(["grid", write_config(tmp_path, cfg), "--workers", "2"]) == 0
+    assert main(["grid", write_config(tmp_path, cfg)]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 11
     table = [line.split() for line in out[:10]]
@@ -264,7 +302,7 @@ def test_grid_rejects_custom_schedule(tmp_path, capsys):
             "budget_epochs": 20,
         },
     }
-    assert main(["grid", write_config(tmp_path, cfg), "--workers", "1"]) == 3
+    assert main(["grid", write_config(tmp_path, cfg)]) == 3
     assert "custom" in capsys.readouterr().err
 
 
@@ -273,7 +311,7 @@ def test_grid_all_candidates_diverging_exits_2(tmp_path, capsys):
         "problem": {"kind": "quadratic_trace", "n": 6, "p": 2, "scale": 1e6},
         "solver": {"beta": 0.1, "schedule": {"kind": "constant"}, "budget_epochs": 50},
     }
-    assert main(["grid", write_config(tmp_path, cfg), "--workers", "1"]) == 2
+    assert main(["grid", write_config(tmp_path, cfg)]) == 2
     captured = capsys.readouterr()
     assert "every candidate diverged" in captured.err
     assert all(line.split()[1] == "inf" for line in captured.out.splitlines())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelcd import core
 from stiefelcd.errors import DimensionError, NumericalError
@@ -429,3 +431,52 @@ def test_product_maps_blocks_independently():
 def test_scalar_root_solver_failure_is_detectable():
     with pytest.raises(NumericalError):
         core._scalar_map_inverse(np.array([2.0]), tol=1e-25)
+
+
+# ---------------------------------------------------------------------------
+# private kernels on stacked iterates
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)).filter(
+        lambda s: s[1] >= s[2]
+    ),
+    scale=st.sampled_from([1e-3, 1.0, 1.5, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_private_kernels_on_a_stack_match_each_slice_bitwise(shape, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal(shape)
+    w = rng.standard_normal(shape)
+    resid, poly = core._state(x)
+    q, smallest = core._polar(x)
+    stacked = {
+        "gram": core._gram(x),
+        "resid": resid,
+        "poly": poly,
+        "map": core._map(x, poly),
+        "jacobian": core._jacobian(x, w, resid, poly),
+        "tangent": core._tangent(x, w),
+        "polar": q,
+        "smallest": smallest,
+        "fro": core._fro(resid),
+    }
+    for b in range(shape[0]):
+        xb, wb = x[b], w[b]
+        resid_b, poly_b = core._state(xb)
+        q_b, smallest_b = core._polar(xb)
+        single = {
+            "gram": core._gram(xb),
+            "resid": resid_b,
+            "poly": poly_b,
+            "map": core._map(xb, poly_b),
+            "jacobian": core._jacobian(xb, wb, resid_b, poly_b),
+            "tangent": core._tangent(xb, wb),
+            "polar": q_b,
+            "smallest": smallest_b,
+            "fro": np.linalg.norm(resid_b),
+        }
+        for name, value in single.items():
+            assert np.array_equal(stacked[name][b], value), name
+        assert core._fro(resid_b) == single["fro"]

@@ -1,7 +1,11 @@
 """Solver loop tests: frozen single-step values, determinism, guards, grids."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelcd import core, solvers
 from stiefelcd.core import (
@@ -29,8 +33,10 @@ from stiefelcd.problems import (
     make_l1_pca,
     make_quadratic_trace,
     make_sparse_pca,
+    spiked_covariance,
 )
 from stiefelcd.solvers import (
+    ALGORITHM_RUNNERS,
     IterateTrace,
     SolverConfig,
     StepSchedule,
@@ -521,15 +527,6 @@ def test_grid_search_all_divergent_raises():
         grid_search_eta0(problem, cfg, budget_epochs=1)
 
 
-def test_grid_search_threaded_matches_serial():
-    d = np.diag([3.0, 2.0, 1.0])
-    problem = make_quadratic_trace(d, 1)
-    cfg = SolverConfig(beta=1.0, schedule=StepSchedule(kind="constant"), max_iters=10, seed=2)
-    serial = run_step_grid(problem, cfg, budget_epochs=40, workers=1)
-    threaded = run_step_grid(problem, cfg, budget_epochs=40, workers=4)
-    assert serial == threaded
-
-
 def test_grid_search_validation():
     problem = quadratic_problem()
     cfg = SolverConfig(max_iters=10)
@@ -541,6 +538,128 @@ def test_grid_search_validation():
     custom = SolverConfig(max_iters=10, schedule=StepSchedule(kind="custom", values=(0.1,) * 10))
     with pytest.raises(ConfigurationError, match="custom"):
         run_step_grid(problem, custom, budget_epochs=1)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep grid against one single run per candidate
+
+GRID_MASKED = (DivergenceError, SafeguardViolationError, ConfigurationError)
+
+
+def serial_grid(problem, cfg, budget_epochs, algorithm):
+    """Grid rows from one single run per candidate, and each run's outcome."""
+    rows, outcomes = [], []
+    for i, eta in enumerate(grid_candidates()):
+        seed = int(np.random.SeedSequence([cfg.seed, 1000 + i]).generate_state(1)[0])
+        run_cfg = SolverConfig(
+            beta=cfg.beta,
+            schedule=StepSchedule(
+                kind=cfg.schedule.kind, eta0=eta, epoch_len=cfg.schedule.epoch_len
+            ),
+            max_iters=budget_epochs * cfg.schedule.epoch_len,
+            feas_shell_check=cfg.feas_shell_check,
+            safeguards=cfg.safeguards,
+            seed=seed,
+            stop_tol_stationarity=cfg.stop_tol_stationarity,
+            stop_tol_feasibility=cfg.stop_tol_feasibility,
+            trace_stride=cfg.trace_stride,
+        )
+        try:
+            result = ALGORITHM_RUNNERS[algorithm](problem, run_cfg)
+        except GRID_MASKED as err:
+            rows.append((eta, float("inf")))
+            outcomes.append(type(err).__name__)
+            continue
+        rows.append((eta, problem.f_value(result.projected.matrix)))
+        outcomes.append(result.termination)
+    return rows, outcomes
+
+
+def _shell_problem():
+    # scaled so that the smallest steps pass the safeguard bounds; the
+    # constants are underestimated fourfold, so some runs leave the shell
+    problem = make_sparse_pca(0.05 * spiked_covariance(20, [10, 8, 6, 4], 1), 3, 0.005)
+    return problem, tuple(m / 4 for m in estimate_constants(problem, samples=50))
+
+
+GRID_SCENARIOS = {
+    # name: (problem factory, config overrides, budget_epochs)
+    "l1_pca_stride_1": (lambda: (l1_pca_problem(noisy=False), None), dict(trace_stride=1), 25),
+    "l1_pca_noisy_stride_budget": (
+        lambda: (l1_pca_problem(noisy=True), None), dict(trace_stride=30), 30
+    ),
+    "sparse_pca_prox": (lambda: (sparse_pca_problem(n=20, p=3), None), dict(trace_stride=7), 30),
+    "shell_check_estimated": (
+        _shell_problem,
+        dict(schedule=StepSchedule(kind="constant"), feas_shell_check=True, trace_stride=5),
+        30,
+    ),
+    "all_diverge_stride_1": (
+        lambda: (make_quadratic_trace(1e3 * np.diag(np.arange(6.0, 0.0, -1.0)), 2), None),
+        dict(trace_stride=1),
+        20,
+    ),
+    "stop_tolerances": (
+        lambda: (make_quadratic_trace(np.diag(np.arange(6.0, 0.0, -1.0)), 2), None),
+        dict(stop_tol_stationarity=3.0, stop_tol_feasibility=1e-2, trace_stride=30),
+        30,
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def scenario_problem(name):
+    return GRID_SCENARIOS[name][0]()
+
+
+def grid_scenario(name, seed):
+    _, overrides, budget = GRID_SCENARIOS[name]
+    problem, safeguards = scenario_problem(name)
+    cfg = {"beta": 1.0, "schedule": StepSchedule(kind="harmonic_decay"), "seed": seed, **overrides}
+    if safeguards is not None:
+        cfg["beta"] = max(16.0 * safeguards[0], 60.0 * safeguards[1], 16.0 * safeguards[2])
+        cfg["safeguards"] = safeguards
+    return problem, SolverConfig(**cfg), budget
+
+
+@pytest.mark.parametrize("scenario", sorted(GRID_SCENARIOS))
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHM_RUNNERS))
+@settings(max_examples=3, deadline=None, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_lockstep_grid_matches_serial_runs(algorithm, scenario, seed):
+    problem, cfg, budget = grid_scenario(scenario, seed)
+    expected, _ = serial_grid(problem, cfg, budget, algorithm)
+    assert run_step_grid(problem, cfg, budget, algorithm) == expected
+
+
+def test_lockstep_grid_scenarios_cover_every_outcome():
+    seen = set()
+    for scenario in GRID_SCENARIOS:
+        problem, cfg, budget = grid_scenario(scenario, 0)
+        for algorithm in ALGORITHM_RUNNERS:
+            seen.update(serial_grid(problem, cfg, budget, algorithm)[1])
+    assert seen == {
+        "max_iters",
+        "tol_met",
+        "DivergenceError",
+        "SafeguardViolationError",
+        "ConfigurationError",
+    }
+
+
+@pytest.mark.parametrize("algorithm", ["ncdf_sgd", "rsgd_baseline"])
+def test_grid_propagates_oracle_dimension_error(algorithm):
+    calls = []
+
+    def oracle(x, rng):
+        # the ten candidates' trace estimates at k = 0 get valid outputs
+        calls.append(1)
+        return 2.0 * x if len(calls) <= 10 else np.ones((4, 3))
+
+    cfg = SolverConfig(schedule=StepSchedule(kind="constant"), max_iters=5, trace_stride=5)
+    with pytest.raises(DimensionError, match="shape"):
+        run_step_grid(problem_with_oracle(oracle), cfg, budget_epochs=5, algorithm=algorithm)
+    assert len(calls) == 11
 
 
 # ---------------------------------------------------------------------------

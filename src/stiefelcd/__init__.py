@@ -7,15 +7,10 @@ subgradient or proximal subgradient iterations.
 """
 
 from .core import (
-    FeasibilityShell,
-    OMEGA_1,
-    OMEGA_HALF,
-    OMEGA_SIXTH,
     PenaltyConfig,
+    SHELL_RADIUS,
     StiefelPoint,
     apply_A,
-    apply_A_generalized,
-    apply_A_product,
     ata_residual_identity,
     feasibility_violation,
     inverse_A,

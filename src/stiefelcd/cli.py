@@ -4,7 +4,7 @@ Subcommands:
 
   stiefelcd run <config.json>      execute one solver run, write trace CSV
                                    and a summary record
-  stiefelcd verify [--seed --samples --tol-scale --workers]
+  stiefelcd verify [--seed --samples --tol-scale]
                                    run the identity and stationarity suites
   stiefelcd grid <config.json>     step-size grid table and selection
 
@@ -34,7 +34,12 @@ import time
 
 import numpy as np
 
-from .diagnostics import format_reports, run_identity_suite, run_stationarity_suite
+from .diagnostics import (
+    _internal_smooth_problem,
+    format_reports,
+    run_identity_suite,
+    run_stationarity_suite,
+)
 from .errors import ConfigurationError, DivergenceError, SafeguardViolationError
 from .problems import (
     NoiseModel,
@@ -131,17 +136,57 @@ def _get_num(sec, key, path, default=None, required=False, minimum=None, integer
             raise ConfigurationError(f"{path}.{key}: required field missing")
         return default
     value = sec[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{path}.{key}: expected a number, got {value!r}")
-    if integer and int(value) != value:
-        raise ConfigurationError(f"{path}.{key}: expected an integer, got {value!r}")
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the magnitude test also rejects nan, inf and integers beyond double range
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ConfigurationError(f"{path}.{key}: expected a finite number, got {value!r}")
+    if integer and (int(value) != value or abs(value) >= 2**63):
+        raise ConfigurationError(f"{path}.{key}: expected a 64-bit integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigurationError(f"{path}.{key}: must be >= {minimum}, got {value}")
     return int(value) if integer else float(value)
 
 
+def _get_num_list(sec, key, path, default=None, length=None, **num):
+    """sec[key] as a list of numbers, each checked by _get_num under path.key.i."""
+    if key not in sec:
+        return default
+    value = sec[key]
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f" {length}"
+        raise ConfigurationError(f"{path}.{key}: expected a list of{size} numbers, got {value!r}")
+    entries = dict(enumerate(value))
+    return [_get_num(entries, i, f"{path}.{key}", required=True, **num) for i in entries]
+
+
 def build_problem(conf: dict):
     """ProblemDefinition from the config's problem section."""
+    try:
+        problem = _problem_of_kind(conf)
+    except ConfigurationError:
+        raise
+    except (ValueError, OSError) as err:
+        # a factory's check across fields (n >= p, ...) or an unreadable data file
+        raise ConfigurationError(f"problem: {err}") from err
+    noise = conf.get("noise")
+    if noise is not None:
+        if not isinstance(noise, dict):
+            raise ConfigurationError("problem.noise: must be a JSON object")
+        _known_keys(noise, {"sigma", "bound"}, "problem.noise")
+        sigma = _get_num(noise, "sigma", "problem.noise", required=True, minimum=0.0)
+        bound = _get_num(noise, "bound", "problem.noise", default=None)
+        try:
+            problem = attach_noise(problem, NoiseModel(sigma=sigma, bound=bound))
+        except ValueError as err:
+            raise ConfigurationError(f"problem.noise: {err}") from err
+    return problem
+
+
+def _problem_of_kind(conf: dict):
+    """The problem section's objective, before any noise is attached."""
+    path = conf.get("data_path", "")
+    if not isinstance(path, str):
+        raise ConfigurationError(f"problem.data_path: expected a file path, got {path!r}")
     kind = conf.get("kind")
     if kind == "quadratic_trace":
         _known_keys(conf, {"kind", "n", "p", "seed", "scale", "data_path", "noise"}, "problem")
@@ -150,12 +195,12 @@ def build_problem(conf: dict):
             mat = load_matrix_csv(conf["data_path"])
         else:
             n = _get_num(conf, "n", "problem", required=True, minimum=1, integer=True)
-            seed = _get_num(conf, "seed", "problem", default=0, integer=True)
+            seed = _get_num(conf, "seed", "problem", default=0, minimum=0, integer=True)
             scale = _get_num(conf, "scale", "problem", default=1.0)
             m = gaussian_matrix(n, n, seed, scale)
             mat = 0.5 * (m + m.T)
-        problem = make_quadratic_trace(mat, p)
-    elif kind == "sparse_pca":
+        return make_quadratic_trace(mat, p)
+    if kind == "sparse_pca":
         _known_keys(
             conf,
             {"kind", "n", "p", "gamma", "seed", "top_eigenvalues", "data_path", "noise"},
@@ -167,11 +212,13 @@ def build_problem(conf: dict):
             cov = load_matrix_csv(conf["data_path"])
         else:
             n = _get_num(conf, "n", "problem", required=True, minimum=1, integer=True)
-            seed = _get_num(conf, "seed", "problem", default=0, integer=True)
-            top = conf.get("top_eigenvalues", [10.0, 8.0, 6.0, 4.0, 2.0])
+            seed = _get_num(conf, "seed", "problem", default=0, minimum=0, integer=True)
+            top = _get_num_list(
+                conf, "top_eigenvalues", "problem", [10.0, 8.0, 6.0, 4.0, 2.0], minimum=0.0
+            )
             cov = spiked_covariance(n, top, seed)
-        problem = make_sparse_pca(cov, p, gamma)
-    elif kind == "l1_pca":
+        return make_sparse_pca(cov, p, gamma)
+    if kind == "l1_pca":
         _known_keys(conf, {"kind", "rows", "n", "p", "seed", "data_path", "noise"}, "problem")
         p = _get_num(conf, "p", "problem", required=True, minimum=1, integer=True)
         if "data_path" in conf:
@@ -179,36 +226,21 @@ def build_problem(conf: dict):
         else:
             rows = _get_num(conf, "rows", "problem", required=True, minimum=1, integer=True)
             n = _get_num(conf, "n", "problem", required=True, minimum=1, integer=True)
-            seed = _get_num(conf, "seed", "problem", default=0, integer=True)
+            seed = _get_num(conf, "seed", "problem", default=0, minimum=0, integer=True)
             data = gaussian_matrix(rows, n, seed)
-        problem = make_l1_pca(data, p)
-    elif kind == "orthogonal_mlp":
+        return make_l1_pca(data, p)
+    if kind == "orthogonal_mlp":
         _known_keys(conf, {"kind", "widths", "n_samples", "seed", "noise"}, "problem")
-        widths = conf.get("widths")
-        if not isinstance(widths, list) or len(widths) != 3:
+        widths = _get_num_list(conf, "widths", "problem", length=3, minimum=1, integer=True)
+        if widths is None:
             raise ConfigurationError("problem.widths: expected [d_in, hidden, d_out]")
         n_samples = _get_num(conf, "n_samples", "problem", required=True, minimum=1, integer=True)
-        seed = _get_num(conf, "seed", "problem", default=0, integer=True)
+        seed = _get_num(conf, "seed", "problem", default=0, minimum=0, integer=True)
         dataset = synthetic_mlp_dataset(n_samples, widths, seed)
-        problem = make_orthogonal_mlp(dataset, widths, seed=seed)
-    elif kind is None:
+        return make_orthogonal_mlp(dataset, widths, seed=seed)
+    if kind is None:
         raise ConfigurationError("problem.kind: required field missing")
-    else:
-        raise ConfigurationError(f"problem.kind: unknown problem kind {kind!r}")
-
-    noise = conf.get("noise")
-    if noise is not None:
-        if not isinstance(noise, dict):
-            raise ConfigurationError("problem.noise: must be a JSON object")
-        _known_keys(noise, {"sigma", "bound", "seed"}, "problem.noise")
-        sigma = _get_num(noise, "sigma", "problem.noise", required=True, minimum=0.0)
-        bound = _get_num(noise, "bound", "problem.noise", default=None)
-        seed = _get_num(noise, "seed", "problem.noise", default=0, integer=True)
-        try:
-            problem = attach_noise(problem, NoiseModel(sigma=sigma, bound=bound, seed=seed))
-        except ValueError as err:
-            raise ConfigurationError(f"problem.noise: {err}") from err
-    return problem
+    raise ConfigurationError(f"problem.kind: unknown problem kind {kind!r}")
 
 
 def build_solver(conf: dict, problem):
@@ -223,7 +255,7 @@ def build_solver(conf: dict, problem):
         "solver",
     )
     algorithm = conf.get("algorithm", "ncdf_sgd")
-    if algorithm not in ALGORITHM_RUNNERS:
+    if not isinstance(algorithm, str) or algorithm not in ALGORITHM_RUNNERS:
         raise ConfigurationError(
             f"solver.algorithm: unknown algorithm {algorithm!r}, "
             f"expected one of {sorted(ALGORITHM_RUNNERS)}"
@@ -232,7 +264,7 @@ def build_solver(conf: dict, problem):
     if not isinstance(sched_spec, dict):
         raise ConfigurationError("solver.schedule: must be a JSON object")
     _known_keys(sched_spec, {"kind", "eta0", "epoch_len", "values"}, "solver.schedule")
-    values = sched_spec.get("values")
+    values = _get_num_list(sched_spec, "values", "solver.schedule")
     try:
         schedule = StepSchedule(
             kind=sched_spec.get("kind", "harmonic_decay"),
@@ -245,18 +277,12 @@ def build_solver(conf: dict, problem):
     except ConfigurationError as err:
         raise ConfigurationError(f"solver.schedule.{err}") from err
 
-    safeguards = conf.get("safeguards", (0.0, 0.0, 0.0))
-    if safeguards == "estimate":
-        safeguards = estimate_constants(
-            problem, seed=_get_num(conf, "seed", "solver", default=0, integer=True)
-        )
-    elif isinstance(safeguards, list):
-        if len(safeguards) != 3:
-            raise ConfigurationError("solver.safeguards: expected three estimates")
-        safeguards = tuple(float(s) for s in safeguards)
-    elif safeguards != (0.0, 0.0, 0.0):
-        raise ConfigurationError(
-            'solver.safeguards: expected "estimate" or a list of three numbers'
+    seed = _get_num(conf, "seed", "solver", default=0, minimum=0, integer=True)
+    if conf.get("safeguards") == "estimate":
+        safeguards = estimate_constants(problem, seed=seed)
+    else:
+        safeguards = tuple(
+            _get_num_list(conf, "safeguards", "solver", [0.0, 0.0, 0.0], length=3)
         )
     shell_check = conf.get("feas_shell_check", False)
     if not isinstance(shell_check, bool):
@@ -271,7 +297,7 @@ def build_solver(conf: dict, problem):
             max_iters=_get_num(conf, "max_iters", "solver", default=1000, integer=True),
             feas_shell_check=shell_check,
             safeguards=safeguards,
-            seed=_get_num(conf, "seed", "solver", default=0, integer=True),
+            seed=seed,
             stop_tol_stationarity=_get_num(
                 conf, "stop_tol_stationarity", "solver", default=0.0
             ),
@@ -368,32 +394,25 @@ def cmd_run(args) -> int:
     t0 = time.perf_counter()
     try:
         result = runner(problem, solver_cfg)
-    except DivergenceError as err:
+    except (DivergenceError, SafeguardViolationError) as err:
         partial = getattr(err, "result", None)
         if partial is not None:
             _emit_outputs(problem, partial, out_spec, time.perf_counter() - t0)
-        print(f"run diverged: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except SafeguardViolationError as err:
-        partial = getattr(err, "result", None)
-        if partial is not None:
-            _emit_outputs(problem, partial, out_spec, time.perf_counter() - t0)
-        print(f"safeguard violated: {err}", file=sys.stderr)
+        if isinstance(err, DivergenceError):
+            print(f"run diverged: {err}", file=sys.stderr)
+            return EXIT_DIVERGED
+        print(f"safeguard violated (solver.feas_shell_check): {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except ConfigurationError as err:
+        # the run's own checks: the safeguard step caps, a short custom schedule
+        raise ConfigurationError(f"solver: {err}") from err
     _emit_outputs(problem, result, out_spec, time.perf_counter() - t0)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    reports = run_identity_suite(
-        seed=args.seed,
-        samples=args.samples,
-        tol_scale=args.tol_scale,
-        workers=args.workers,
-    )
-    rng = np.random.default_rng(args.seed)
-    m = rng.standard_normal((10, 10))
-    problem = make_quadratic_trace(m + m.T, 3)
+    reports = run_identity_suite(seed=args.seed, samples=args.samples, tol_scale=args.tol_scale)
+    problem = _internal_smooth_problem(np.random.default_rng(args.seed))
     m1, mt, mh = estimate_constants(problem, seed=args.seed)
     beta = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
     reports += run_stationarity_suite(
@@ -419,7 +438,7 @@ def cmd_grid(args) -> int:
         print(f"{_fmt(eta)} {_fmt(val)}")
     best_eta = best_grid_step(rows)
     if best_eta is None:
-        print("grid search failed: every candidate diverged", file=sys.stderr)
+        print("grid search failed: every candidate diverged or was rejected", file=sys.stderr)
         return EXIT_DIVERGED
     print(f"selected {_fmt(best_eta)}")
     return EXIT_OK
@@ -437,7 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
-    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_grid = sub.add_parser("grid", help="step-size grid search over 10 candidates")

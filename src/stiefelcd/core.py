@@ -9,7 +9,8 @@ of the Stiefel manifold onto it at a cubic rate: the Gram residual of A(X)
 is bounded by the cube of the Gram residual of X.  Composing an objective
 f with A and adding the quartic penalty (beta/4)*||X'X - I||_F^2 yields an
 unconstrained surrogate whose values and (generalized) gradients agree
-with the constrained problem on the manifold.
+with the constrained problem on the manifold.  Safeguarded runs keep
+their iterates inside the shell ||X'X - I||_F <= SHELL_RADIUS = 1/6.
 
 All matrices are dense float64 arrays with at least as many rows as
 columns.  Gram matrices are symmetrized before use so that downstream
@@ -43,6 +44,10 @@ _A_COEFFS = (15.0, -10.0, 3.0)
 
 # Factor polynomial of the Gram residual identity, see ata_residual_identity.
 _RESIDUAL_COEFFS = (9.0, -33.0, 64.0)
+
+# Gram residual radius of the feasibility shell that safeguarded runs
+# (feas_shell_check) must stay inside.
+SHELL_RADIUS = 1.0 / 6.0
 
 
 def validate_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -150,25 +155,6 @@ class StiefelPoint:
     @property
     def shape(self):
         return self.matrix.shape
-
-
-@dataclass(frozen=True)
-class FeasibilityShell:
-    """Set of matrices with Gram residual at most radius."""
-
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"shell radius must be positive, got {self.radius}")
-
-    def contains(self, x) -> bool:
-        return feasibility_violation(x) <= self.radius
-
-
-OMEGA_1 = FeasibilityShell(1.0)
-OMEGA_HALF = FeasibilityShell(0.5)
-OMEGA_SIXTH = FeasibilityShell(1.0 / 6.0)
 
 
 @dataclass(frozen=True)
@@ -355,47 +341,6 @@ def ncdf_subgradient(f_subgrad, x, penalty: PenaltyConfig) -> np.ndarray:
     if w.shape != x.shape:
         raise DimensionError(f"subgradient shape {w.shape} != point shape {x.shape}")
     return _jacobian(x, w, resid, poly) + penalty.beta * (x @ resid)
-
-
-def apply_A_generalized(x, b) -> np.ndarray:
-    """Variant of apply_A for the constraint X'BX = I with B symmetric positive definite.
-
-    Same polynomial with the B-weighted Gram matrix X'BX in place of X'X.
-    """
-    x = validate_matrix(x)
-    b = np.asarray(b, dtype=float)
-    n = x.shape[0]
-    if b.ndim != 2 or b.shape != (n, n):
-        raise DimensionError(f"B must be {n}x{n}, got {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("B contains non-finite entries")
-    bnorm = np.linalg.norm(b)
-    if np.linalg.norm(b - b.T) > 1e-12 * max(1.0, bnorm):
-        raise ValueError("B must be symmetric to 1e-12")
-    bs = 0.5 * (b + b.T)
-    try:
-        np.linalg.cholesky(bs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("B must be positive definite") from exc
-    g = x.T @ bs @ x
-    g = 0.5 * (g + g.T)
-    return _map(x, _map_poly(g, np.eye(x.shape[1])))
-
-
-def apply_A_product(blocks, euclidean=None):
-    """Apply the map blockwise over a product of Stiefel factors.
-
-    blocks is a sequence of tall matrices, each mapped independently; the
-    optional euclidean part is passed through unchanged (as a copy).
-    Returns (mapped_blocks, euclidean).
-    """
-    mapped = [apply_A(b) for b in blocks]
-    passthrough = None
-    if euclidean is not None:
-        passthrough = np.array(euclidean, dtype=float)
-        if not np.all(np.isfinite(passthrough)):
-            raise ValueError("euclidean part contains non-finite entries")
-    return mapped, passthrough
 
 
 def random_stiefel(rng: np.random.Generator, n: int, p: int) -> np.ndarray:

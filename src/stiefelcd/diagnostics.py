@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -287,20 +286,19 @@ IDENTITY_CHECKS = (
 )
 
 
-def run_identity_suite(seed=0, samples=1000, tol_scale=1.0, workers=1):
+def run_identity_suite(seed=0, samples=1000, tol_scale=1.0):
     """Run every named identity check on seeded random inputs.
 
     Failures are reported, never raised.  tol_scale multiplies every
-    tolerance (for reduced-precision builds); reports come back in fixed
-    name order regardless of worker count.
+    tolerance (for reduced-precision builds); reports come back in name
+    order.
     """
     if samples < 1:
         raise ConfigurationError(f"samples must be >= 1, got {samples}")
     if tol_scale <= 0:
         raise ConfigurationError(f"tol_scale must be positive, got {tol_scale}")
-
-    def run_one(item):
-        index, (name, fn) = item
+    reports = []
+    for index, (name, fn) in enumerate(IDENTITY_CHECKS):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 7, index]))
         error = None
         try:
@@ -310,14 +308,7 @@ def run_identity_suite(seed=0, samples=1000, tol_scale=1.0, workers=1):
             # suite's contract is to report failures rather than throw
             violation, tolerance = float("inf"), 0.0
             error = f"{type(exc).__name__}: {exc}"
-        return _report(name, samples, violation, tolerance, seed, error)
-
-    items = list(enumerate(IDENTITY_CHECKS))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, items))
-    else:
-        reports = [run_one(item) for item in items]
+        reports.append(_report(name, samples, violation, tolerance, seed, error))
     return sorted(reports, key=lambda r: r.name)
 
 

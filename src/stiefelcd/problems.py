@@ -278,7 +278,6 @@ class NoiseModel:
 
     sigma: float
     bound: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -294,9 +293,6 @@ class NoiseModel:
         if nrm > self.bound:
             g *= self.bound / nrm
         return g
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 def attach_noise(problem: ProblemDefinition, model: NoiseModel) -> ProblemDefinition:

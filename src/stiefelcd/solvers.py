@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    OMEGA_SIXTH,
+    SHELL_RADIUS,
     StiefelPoint,
     _fro,
     _gram,
@@ -63,7 +63,6 @@ from .errors import (
 from .problems import ProblemDefinition
 
 SCHEDULE_KINDS = ("harmonic_decay", "constant", "custom")
-ALGORITHMS = ("ncdf_sgd", "ncdf_proxsgd", "rsgd_baseline")
 
 # iterates whose Gram residual passes this are treated as runaways
 DIVERGENCE_FEAS_LIMIT = 10.0
@@ -348,7 +347,7 @@ class _Run:
             raise DivergenceError(
                 f"Gram residual {feas:.3g} exceeded the divergence guard at iteration {k}"
             )
-        if self.cfg.feas_shell_check and feas > OMEGA_SIXTH.radius + 1e-12:
+        if self.cfg.feas_shell_check and feas > SHELL_RADIUS + 1e-12:
             raise SafeguardViolationError(
                 f"iterate left the 1/6 feasibility shell at iteration {k} "
                 f"(residual {feas:.6g}); the bound beta >= max(16 M1, 60 Mt, 16 Mh) "
@@ -560,6 +559,8 @@ ALGORITHM_RUNNERS = {
     "rsgd_baseline": run_riemannian_baseline,
 }
 
+ALGORITHMS = tuple(_METHODS)
+
 # errors that end one grid candidate with score +inf; any other propagates
 _MASKED = (DivergenceError, SafeguardViolationError, ConfigurationError)
 
@@ -605,7 +606,7 @@ def _lockstep(problem, method: _Method, live: list) -> dict:
     stop_on = cfg.stop_tol_stationarity > 0 and cfg.stop_tol_feasibility > 0
     limit = DIVERGENCE_FEAS_LIMIT
     if cfg.feas_shell_check:
-        limit = min(limit, OMEGA_SIXTH.radius + 1e-12)
+        limit = min(limit, SHELL_RADIUS + 1e-12)
     prox_each = method.proximal and problem.reg is not None
     x = np.stack([default_initial_point(problem, run.cfg.seed) for run in live])
     results = {}

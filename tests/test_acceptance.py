@@ -193,7 +193,7 @@ def test_criterion_07_stationarity_lower_bound():
 
 def test_criterion_08_shell_invariance_over_long_runs():
     data = gaussian_matrix(30, 12, seed=8)
-    noisy = attach_noise(make_l1_pca(data, 3), NoiseModel(sigma=0.05, bound=0.1, seed=88))
+    noisy = attach_noise(make_l1_pca(data, 3), NoiseModel(sigma=0.05, bound=0.1))
     m1, mt, mh = estimate_constants(noisy, seed=8)
     beta = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
 

@@ -1,10 +1,13 @@
 """CLI tests: exit codes, config validation, trace files, verify wiring."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stiefelcd.core as core
 from stiefelcd.cli import main, read_trace_csv, write_trace_csv
@@ -128,6 +131,48 @@ def test_run_rejects_solver_workers(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+def test_run_rejects_non_string_algorithm(tmp_path, capsys):
+    cfg = minimal_config(tmp_path, algorithm=["x"])
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    assert "solver.algorithm" in capsys.readouterr().err
+
+
+def test_run_rejects_noise_seed(tmp_path, capsys):
+    # noise is drawn from the solver's keyed generator, so a noise seed would do nothing
+    cfg = minimal_config(tmp_path)
+    cfg["problem"]["noise"] = {"sigma": 0.05, "seed": 2}
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "problem.noise" in err and "seed" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "problem, solver, path",
+    [
+        (None, {"safeguards": [1, 2, "x"]}, "solver.safeguards.2"),
+        (None, {"schedule": {"kind": "custom", "values": [0.1, "a"]}}, "solver.schedule.values.1"),
+        (
+            {"kind": "sparse_pca", "n": 8, "p": 2, "gamma": 0.1, "top_eigenvalues": "abc"},
+            {},
+            "problem.top_eigenvalues",
+        ),
+        (
+            {"kind": "orthogonal_mlp", "widths": [4, "a", 2], "n_samples": 10},
+            {},
+            "problem.widths.1",
+        ),
+    ],
+)
+def test_list_fields_name_their_bad_entry(tmp_path, capsys, problem, solver, path):
+    cfg = minimal_config(tmp_path, **solver)
+    if problem is not None:
+        cfg["problem"] = problem
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "grid"])
 def test_unknown_top_level_keys_rejected(tmp_path, capsys, command):
     cfg = minimal_config(tmp_path, budget_epochs=5)
@@ -198,7 +243,7 @@ def test_run_other_problem_kinds(tmp_path):
     for problem in [
         {"kind": "sparse_pca", "n": 20, "p": 2, "gamma": 0.1, "seed": 1},
         {"kind": "l1_pca", "rows": 30, "n": 10, "p": 2, "seed": 1,
-         "noise": {"sigma": 0.05, "seed": 2}},
+         "noise": {"sigma": 0.05}},
         {"kind": "orthogonal_mlp", "widths": [6, 3, 2], "n_samples": 40, "seed": 1},
     ]:
         cfg = {
@@ -317,6 +362,23 @@ def test_grid_all_candidates_diverging_exits_2(tmp_path, capsys):
     assert all(line.split()[1] == "inf" for line in captured.out.splitlines())
 
 
+def test_grid_all_candidates_rejected_exits_2(tmp_path, capsys):
+    # every step exceeds the shell check's cap 1/(2 beta), so no candidate runs at all
+    cfg = {
+        "problem": {"kind": "l1_pca", "rows": 20, "n": 6, "p": 2, "seed": 1},
+        "solver": {
+            "safeguards": "estimate",
+            "feas_shell_check": True,
+            "beta": 5000,
+            "budget_epochs": 5,
+        },
+    }
+    assert main(["grid", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "every candidate diverged or was rejected" in captured.err
+    assert all(line.split()[1] == "inf" for line in captured.out.splitlines())
+
+
 # ---------------------------------------------------------------------------
 # argument handling and helpers
 
@@ -327,6 +389,12 @@ def test_no_subcommand_exits_3(capsys):
 
 def test_unknown_flag_exits_3(capsys):
     assert main(["verify", "--bogus"]) == 3
+
+
+def test_verify_rejects_workers_flag(capsys):
+    # the identity suite runs serially; threads only slowed it down
+    assert main(["verify", "--workers", "2"]) == 3
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -353,3 +421,70 @@ def test_read_trace_rejects_wrong_header(tmp_path):
     path.write_text("iter,f,h\n0,1,2\n")
     with pytest.raises(ConfigurationError):
         read_trace_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing
+
+_BASE_PROBLEMS = {
+    "quadratic_trace": {"kind": "quadratic_trace", "n": 5, "p": 2, "seed": 0},
+    "sparse_pca": {"kind": "sparse_pca", "n": 6, "p": 2, "gamma": 0.1, "seed": 0},
+    "l1_pca": {"kind": "l1_pca", "rows": 8, "n": 4, "p": 2, "seed": 0},
+    "orthogonal_mlp": {"kind": "orthogonal_mlp", "widths": [4, 2, 1], "n_samples": 6},
+}
+_PROBLEM_KEYS = (
+    "kind", "n", "p", "seed", "scale", "data_path", "noise", "gamma", "top_eigenvalues",
+    "rows", "widths", "n_samples", "bogus",
+)
+_SOLVER_KEYS = (
+    "algorithm", "beta", "max_iters", "seed", "schedule", "feas_shell_check", "safeguards",
+    "stop_tol_stationarity", "stop_tol_feasibility", "trace_stride", "budget_epochs",
+    "workers", "bogus",
+)
+# small magnitudes only, so that a fuzzed size or iteration count stays cheap
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 9),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([float("nan"), float("inf"), 1e300]),
+    st.sampled_from(["", "x", "estimate", "ncdf_proxsgd", "constant", "custom"]),
+)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=4),
+    st.dictionaries(
+        st.sampled_from(["kind", "eta0", "epoch_len", "values", "sigma", "bound", "seed"]),
+        st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
+        max_size=3,
+    ),
+)
+# a config path, dotted below its section: problem, solver.schedule.eta0, ...
+_PATH = re.compile(r"\b(problem|solver|output)(\.\w+)*")
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["run", "grid"]),
+    kind=st.sampled_from(sorted(_BASE_PROBLEMS)),
+    problem_edits=st.dictionaries(st.sampled_from(_PROBLEM_KEYS), _VALUES, max_size=3),
+    solver_edits=st.dictionaries(st.sampled_from(_SOLVER_KEYS), _VALUES, max_size=3),
+)
+def test_fuzzed_configs_exit_0_2_or_3(
+    tmp_path, capsys, command, kind, problem_edits, solver_edits
+):
+    cfg = {
+        "problem": {**_BASE_PROBLEMS[kind], **problem_edits},
+        "solver": {"max_iters": 5, "budget_epochs": 2, "beta": 1.0, **solver_edits},
+        "output": {"trace_path": str(tmp_path / "t.csv")},
+    }
+    code = main([command, write_config(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    if code == 3:
+        assert _PATH.search(err), err

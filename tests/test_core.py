@@ -119,16 +119,6 @@ def test_feasibility_violation_values():
     assert core.feasibility_violation(q) <= 1e-13
 
 
-def test_shell_membership():
-    shell = core.FeasibilityShell(0.5)
-    rng = np.random.default_rng(1)
-    q = random_orthonormal(rng, 6, 2)
-    assert shell.contains(q)
-    assert not shell.contains(1.5 * q)
-    with pytest.raises(ValueError):
-        core.FeasibilityShell(0.0)
-
-
 def test_random_shell_point_hits_requested_radius():
     rng = np.random.default_rng(5)
     for radius in [1e-6, 0.1, 0.5, 1.0]:
@@ -383,49 +373,6 @@ def test_penalty_config_requires_positive_beta():
         core.PenaltyConfig(beta=0.0)
 
 
-# ---------------------------------------------------------------------------
-# generalized and product variants
-# ---------------------------------------------------------------------------
-
-def test_generalized_reduces_to_plain_map_for_identity_weight():
-    rng = np.random.default_rng(47)
-    x = rng.standard_normal((6, 2))
-    out = core.apply_A_generalized(x, np.eye(6))
-    assert np.linalg.norm(out - core.apply_A(x)) <= 1e-13
-
-
-def test_generalized_fixes_weighted_feasible_points():
-    rng = np.random.default_rng(53)
-    n, p = 6, 2
-    m = rng.standard_normal((n, n))
-    b = m @ m.T + n * np.eye(n)
-    w, v = np.linalg.eigh(b)
-    b_inv_half = (v / np.sqrt(w)) @ v.T
-    q = random_orthonormal(rng, n, p)
-    x = b_inv_half @ q  # satisfies X'BX = I
-    assert np.linalg.norm(x.T @ b @ x - np.eye(p)) <= 1e-12
-    assert np.linalg.norm(core.apply_A_generalized(x, b) - x) <= 1e-12
-
-
-def test_generalized_rejects_bad_weight():
-    x = np.ones((3, 1))
-    asym = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError):
-        core.apply_A_generalized(x, asym)
-    with pytest.raises(ValueError):
-        core.apply_A_generalized(x, -np.eye(3))
-
-
-def test_product_maps_blocks_independently():
-    rng = np.random.default_rng(59)
-    blocks = [rng.standard_normal((5, 2)), rng.standard_normal((3, 3))]
-    extra = rng.standard_normal(7)
-    mapped, passthrough = core.apply_A_product(blocks, extra)
-    for b, m in zip(blocks, mapped):
-        assert np.linalg.norm(m - core.apply_A(b)) == 0.0
-    assert np.array_equal(passthrough, extra)
-    passthrough[0] += 1.0
-    assert passthrough[0] != extra[0]  # pass-through is a copy
 
 
 def test_scalar_root_solver_failure_is_detectable():

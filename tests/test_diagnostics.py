@@ -74,12 +74,6 @@ def test_identity_suite_deterministic_and_sorted():
     assert any(x.max_violation != y.max_violation for x, y in zip(a, c))
 
 
-def test_identity_suite_workers_do_not_change_reports():
-    serial = run_identity_suite(seed=1, samples=20, workers=1)
-    threaded = run_identity_suite(seed=1, samples=20, workers=6)
-    assert serial == threaded
-
-
 def test_identity_suite_validation():
     with pytest.raises(ConfigurationError):
         run_identity_suite(samples=0)

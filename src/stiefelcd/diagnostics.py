@@ -1,17 +1,18 @@
 """Executable verification suite for the map identities and solver bounds.
 
-Every invariant promised by the core module is bound to a named check that
-samples seeded random inputs and reports the worst violation against a
-pinned tolerance.  Reports are plain records (one JSON line each) so a
-build can be vetted from the command line, and the whole suite is
-deterministic given (seed, samples).
+Every invariant promised by the core module is bound to a named check: a
+per-sample violation on seeded random inputs, reduced by one sampler
+(_sampled) to its worst value against a pinned tolerance.  A nan sample
+makes that worst value nan, so the check fails.  Reports are plain
+records (one JSON line each) so a build can be vetted from the command
+line, and the whole suite is deterministic given (seed, samples).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,18 +52,7 @@ class CheckReport:
     error: Optional[str] = None
 
     def to_line(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "samples": self.samples,
-                "max_violation": self.max_violation,
-                "tolerance": self.tolerance,
-                "passed": self.passed,
-                "seed": self.seed,
-                "error": self.error,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _report(name, samples, max_violation, tolerance, seed, error=None) -> CheckReport:
@@ -98,132 +88,115 @@ def _jacobian_scale(x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# individual checks: each returns (max_violation, tolerance)
+# the sampler and the per-sample violations it reduces
 
 
-def _check_fixed_point(rng, samples, scale):
-    worst = 0.0
-    for _ in range(samples):
-        n, p = _random_dims(rng)
-        x = random_stiefel(rng, n, p)
-        worst = max(worst, np.linalg.norm(apply_A(x) - x) / math.sqrt(p))
-    return worst, 1e-13 * scale
+def _sampled(tolerance, violation):
+    """The check (rng, samples, scale) -> (worst violation(rng), tolerance * scale).
+
+    Unlike max(), the running maximum keeps a nan, so a nan sample fails the check.
+    """
+
+    def check(rng, samples, scale):
+        worst = -math.inf
+        for _ in range(samples):
+            v = violation(rng)
+            if v > worst or v != v:
+                worst = v
+        return worst, tolerance * scale
+
+    return check
 
 
-def _check_factorization(rng, samples, scale):
-    worst = 0.0
-    for _ in range(samples):
-        n, p = _random_dims(rng)
-        x = rng.uniform(-2.0, 2.0, size=(n, p))
-        lhs, rhs = ata_residual_identity(x)
-        denom = max(1.0, float(np.linalg.norm(x)) ** 2)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / denom)
-    return worst, 1e-11 * scale
+def _fixed_point(rng):
+    n, p = _random_dims(rng)
+    x = random_stiefel(rng, n, p)
+    return np.linalg.norm(apply_A(x) - x) / math.sqrt(p)
 
 
-def _check_cubic(rng, samples, scale):
-    worst = -np.inf
-    for _ in range(samples):
-        n, p = _random_dims(rng)
-        x = random_shell_point(rng, n, p, 1.0 * (1.0 - rng.random()))
-        before = feasibility_violation(x)
-        after = feasibility_violation(apply_A(x))
-        worst = max(worst, after - before**3)
-    return worst, 1e-12 * scale
+def _factorization(rng):
+    n, p = _random_dims(rng)
+    x = rng.uniform(-2.0, 2.0, size=(n, p))
+    lhs, rhs = ata_residual_identity(x)
+    denom = max(1.0, float(np.linalg.norm(x)) ** 2)
+    return float(np.linalg.norm(lhs - rhs)) / denom
 
 
-def _check_fd(rng, samples, scale):
+def _cubic(rng):
+    n, p = _random_dims(rng)
+    x = random_shell_point(rng, n, p, 1.0 * (1.0 - rng.random()))
+    before = feasibility_violation(x)
+    after = feasibility_violation(apply_A(x))
+    return after - before**3
+
+
+def _finite_difference(rng):
     t = 1e-5
-    worst = 0.0
-    for _ in range(samples):
-        n, p = _random_dims(rng)
-        x = rng.uniform(-1.5, 1.5, size=(n, p))
-        d = _unit_direction(rng, n, p)
-        fd = (apply_A(x + t * d) - apply_A(x - t * d)) / (2.0 * t)
-        worst = max(worst, float(np.linalg.norm(jacobian_apply(x, d) - fd)))
-    return worst, 1e-6 * scale
+    n, p = _random_dims(rng)
+    x = rng.uniform(-1.5, 1.5, size=(n, p))
+    d = _unit_direction(rng, n, p)
+    fd = (apply_A(x + t * d) - apply_A(x - t * d)) / (2.0 * t)
+    return float(np.linalg.norm(jacobian_apply(x, d) - fd))
 
 
-def _check_manifold_form(rng, samples, scale):
-    worst = 0.0
-    for _ in range(samples):
-        n, p = _random_dims(rng)
-        x = random_stiefel(rng, n, p)
-        d = _unit_direction(rng, n, p)
-        closed = d - x @ sym(d.T @ x)
-        worst = max(worst, float(np.linalg.norm(jacobian_apply(x, d) - closed)))
-    return worst, 1e-12 * scale
+def _manifold_form(rng):
+    n, p = _random_dims(rng)
+    x = random_stiefel(rng, n, p)
+    d = _unit_direction(rng, n, p)
+    closed = d - x @ sym(d.T @ x)
+    return float(np.linalg.norm(jacobian_apply(x, d) - closed))
 
 
-def _check_self_adjoint(rng, samples, scale):
-    worst = 0.0
-    for _ in range(samples):
-        n, p = _random_dims(rng)
-        x = rng.uniform(-2.0, 2.0, size=(n, p))
-        d = rng.standard_normal((n, p))
-        w = rng.standard_normal((n, p))
-        lhs = float(np.sum(jacobian_apply(x, d) * w))
-        rhs = float(np.sum(d * jacobian_apply(x, w)))
-        denom = np.linalg.norm(d) * np.linalg.norm(w) * _jacobian_scale(x)
-        worst = max(worst, abs(lhs - rhs) / denom)
-    return worst, 1e-12 * scale
+def _self_adjoint(rng):
+    n, p = _random_dims(rng)
+    x = rng.uniform(-2.0, 2.0, size=(n, p))
+    d = rng.standard_normal((n, p))
+    w = rng.standard_normal((n, p))
+    lhs = float(np.sum(jacobian_apply(x, d) * w))
+    rhs = float(np.sum(d * jacobian_apply(x, w)))
+    denom = np.linalg.norm(d) * np.linalg.norm(w) * _jacobian_scale(x)
+    return abs(lhs - rhs) / denom
 
 
-def _check_normal_component(rng, samples, scale):
-    worst = 0.0
-    for _ in range(samples):
-        n, p = _random_dims(rng)
-        x = rng.uniform(-1.5, 1.5, size=(n, p))
-        w = rng.standard_normal((n, p))
-        g = x.T @ x
-        resid = g - np.eye(p)
-        lhs = float(np.sum(jacobian_apply(x, w) * (x @ resid)))
-        rhs = 15.0 / 8.0 * float(np.sum(sym(x.T @ w) * np.linalg.matrix_power(resid, 3)))
-        denom = 1.0 + abs(lhs) + abs(rhs) + np.linalg.norm(w) * _jacobian_scale(x)
-        worst = max(worst, abs(lhs - rhs) / denom)
-    return worst, 1e-12 * scale
+def _normal_component(rng):
+    n, p = _random_dims(rng)
+    x = rng.uniform(-1.5, 1.5, size=(n, p))
+    w = rng.standard_normal((n, p))
+    g = x.T @ x
+    resid = g - np.eye(p)
+    lhs = float(np.sum(jacobian_apply(x, w) * (x @ resid)))
+    rhs = 15.0 / 8.0 * float(np.sum(sym(x.T @ w) * np.linalg.matrix_power(resid, 3)))
+    denom = 1.0 + abs(lhs) + abs(rhs) + np.linalg.norm(w) * _jacobian_scale(x)
+    return abs(lhs - rhs) / denom
 
 
-def _check_roundtrip(rng, samples, scale):
-    worst = 0.0
-    for _ in range(samples):
-        n, p = _random_dims(rng, n_max=12, p_max=4)
-        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        v, _ = np.linalg.qr(rng.standard_normal((p, p)))
-        s = rng.uniform(0.0, 3.0, size=p)
-        # the scalar map's derivative vanishes at 1, so inversion there is
-        # ill-conditioned (cube-root error growth); sample away from it
-        while np.any(np.abs(s - 1.0) < 0.01):
-            bad = np.abs(s - 1.0) < 0.01
-            s[bad] = rng.uniform(0.0, 3.0, size=int(bad.sum()))
-        x = (u[:, :p] * s) @ v.T
-        err = np.linalg.norm(inverse_A(apply_A(x)) - x)
-        worst = max(worst, float(err) / max(1.0, float(np.linalg.norm(x))))
-    return worst, 1e-10 * scale
+def _roundtrip(rng):
+    n, p = _random_dims(rng, n_max=12, p_max=4)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    s = rng.uniform(0.0, 3.0, size=p)
+    # the scalar map's derivative vanishes at 1, so inversion there is
+    # ill-conditioned (cube-root error growth); sample away from it
+    while np.any(np.abs(s - 1.0) < 0.01):
+        bad = np.abs(s - 1.0) < 0.01
+        s[bad] = rng.uniform(0.0, 3.0, size=int(bad.sum()))
+    x = (u[:, :p] * s) @ v.T
+    err = np.linalg.norm(inverse_A(apply_A(x)) - x)
+    return float(err) / max(1.0, float(np.linalg.norm(x)))
 
 
-def _check_projection_distance(rng, samples, scale):
-    worst = -np.inf
-    for _ in range(samples):
-        n, p = _random_dims(rng)
-        x = random_shell_point(rng, n, p, 0.5 * (1.0 - rng.random()))
-        v = feasibility_violation(x)
-        gap = float(np.linalg.norm(x - project_stiefel(x).matrix)) - v
-        worst = max(worst, gap)
-    return worst, 0.0
+def _projection_distance(rng):
+    n, p = _random_dims(rng)
+    x = random_shell_point(rng, n, p, 0.5 * (1.0 - rng.random()))
+    v = feasibility_violation(x)
+    return float(np.linalg.norm(x - project_stiefel(x).matrix)) - v
 
 
-def _check_projection_map_distance(rng, samples, scale):
-    worst = -np.inf
-    for _ in range(samples):
-        n, p = _random_dims(rng)
-        x = random_shell_point(rng, n, p, 0.5 * (1.0 - rng.random()))
-        v = feasibility_violation(x)
-        gap = float(np.linalg.norm(apply_A(x) - project_stiefel(x).matrix)) - 4.0 * v**3
-        worst = max(worst, gap)
-    # additive floor: the left side carries absolute float noise even when
-    # the cubic right side underflows it for near-feasible samples
-    return worst, 2e-15 * scale
+def _projection_map_distance(rng):
+    n, p = _random_dims(rng)
+    x = random_shell_point(rng, n, p, 0.5 * (1.0 - rng.random()))
+    v = feasibility_violation(x)
+    return float(np.linalg.norm(apply_A(x) - project_stiefel(x).matrix)) - 4.0 * v**3
 
 
 def _internal_smooth_problem(rng):
@@ -231,57 +204,60 @@ def _internal_smooth_problem(rng):
     return make_quadratic_trace(m + m.T, 3)
 
 
+def _stationarity_gap(problem, beta, m1):
+    """Per-sample violation of ||grad h|| >= (beta/4) feas inside the safeguarded shell."""
+    penalty = PenaltyConfig(beta=beta)
+    r = 0.9 * beta / (2.0 * beta + 8.0 * m1)
+
+    def violation(rng):
+        x = random_shell_point(rng, problem.n, problem.p, r * (1.0 - rng.random()))
+        grad = ncdf_subgradient(problem.f_subgrad, x, penalty)
+        return 0.25 * beta * feasibility_violation(x) - float(np.linalg.norm(grad))
+
+    return violation
+
+
+def _descent_gap(problem, beta, m1):
+    """Per-sample increase of h under projection onto the manifold."""
+    penalty = PenaltyConfig(beta=beta)
+    cap = min(0.5, 0.999 * beta / (16.0 * m1))
+
+    def violation(rng):
+        x = random_shell_point(rng, problem.n, problem.p, cap * (1.0 - rng.random()))
+        h_x = ncdf_value(problem.f_value, x, penalty)
+        return ncdf_value(problem.f_value, project_stiefel(x).matrix, penalty) - h_x
+
+    return violation
+
+
 def _check_stationarity_bound(rng, samples, scale):
     problem = _internal_smooth_problem(rng)
     m1, mt, mh = estimate_constants(problem, seed=int(rng.integers(2**31)))
     beta = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
-    return _stationarity_violation(problem, beta, m1, rng, samples), 0.0
+    return _sampled(0.0, _stationarity_gap(problem, beta, m1))(rng, samples, scale)
 
 
 def _check_projection_descent(rng, samples, scale):
     problem = _internal_smooth_problem(rng)
     m1, _, _ = estimate_constants(problem, seed=int(rng.integers(2**31)))
-    beta = 16.0 * m1
-    return _descent_violation(problem, beta, m1, rng, samples), 1e-10 * scale
-
-
-def _stationarity_violation(problem, beta, m1, rng, samples):
-    penalty = PenaltyConfig(beta=beta)
-    r = 0.9 * beta / (2.0 * beta + 8.0 * m1)
-    worst = -np.inf
-    for _ in range(samples):
-        x = random_shell_point(rng, problem.n, problem.p, r * (1.0 - rng.random()))
-        grad = ncdf_subgradient(problem.f_subgrad, x, penalty)
-        lower = 0.25 * beta * feasibility_violation(x)
-        worst = max(worst, lower - float(np.linalg.norm(grad)))
-    return worst
-
-
-def _descent_violation(problem, beta, m1, rng, samples):
-    penalty = PenaltyConfig(beta=beta)
-    cap = min(0.5, 0.999 * beta / (16.0 * m1))
-    worst = -np.inf
-    for _ in range(samples):
-        x = random_shell_point(rng, problem.n, problem.p, cap * (1.0 - rng.random()))
-        h_x = ncdf_value(problem.f_value, x, penalty)
-        h_p = ncdf_value(problem.f_value, project_stiefel(x).matrix, penalty)
-        worst = max(worst, h_p - h_x)
-    return worst
+    return _sampled(1e-10, _descent_gap(problem, 16.0 * m1, m1))(rng, samples, scale)
 
 
 # registry in report order; the index doubles as the per-check RNG stream
 IDENTITY_CHECKS = (
-    ("cubic_feasibility_bound", _check_cubic),
-    ("exact_factorization", _check_factorization),
-    ("fixed_point_on_manifold", _check_fixed_point),
-    ("inverse_roundtrip", _check_roundtrip),
-    ("jacobian_finite_difference", _check_fd),
-    ("jacobian_manifold_form", _check_manifold_form),
-    ("jacobian_normal_component", _check_normal_component),
-    ("jacobian_self_adjoint", _check_self_adjoint),
+    ("cubic_feasibility_bound", _sampled(1e-12, _cubic)),
+    ("exact_factorization", _sampled(1e-11, _factorization)),
+    ("fixed_point_on_manifold", _sampled(1e-13, _fixed_point)),
+    ("inverse_roundtrip", _sampled(1e-10, _roundtrip)),
+    ("jacobian_finite_difference", _sampled(1e-6, _finite_difference)),
+    ("jacobian_manifold_form", _sampled(1e-12, _manifold_form)),
+    ("jacobian_normal_component", _sampled(1e-12, _normal_component)),
+    ("jacobian_self_adjoint", _sampled(1e-12, _self_adjoint)),
     ("projection_descent", _check_projection_descent),
-    ("projection_distance", _check_projection_distance),
-    ("projection_map_distance", _check_projection_map_distance),
+    ("projection_distance", _sampled(0.0, _projection_distance)),
+    # additive floor: the left side carries absolute float noise even when
+    # the cubic right side underflows it for near-feasible samples
+    ("projection_map_distance", _sampled(2e-15, _projection_map_distance)),
     ("stationarity_lower_bound", _check_stationarity_bound),
 )
 
@@ -329,24 +305,14 @@ def run_stationarity_suite(problem: ProblemDefinition, beta: float, seed=0, samp
     if not beta > 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
     m1 = estimate_constants(problem, seed=seed)[0]
-    rng_a = np.random.default_rng(np.random.SeedSequence([int(seed), 8, 0]))
-    rng_b = np.random.default_rng(np.random.SeedSequence([int(seed), 8, 1]))
-    reports = [
-        _report(
-            "stationarity_lower_bound",
-            samples,
-            _stationarity_violation(problem, beta, m1, rng_a, samples),
-            0.0,
-            seed,
-        ),
-        _report(
-            "projection_descent",
-            samples,
-            _descent_violation(problem, beta, m1, rng_b, samples),
-            1e-10,
-            seed,
-        ),
-    ]
+    suite = (
+        ("stationarity_lower_bound", _sampled(0.0, _stationarity_gap(problem, beta, m1))),
+        ("projection_descent", _sampled(1e-10, _descent_gap(problem, beta, m1))),
+    )
+    reports = []
+    for index, (name, check) in enumerate(suite):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 8, index]))
+        reports.append(_report(name, samples, *check(rng, samples, 1.0), seed))
     return sorted(reports, key=lambda r: r.name)
 
 

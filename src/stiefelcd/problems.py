@@ -8,6 +8,7 @@ by the caller, so a run's randomness is owned entirely by the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -201,6 +202,16 @@ def make_l1_pca(data, p: int) -> ProblemDefinition:
     )
 
 
+def _mlp_widths(widths):
+    """(d_in, hidden, d_out) of a two-layer network whose first layer fits the manifold."""
+    d_in, hidden, d_out = (int(w) for w in widths)
+    if d_in < hidden or hidden < 1:
+        raise ValueError(f"first layer must be tall: need d_in >= hidden >= 1, got {widths}")
+    if d_out < 1:
+        raise ValueError(f"output width must be positive, got {d_out}")
+    return d_in, hidden, d_out
+
+
 def make_orthogonal_mlp(
     dataset,
     widths,
@@ -218,11 +229,7 @@ def make_orthogonal_mlp(
     and zero biases.  The ReLU derivative uses the zero branch at the
     kink, so the subgradient at zero preactivations is zero.
     """
-    d_in, hidden, d_out = (int(w) for w in widths)
-    if d_in < hidden or hidden < 1:
-        raise ValueError(f"first layer must be tall: need d_in >= hidden >= 1, got {widths}")
-    if d_out < 1:
-        raise ValueError(f"output width must be positive, got {d_out}")
+    d_in, hidden, d_out = _mlp_widths(widths)
     pairs = list(dataset)
     if not pairs:
         raise ValueError("dataset is empty")
@@ -330,11 +337,13 @@ def estimate_constants(problem: ProblemDefinition, samples: int = 200, seed: int
         x = random_shell_point(rng, problem.n, problem.p, radius)
         y = apply_A(x)
         w_img = problem.f_subgrad(y, rng)
-        m1 = max(m1, float(np.linalg.norm(w_img)))
-        if np.linalg.norm(w_img) > 0:
+        img = float(np.linalg.norm(w_img))
+        raw = float(np.linalg.norm(problem.f_subgrad(x, rng)))
+        if not math.isfinite(img + raw):  # max() would drop a nan and leave a zero bound
+            raise ValueError("subgradient oracle returned non-finite entries at a sampled point")
+        m1, mh = max(m1, img), max(mh, raw)
+        if img > 0:
             mt = max(mt, float(np.linalg.norm(jacobian_apply(x, w_img))))
-        w_raw = problem.f_subgrad(x, rng)
-        mh = max(mh, float(np.linalg.norm(w_raw)))
     return 1.5 * m1, 1.5 * mt, 1.5 * mh
 
 
@@ -368,7 +377,7 @@ def spiked_covariance(n: int, top_eigenvalues, seed: int, bulk_scale: float = 1.
 
 def synthetic_mlp_dataset(n_samples: int, widths, seed: int):
     """Regression pairs from a planted two-layer ReLU network."""
-    d_in, hidden, d_out = (int(w) for w in widths)
+    d_in, hidden, d_out = _mlp_widths(widths)
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d_in, hidden)))
     w2 = rng.standard_normal((d_out, hidden)) / np.sqrt(hidden)

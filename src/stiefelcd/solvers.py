@@ -390,33 +390,12 @@ class _Run:
         )
 
 
-def _sgd_direction(problem, seed, k, x, mapped):
-    w = problem.f_subgrad(mapped, _LazyRng(seed, 0, k))
-    if w.shape != x.shape:
-        raise DimensionError(f"direction shape {w.shape} != base shape {x.shape}")
-    return w
-
-
 def _sgd_step(x, mapped, w, eta, beta, resid, poly):
     return _penalty_step(x, _jacobian(x, w, resid, poly), eta, beta, resid)
 
 
-def _prox_direction(problem, seed, k, x, mapped):
-    d = np.asarray(problem.phi_subgrad(x, _LazyRng(seed, 0, k)), dtype=float)
-    if d.shape != x.shape:
-        raise ConfigurationError(f"direction shape {d.shape} != iterate shape {x.shape}")
-    return d
-
-
 def _prox_step(x, mapped, d, eta, beta, resid, poly):
     return mapped - eta * d
-
-
-def _baseline_direction(problem, seed, k, x, mapped):
-    w = problem.f_subgrad(x, _LazyRng(seed, 0, k))
-    if w.shape != x.shape:
-        raise DimensionError(f"shape {w.shape} != base shape {x.shape}")
-    return w
 
 
 def _baseline_step(x, mapped, w, eta, beta, resid, poly):
@@ -435,12 +414,20 @@ class _Method:
     """
 
     check: Callable
-    direction: Callable
     step: Callable
     nonfinite: str  # DivergenceError message for a non-finite update, formatted with k
     retract: Optional[Callable] = None
     maps: bool = False  # direction or step reads A(x)
     proximal: bool = False  # settle applies reg.prox; the trace records h_mapped
+    at_map: bool = False  # the oracle is called at A(x) rather than at x
+
+    def direction(self, problem, seed, k, x, mapped):
+        # the proximal method steps along the smooth part only; the others along f
+        oracle = problem.phi_subgrad if self.proximal else problem.f_subgrad
+        d = np.asarray(oracle(mapped if self.at_map else x, _LazyRng(seed, 0, k)), dtype=float)
+        if d.shape != x.shape:
+            raise DimensionError(f"direction shape {d.shape} != iterate shape {x.shape}")
+        return d
 
     def settle(self, reg, y, eta, k):
         if self.proximal and reg is not None:
@@ -453,14 +440,13 @@ class _Method:
 _METHODS = {
     "ncdf_sgd": _Method(
         _check_algorithm1_safeguards,
-        _sgd_direction,
         _sgd_step,
         "subgradient step produced non-finite entries",
         maps=True,
+        at_map=True,
     ),
     "ncdf_proxsgd": _Method(
         _check_algorithm2_safeguards,
-        _prox_direction,
         _prox_step,
         "proximal step produced non-finite entries",
         maps=True,
@@ -468,7 +454,6 @@ _METHODS = {
     ),
     "rsgd_baseline": _Method(
         lambda problem, cfg: None,
-        _baseline_direction,
         _baseline_step,
         "baseline step produced non-finite entries at iteration {k}",
         retract=lambda y: _polar(y)[0],

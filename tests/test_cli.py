@@ -239,6 +239,14 @@ def test_run_feas_shell_check_must_be_boolean(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+def test_run_mlp_widths_checked_before_building_the_dataset(tmp_path, capsys):
+    cfg = minimal_config(tmp_path)
+    cfg["problem"] = {"kind": "orthogonal_mlp", "widths": [4, 6, 2], "n_samples": 10}
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    assert "first layer must be tall" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_run_other_problem_kinds(tmp_path):
     for problem in [
         {"kind": "sparse_pca", "n": 20, "p": 2, "gamma": 0.1, "seed": 1},

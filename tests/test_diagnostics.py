@@ -120,6 +120,29 @@ def test_identity_suite_reports_why_a_check_crashed(monkeypatch):
     assert all(r.error is None for r in reports.values())
 
 
+def test_identity_suite_fails_checks_whose_samples_are_nan(monkeypatch):
+    # a max() reduction drops nan, which let these three checks pass on a
+    # map that returns nothing but nan
+    monkeypatch.setattr(diagnostics, "apply_A", lambda x: np.full(x.shape, np.nan))
+    reports = {r.name: r for r in run_identity_suite(seed=0, samples=5)}
+    for name in ("fixed_point_on_manifold", "jacobian_finite_difference", "projection_map_distance"):
+        assert not reports[name].passed
+        assert math.isnan(reports[name].max_violation)
+        assert reports[name].error is None
+    for r in reports.values():
+        assert r.passed == (r.max_violation <= r.tolerance)
+
+
+def test_sampler_keeps_a_nan_sample_among_finite_ones():
+    values = iter([0.5, np.nan, 2.0, 1.0])
+    check = diagnostics._sampled(1e-3, lambda rng: next(values))
+    worst, tolerance = check(None, 4, 10.0)
+    assert math.isnan(worst)
+    assert tolerance == pytest.approx(1e-2)
+    values = iter([0.5, 2.0, 1.0])
+    assert check(None, 3, 1.0) == (2.0, 1e-3)
+
+
 def test_check_report_fields():
     r = CheckReport(
         name="demo", samples=5, max_violation=0.5, tolerance=1.0, passed=True, seed=2

@@ -282,6 +282,16 @@ def test_estimate_constants_are_inflated_lower_bounds():
     assert (m1, mt, mh) == problems.estimate_constants(prob, samples=100, seed=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_estimate_constants_rejects_non_finite_oracle(bad):
+    # max() drops nan, so an all-nan oracle used to give zero bounds
+    prob = problems.ProblemDefinition(
+        n=4, p=2, phi_value=lambda x: 0.0, phi_subgrad=lambda x, rng: np.full((4, 2), bad)
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        problems.estimate_constants(prob, samples=20, seed=0)
+
+
 def test_estimate_constants_validates_samples():
     prob = problems.make_quadratic_trace(np.eye(2), p=1)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Solver loop tests: frozen single-step values, determinism, guards, grids."""
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -647,7 +648,7 @@ def test_lockstep_grid_scenarios_cover_every_outcome():
     }
 
 
-@pytest.mark.parametrize("algorithm", ["ncdf_sgd", "rsgd_baseline"])
+@pytest.mark.parametrize("algorithm", ["ncdf_sgd", "ncdf_proxsgd", "rsgd_baseline"])
 def test_grid_propagates_oracle_dimension_error(algorithm):
     calls = []
 
@@ -820,7 +821,7 @@ def problem_with_oracle(oracle):
     "algorithm, error",
     [
         ("ncdf_sgd", DimensionError),
-        ("ncdf_proxsgd", ConfigurationError),
+        ("ncdf_proxsgd", DimensionError),
         ("rsgd_baseline", DimensionError),
     ],
 )
@@ -851,6 +852,84 @@ def test_non_finite_oracle_output_aborts_as_divergence(algorithm):
     partial = excinfo.value.result
     assert partial.iterations == 2
     assert len(partial.trace) == 1
+
+
+def poisoned(problem, seed, k, bad):
+    """problem whose oracle returns bad in every call of iteration k of the run seeded seed.
+
+    The solver hands the oracle a generator keyed by (seed, stream, iteration),
+    stream 0 for the step direction and 3 for the trace's stationarity
+    estimate, so one draw from it tells the oracle which call it is serving.
+    """
+    marks = {solvers._rng(seed, stream, k).random() for stream in (0, 3)}
+    base = problem.phi_subgrad
+
+    def oracle(x, rng):
+        return np.full(x.shape, bad) if rng.random() in marks else base(x, rng)
+
+    return replace(problem, phi_subgrad=oracle)
+
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+def small_sparse_pca():
+    # scaled so that most grid candidates of every algorithm stay finite
+    data = gaussian_matrix(50, 6, seed=0)
+    return make_sparse_pca(0.1 * data.T @ data / 50.0, 2, 0.01)
+
+
+# a non-finite oracle output makes numpy warn before the guard turns it into an error
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    algorithm=st.sampled_from(sorted(RUNNERS)),
+    k=st.integers(0, 29),
+    stride=st.integers(1, 40),
+    bad=NON_FINITE,
+)
+def test_poisoned_oracle_ends_the_run_at_that_iteration(algorithm, k, stride, bad):
+    problem = small_sparse_pca()
+    cfg = SolverConfig(
+        beta=1.0,
+        schedule=StepSchedule(kind="constant", eta0=0.01),
+        max_iters=30,
+        seed=4,
+        trace_stride=stride,
+    )
+    clean = RUNNERS[algorithm](problem, cfg)
+    assert clean.termination == "max_iters"
+    with pytest.raises(DivergenceError, match="non-finite") as excinfo:
+        RUNNERS[algorithm](poisoned(problem, cfg.seed, k, bad), cfg)
+    partial = excinfo.value.result
+    assert partial.iterations == k
+    rows = sum(1 for i in clean.trace.iters if i < k)
+    assert partial.trace.iters == clean.trace.iters[:rows]
+    for column in ("f", "h", "feas", "stat"):
+        assert getattr(partial.trace, column) == getattr(clean.trace, column)[:rows]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    algorithm=st.sampled_from(sorted(RUNNERS)),
+    candidate=st.integers(0, 9),
+    k=st.integers(0, 19),
+    stride=st.integers(1, 25),
+    bad=NON_FINITE,
+)
+def test_poisoned_oracle_fails_only_its_grid_candidate(algorithm, candidate, k, stride, bad):
+    problem = small_sparse_pca()
+    cfg = SolverConfig(
+        beta=1.0, schedule=StepSchedule(kind="constant"), seed=6, trace_stride=stride
+    )
+    # the candidate's seed as run_step_grid derives it
+    seed = int(np.random.SeedSequence([cfg.seed, 1000 + candidate]).generate_state(1)[0])
+    clean = run_step_grid(problem, cfg, 20, algorithm)
+    rows = run_step_grid(poisoned(problem, seed, k, bad), cfg, 20, algorithm)
+    assert rows[candidate][1] == float("inf")
+    assert rows[:candidate] == clean[:candidate]
+    assert rows[candidate + 1 :] == clean[candidate + 1 :]
 
 
 @pytest.mark.parametrize("algorithm", sorted(RUNNERS))

@@ -24,13 +24,14 @@ and the map polynomial M = 15 I - 10 G + 3 G^2, formed once per iterate
 and reused for the feasibility guard, A(X) = X M / 8, the Jacobian and
 the penalty gradient X (G - I).  The private helpers transpose only the
 last two axes, so they also accept a stack of iterates of shape (B, n, p)
-and act on each slice exactly as on the 2-d matrix alone; the step-size
-grid advances all its candidates that way.
+and act on each slice exactly as on the 2-d matrix alone; the solver
+driver advances every run that way, a single run as a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,10 +89,18 @@ def _map_poly(g: np.ndarray, eye: np.ndarray) -> np.ndarray:
     return c0 * eye + c1 * g + c2 * (g @ g)
 
 
+@lru_cache(maxsize=8)
+def _eye(p: int, ndim: int) -> np.ndarray:
+    """Read-only identity with ndim axes, built once; matching axes spare a broadcast set-up."""
+    eye = np.eye(p).reshape((1,) * (ndim - 2) + (p, p))
+    eye.flags.writeable = False
+    return eye
+
+
 def _state(x: np.ndarray):
     """Per-iterate state (G - I, M) of an unchecked x: Gram residual and map polynomial."""
     g = _gram(x)
-    eye = np.eye(x.shape[-1])
+    eye = _eye(x.shape[-1], x.ndim)
     return g - eye, _map_poly(g, eye)
 
 

@@ -52,7 +52,11 @@ class CheckReport:
     error: Optional[str] = None
 
     def to_line(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        """The report as strict JSON: a nan or infinite max_violation is written null."""
+        record = asdict(self)
+        if not math.isfinite(self.max_violation):
+            record["max_violation"] = None
+        return json.dumps(record, sort_keys=True)
 
 
 def _report(name, samples, max_violation, tolerance, seed, error=None) -> CheckReport:
@@ -271,8 +275,8 @@ def run_identity_suite(seed=0, samples=1000, tol_scale=1.0):
     """
     if samples < 1:
         raise ConfigurationError(f"samples must be >= 1, got {samples}")
-    if tol_scale <= 0:
-        raise ConfigurationError(f"tol_scale must be positive, got {tol_scale}")
+    if not 0 < tol_scale < math.inf:
+        raise ConfigurationError(f"tol_scale must be positive and finite, got {tol_scale}")
     reports = []
     for index, (name, fn) in enumerate(IDENTITY_CHECKS):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 7, index]))

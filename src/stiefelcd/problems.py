@@ -27,6 +27,11 @@ class Regularizer:
     tau * gamma * r, subgrad returns the minimum-norm element of the
     weighted subdifferential, and lipschitz bounds the weighted term's
     Frobenius Lipschitz constant.
+
+    The solvers call prox once per iteration on their whole (B, n, p)
+    stack of iterates, with tau a float for a stack of one and a (B, 1, 1)
+    array of per-run steps otherwise; prox must map each n x p slice with
+    its own tau, as elementwise numpy code that broadcasts tau does.
     """
 
     value: Callable[[np.ndarray], float]

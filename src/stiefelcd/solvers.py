@@ -15,16 +15,15 @@ noise at iteration k is reproducible bitwise.  Oracles receive a stand-in
 that builds that generator on first attribute access, so deterministic
 oracles skip its set-up.
 
-The loops validate x0 once and then run on core's unchecked kernels,
-sharing one state per iterate (Gram residual and map polynomial) between
-the guard, the trace and the update.  Oracle outputs are shape-checked;
+One driver, _lockstep, advances a stacked (B, n, p) iterate: a single
+run is a stack of one, and the step-size grid stacks its candidates, so
+each candidate scores bitwise what its single run would.  The driver
+validates x0 once and then runs on core's unchecked kernels, sharing one
+state per iterate (Gram residual and map polynomial) between the guard,
+the trace and the update; each run keeps its own bookkeeping (_Run), and
+each algorithm is one step (_Method).  Oracle outputs are shape-checked;
 every step's result and the trace's oracle outputs are checked for
 finiteness.
-
-The step-size grid runs its candidates in lockstep on one stacked
-(B, n, p) iterate through the same kernels, per-run bookkeeping (_Run)
-and per-algorithm step (_Method) as a single run, so each candidate
-scores bitwise what its single run would.
 """
 
 from __future__ import annotations
@@ -229,7 +228,9 @@ def subgradient_step(x, d, eta: float, beta: float) -> np.ndarray:
     if eta < 0:
         raise ConfigurationError(f"step size must be nonnegative, got {eta}")
     y = _penalty_step(x, d, eta, beta, _gram(x) - np.eye(x.shape[1]))
-    return _METHODS["ncdf_sgd"].settle(None, y, eta, 0)
+    if not np.isfinite(y).all():
+        raise DivergenceError("subgradient step produced non-finite entries")
+    return y
 
 
 def _penalty_step(x, d, eta, beta, resid):
@@ -246,7 +247,12 @@ def prox_subgradient_step(x, d, eta: float, reg=None) -> np.ndarray:
         raise ConfigurationError(f"step size must be nonnegative, got {eta}")
     if reg is not None and reg.prox is None:
         raise ConfigurationError("regularizer has no proximal map")
-    return _METHODS["ncdf_proxsgd"].settle(reg, apply_A(x) - eta * d, eta, 0)
+    y = apply_A(x) - eta * d
+    if reg is not None:
+        y = np.asarray(reg.prox(y, eta), dtype=float)
+    if not np.isfinite(y).all():
+        raise DivergenceError("proximal step produced non-finite entries")
+    return y
 
 
 def stationarity_estimate(problem: ProblemDefinition, point, rng=None) -> float:
@@ -326,17 +332,19 @@ def _remap(mapped):
 class _Run:
     """One run's bookkeeping: its guard, trace rows, stopping rule and result.
 
-    The single-run loop drives one of these and the lockstep grid one per
-    candidate; the iterate itself lives with the loop that drives it.
+    The driver keeps one of these per row of its stack; the iterate itself
+    lives with the driver.  failure holds (error, iterate, k) once a masked
+    error has ended the run.
     """
 
-    __slots__ = ("problem", "cfg", "trace", "t0")
+    __slots__ = ("problem", "cfg", "trace", "t0", "failure")
 
     def __init__(self, problem: ProblemDefinition, cfg: SolverConfig):
         self.problem = problem
         self.cfg = cfg
         self.trace = IterateTrace()
         self.t0 = time.perf_counter()
+        self.failure = None
 
     def guard(self, x, feas: float, k: int):
         """Raise if iterate k, with Gram residual feas, is non-finite, runaway or off the shell."""
@@ -404,65 +412,51 @@ def _baseline_step(x, mapped, w, eta, beta, resid, poly):
 
 @dataclass(frozen=True)
 class _Method:
-    """One algorithm's iteration, split where the lockstep grid must go per run.
+    """One algorithm's iteration, split where the driver must go per run.
 
     check(problem, cfg)                    safeguard checks before the run
-    direction(problem, seed, k, x, A(x))   one run's oracle call, shape-checked
-    step(x, A(x), d, eta, beta, G - I, M)  update algebra on 2-d or stacked iterates
-    settle(reg, y, eta, k)                 one run's update vetted: prox, finiteness
-    retract(y)                             applied to the settled iterate(s), if set
+    direction(problem, seed, k, at)        one run's oracle call at x or A(x), shape-checked
+    step(x, A(x), d, eta, beta, G - I, M)  update algebra on the stacked iterate
+    retract(y)                             applied to the vetted update, if set
     """
 
     check: Callable
     step: Callable
-    nonfinite: str  # DivergenceError message for a non-finite update, formatted with k
+    label: str  # names the step in the driver's non-finite DivergenceError
     retract: Optional[Callable] = None
     maps: bool = False  # direction or step reads A(x)
-    proximal: bool = False  # settle applies reg.prox; the trace records h_mapped
-    at_map: bool = False  # the oracle is called at A(x) rather than at x
+    proximal: bool = False  # the driver applies reg.prox to the step; the trace records h_mapped
+    at_map: bool = False  # the direction's oracle is called at A(x) rather than at x
 
-    def direction(self, problem, seed, k, x, mapped):
+    def direction(self, problem, seed, k, at):
         # the proximal method steps along the smooth part only; the others along f
         oracle = problem.phi_subgrad if self.proximal else problem.f_subgrad
-        d = np.asarray(oracle(mapped if self.at_map else x, _LazyRng(seed, 0, k)), dtype=float)
-        if d.shape != x.shape:
-            raise DimensionError(f"direction shape {d.shape} != iterate shape {x.shape}")
+        d = np.asarray(oracle(at, _LazyRng(seed, 0, k)), dtype=float)
+        if d.shape != at.shape:
+            raise DimensionError(f"direction shape {d.shape} != iterate shape {at.shape}")
         return d
-
-    def settle(self, reg, y, eta, k):
-        if self.proximal and reg is not None:
-            y = np.asarray(reg.prox(y, eta), dtype=float)
-        if not np.isfinite(y).all():
-            raise DivergenceError(self.nonfinite.format(k=k))
-        return y
 
 
 _METHODS = {
     "ncdf_sgd": _Method(
-        _check_algorithm1_safeguards,
-        _sgd_step,
-        "subgradient step produced non-finite entries",
-        maps=True,
-        at_map=True,
+        _check_algorithm1_safeguards, _sgd_step, "subgradient", maps=True, at_map=True
     ),
     "ncdf_proxsgd": _Method(
-        _check_algorithm2_safeguards,
-        _prox_step,
-        "proximal step produced non-finite entries",
-        maps=True,
-        proximal=True,
+        _check_algorithm2_safeguards, _prox_step, "proximal", maps=True, proximal=True
     ),
     "rsgd_baseline": _Method(
-        lambda problem, cfg: None,
-        _baseline_step,
-        "baseline step produced non-finite entries at iteration {k}",
-        retract=lambda y: _polar(y)[0],
+        lambda problem, cfg: None, _baseline_step, "baseline", retract=lambda y: _polar(y)[0]
     ),
 }
 
 
-def _run_loop(problem, cfg, x0, method: _Method):
-    """Single-run loop: one iterate, its guards, trace, stopping rule and step."""
+def _run_single(problem, cfg, x0, method: _Method) -> SolverResult:
+    """One run, driven as a stack of one; the masked error that ends it is re-raised.
+
+    A guard's or a step's error carries the partial run as err.result; a
+    configuration error, such as a custom schedule shorter than max_iters,
+    carries none.
+    """
     method.check(problem, cfg)
     if x0 is None:
         x = default_initial_point(problem, cfg.seed)
@@ -473,44 +467,15 @@ def _run_loop(problem, cfg, x0, method: _Method):
                 f"x0 shape {x.shape} does not match problem ({problem.n}, {problem.p})"
             )
     run = _Run(problem, cfg)
-    stop_on = cfg.stop_tol_stationarity > 0 and cfg.stop_tol_feasibility > 0
-    termination = "max_iters"
-    steps = 0
-    try:
-        for k in range(cfg.max_iters):
-            # the guard, the trace and the update all share this one state
-            resid, poly = _state(x)
-            feas = float(_fro(resid))
-            run.guard(x, feas, k)
-            traced = k % cfg.trace_stride == 0
-            mapped = _map(x, poly) if traced or method.maps else None
-            stat = proj = None
-            if traced:
-                proj = _polar(x)[0]
-                remapped = _remap(mapped) if method.proximal else None
-                stat = run.record(k, feas, mapped, proj, remapped)
-            if stop_on and k % 10 == 0:
-                if proj is None:
-                    proj = _polar(x)[0]
-                if run.tol_met(k, feas, stat, proj):
-                    termination = "tol_met"
-                    break
-            d = method.direction(problem, cfg.seed, k, x, mapped)
-            eta = cfg.schedule.step(k)
-            y = method.step(x, mapped, d, eta, cfg.beta, resid, poly)
-            x = method.settle(problem.reg, y, eta, k)
-            if method.retract is not None:
-                x = method.retract(x)
-            steps = k + 1
-        if termination == "max_iters":
-            # the loop guards iterates on entry, so vet the last update too
-            run.guard(x, float(_fro(_state(x)[0])), steps)
-    except (DivergenceError, SafeguardViolationError) as err:
+    results = _lockstep(problem, method, [run], x[None])
+    if run.failure is None:
+        return results[run]
+    err, x, k = run.failure
+    if not isinstance(err, ConfigurationError):
         # hand the partial run back with the error so callers can still
         # emit whatever trace was collected before the abort
-        err.result = run.result(x, "divergence_guard", steps)
-        raise
-    return run.result(x, termination, steps)
+        err.result = run.result(x, "divergence_guard", k)
+    raise err
 
 
 def run_subgradient(problem: ProblemDefinition, cfg: SolverConfig, x0=None) -> SolverResult:
@@ -519,7 +484,7 @@ def run_subgradient(problem: ProblemDefinition, cfg: SolverConfig, x0=None) -> S
     The direction at iteration k transports one subgradient of f,
     evaluated at the mapped point A(x_k), through the map's Jacobian.
     """
-    return _run_loop(problem, cfg, x0, _METHODS["ncdf_sgd"])
+    return _run_single(problem, cfg, x0, _METHODS["ncdf_sgd"])
 
 
 def run_prox_subgradient(problem: ProblemDefinition, cfg: SolverConfig, x0=None) -> SolverResult:
@@ -530,12 +495,12 @@ def run_prox_subgradient(problem: ProblemDefinition, cfg: SolverConfig, x0=None)
     at x_k (h column) and at A(x_k) (h_mapped), the latter being the
     monotone-ish merit of this iteration.
     """
-    return _run_loop(problem, cfg, x0, _METHODS["ncdf_proxsgd"])
+    return _run_single(problem, cfg, x0, _METHODS["ncdf_proxsgd"])
 
 
 def run_riemannian_baseline(problem: ProblemDefinition, cfg: SolverConfig, x0=None) -> SolverResult:
     """Feasible baseline: projected subgradient step plus polar retraction."""
-    return _run_loop(problem, cfg, x0, _METHODS["rsgd_baseline"])
+    return _run_single(problem, cfg, x0, _METHODS["rsgd_baseline"])
 
 
 ALGORITHM_RUNNERS = {
@@ -546,31 +511,28 @@ ALGORITHM_RUNNERS = {
 
 ALGORITHMS = tuple(_METHODS)
 
-# errors that end one grid candidate with score +inf; any other propagates
+# errors that end one run of the stack; any other propagates
 _MASKED = (DivergenceError, SafeguardViolationError, ConfigurationError)
 
 
-def _fails(check, *args) -> bool:
-    """Whether check(*args) raises an error that ends a grid candidate."""
-    try:
-        check(*args)
-    except _MASKED:
-        return True
-    return False
-
-
-def _guard_rows(live, x, feas, k, limit):
-    """Rows of the stack whose run passes its guard at iterate k.
+def _guarded(live, x, feas, k, limit):
+    """Rows of the stack whose run passes its guard at iterate k; the others record their failure.
 
     The guard passes every residual at or below limit (the divergence
-    limit, or the shell radius under feas_shell_check), so only the other
-    rows, nan included, are handed to their run's guard.
+    limit, or the shell radius under feas_shell_check), so the runs' own
+    guards are consulted only when some residual, nan included, is not.
     """
-    return [
-        i
-        for i, run in enumerate(live)
-        if feas[i] <= limit or not _fails(run.guard, x[i], feas[i], k)
-    ]
+    if all(f <= limit for f in feas):
+        return range(len(live))
+    rows = []
+    for i, run in enumerate(live):
+        try:
+            run.guard(x[i], feas[i], k)
+        except _MASKED as err:
+            run.failure = (err, x[i], k)
+            continue
+        rows.append(i)
+    return rows
 
 
 def _keep(rows, live, *stacks):
@@ -578,38 +540,44 @@ def _keep(rows, live, *stacks):
     return [live[i] for i in rows], *(None if a is None else a[rows] for a in stacks)
 
 
-def _lockstep(problem, method: _Method, live: list) -> dict:
-    """Advance runs that share max_iters, trace stride and stop rule as one (B, n, p) stack.
+def _lockstep(problem, method: _Method, live: list, x) -> dict:
+    """Advance runs that share max_iters, trace stride and stop rule as one (B, n, p) stack x.
 
-    Returns {run: SolverResult} for every run that finishes; a run whose
-    guard, trace, oracle or step raises a masked error leaves the stack.
-    Each iteration forms the Gram state, the map, the polar factor and the
-    step once for the whole stack; each run keeps its own guard, trace
-    row, stopping rule, oracle call and proximal map on its slice.
+    Returns {run: SolverResult} for every run that finishes.  A run whose
+    guard, trace, oracle, schedule or step raises a masked error leaves the
+    stack with its failure recorded; any other error propagates.  Each
+    iteration forms the Gram state, the map, the polar factor, the step and
+    the proximal map once for the whole stack; each run keeps its own
+    guard, trace row, stopping rule and oracle call on its slice.
     """
     cfg = live[0].cfg
     stop_on = cfg.stop_tol_stationarity > 0 and cfg.stop_tol_feasibility > 0
     limit = DIVERGENCE_FEAS_LIMIT
     if cfg.feas_shell_check:
         limit = min(limit, SHELL_RADIUS + 1e-12)
-    prox_each = method.proximal and problem.reg is not None
-    x = np.stack([default_initial_point(problem, run.cfg.seed) for run in live])
+    reg = problem.reg if method.proximal else None
+    d = np.empty_like(x)  # the directions, one buffer cut down with the stack
     results = {}
     for k in range(cfg.max_iters):
         resid, poly = _state(x)
         feas = _fro(resid).tolist()
-        rows = _guard_rows(live, x, feas, k, limit)
+        rows = _guarded(live, x, feas, k, limit)
+        if len(rows) < len(live):
+            feas = [feas[i] for i in rows]
+            live, x, resid, poly, d = _keep(rows, live, x, resid, poly, d)
+            if not live:
+                return results
         traced = k % cfg.trace_stride == 0
         stopping = stop_on and k % 10 == 0
+        mapped = _map(x, poly) if traced or method.maps else None
         if traced or stopping:
-            feas = [feas[i] for i in rows]
-            live, x, resid, poly = _keep(rows, live, x, resid, poly)
-            mapped = _map(x, poly) if traced else None
             proj = _polar(x)[0]
             remapped = _remap(mapped) if traced and method.proximal else None
-            rows = []
-            for i, run in enumerate(live):
-                try:
+        at = mapped if method.at_map else x
+        etas, rows = [], []
+        for i, run in enumerate(live):
+            try:
+                if traced or stopping:
                     stat = None
                     if traced:
                         mine = None if remapped is None else (remapped[0][i], remapped[1][i])
@@ -617,54 +585,33 @@ def _lockstep(problem, method: _Method, live: list) -> dict:
                     if stopping and run.tol_met(k, feas[i], stat, proj[i]):
                         results[run] = run.result(x[i], "tol_met", k)
                         continue
-                except _MASKED:
-                    continue
-                rows.append(i)
-        if len(rows) < len(live):
-            live, x, resid, poly = _keep(rows, live, x, resid, poly)
-        if not live:
-            return results
-        mapped = _map(x, poly) if method.maps else None
-        d = np.empty_like(x)
-        etas, rows = [], []
-        for i, run in enumerate(live):
-            try:
-                mine = None if mapped is None else mapped[i]
-                d[i] = method.direction(problem, run.cfg.seed, k, x[i], mine)
+                d[i] = method.direction(problem, run.cfg.seed, k, at[i])
                 etas.append(run.cfg.schedule.step(k))
-            except _MASKED:
+            except _MASKED as err:
+                run.failure = (err, x[i], k)
                 continue
             rows.append(i)
         if len(rows) < len(live):
             live, x, resid, poly, mapped, d = _keep(rows, live, x, resid, poly, mapped, d)
             if not live:
                 return results
-        y = method.step(x, mapped, d, np.array(etas)[:, None, None], cfg.beta, resid, poly)
-        if prox_each:
-            rows, settled = [], []
-            for i, run in enumerate(live):
-                try:
-                    settled.append(method.settle(problem.reg, y[i], etas[i], k))
-                except _MASKED:
-                    continue
-                rows.append(i)
-            if not rows:
-                return results
-            y = np.stack(settled)
-        else:
-            # without a proximal map, settling only rejects non-finite updates
+        # a stack of one steps by a float: bitwise the same, and cheaper than a (1, 1, 1) array
+        eta = etas[0] if len(etas) == 1 else np.array(etas)[:, None, None]
+        y = method.step(x, mapped, d, eta, cfg.beta, resid, poly)
+        if reg is not None:
+            y = np.asarray(reg.prox(y, eta), dtype=float)
+        if not np.isfinite(y).all():
             finite = np.isfinite(y).all(axis=(-2, -1))
-            rows = range(len(live))
-            if not finite.all():
-                rows = np.flatnonzero(finite).tolist()
-                if not rows:
-                    return results
-                y = y[rows]
-        live = [live[i] for i in rows]
+            message = f"{method.label} step produced non-finite entries at iteration {k}"
+            for i in np.flatnonzero(~finite):
+                live[i].failure = (DivergenceError(message), x[i], k)
+            live, y, d = _keep(np.flatnonzero(finite), live, y, d)
+            if not live:
+                return results
         x = y if method.retract is None else method.retract(y)
-    # the loop guards iterates on entry, so vet the last update too
+    # the driver guards iterates on entry, so vet the last update too
     feas = _fro(_state(x)[0]).tolist()
-    for i in _guard_rows(live, x, feas, cfg.max_iters, limit):
+    for i in _guarded(live, x, feas, cfg.max_iters, limit):
         results[live[i]] = live[i].result(x[i], "max_iters", cfg.max_iters)
     return results
 
@@ -715,7 +662,10 @@ def run_step_grid(
         except ConfigurationError:
             continue
         runs[i] = _Run(problem, run_cfg)
-    results = _lockstep(problem, method, list(runs.values())) if runs else {}
+    results = {}
+    if runs:
+        x = np.stack([default_initial_point(problem, run.cfg.seed) for run in runs.values()])
+        results = _lockstep(problem, method, list(runs.values()), x)
     rows = []
     for i, eta in enumerate(candidates):
         result = results.get(runs.get(i))

@@ -231,6 +231,15 @@ def test_run_safeguard_violation_exits_3(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+def test_run_short_custom_schedule_exits_3(tmp_path, capsys):
+    # the schedule is only found short at the step it lacks, mid-run
+    cfg = minimal_config(tmp_path, max_iters=10)
+    cfg["solver"]["schedule"] = {"kind": "custom", "values": [0.005] * 4}
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error: solver: custom schedule has 4 values, needed step 4" in err
+
+
 def test_run_feas_shell_check_must_be_boolean(tmp_path, capsys):
     # bool("false") is True, so a string would silently turn the check on
     cfg = minimal_config(tmp_path, feas_shell_check="false")
@@ -307,6 +316,11 @@ def test_verify_detects_flipped_coefficients(monkeypatch, capsys):
 
 def test_verify_rejects_bad_samples(capsys):
     assert main(["verify", "--samples", "0"]) == 3
+
+
+def test_verify_rejects_non_finite_tol_scale(capsys):
+    assert main(["verify", "--samples", "1", "--tol-scale", "inf"]) == 3
+    assert "tol_scale must be positive and finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

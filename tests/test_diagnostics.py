@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -81,6 +82,14 @@ def test_identity_suite_validation():
         run_identity_suite(samples=10, tol_scale=0.0)
 
 
+@pytest.mark.parametrize("tol_scale", [math.nan, math.inf])
+def test_identity_suite_rejects_non_finite_tol_scale(tol_scale):
+    # a nan scale failed every check and an infinite one passed every check
+    # with a positive tolerance; either printed lines that are not strict JSON
+    with pytest.raises(ConfigurationError, match="finite"):
+        run_identity_suite(samples=1, tol_scale=tol_scale)
+
+
 def test_identity_suite_detects_flipped_coefficient(monkeypatch):
     for flipped in [(-15.0, -10.0, 3.0), (15.0, 10.0, 3.0), (15.0, -10.0, -3.0)]:
         monkeypatch.setattr(core, "_A_COEFFS", flipped)
@@ -131,6 +140,32 @@ def test_identity_suite_fails_checks_whose_samples_are_nan(monkeypatch):
         assert reports[name].error is None
     for r in reports.values():
         assert r.passed == (r.max_violation <= r.tolerance)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_report_lines_stay_strict_json_when_checks_yield_nan_or_crash(monkeypatch):
+    def crashing(rng, samples, scale):
+        raise RuntimeError("kaput")
+
+    monkeypatch.setattr(diagnostics, "apply_A", lambda x: np.full(x.shape, np.nan))
+    monkeypatch.setattr(
+        diagnostics, "IDENTITY_CHECKS", diagnostics.IDENTITY_CHECKS + (("crashing", crashing),)
+    )
+    reports = run_identity_suite(seed=0, samples=5)
+    lines = format_reports(reports).splitlines()
+    non_finite = set()
+    for report, line in zip(reports, lines, strict=True):
+        decoded = json.loads(line, parse_constant=_reject_constant)
+        if math.isfinite(report.max_violation):
+            assert line == json.dumps(asdict(report), sort_keys=True)
+        else:
+            assert decoded["max_violation"] is None
+            non_finite.add(report.name)
+    assert {"crashing", "fixed_point_on_manifold"} <= non_finite
+    assert len(non_finite) < len(reports)
 
 
 def test_sampler_keeps_a_nan_sample_among_finite_ones():

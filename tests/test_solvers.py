@@ -932,6 +932,82 @@ def test_poisoned_oracle_fails_only_its_grid_candidate(algorithm, candidate, k, 
     assert rows[candidate + 1 :] == clean[candidate + 1 :]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "algorithm, label",
+    [("ncdf_sgd", "subgradient"), ("ncdf_proxsgd", "proximal"), ("rsgd_baseline", "baseline")],
+)
+def test_non_finite_step_names_its_iteration(algorithm, label):
+    # k = 13 is not traced, so only the step's own oracle call returns nan
+    cfg = SolverConfig(
+        beta=1.0,
+        schedule=StepSchedule(kind="constant", eta0=0.01),
+        max_iters=30,
+        seed=4,
+        trace_stride=10,
+    )
+    message = f"^{label} step produced non-finite entries at iteration 13$"
+    with pytest.raises(DivergenceError, match=message) as excinfo:
+        RUNNERS[algorithm](poisoned(small_sparse_pca(), cfg.seed, 13, np.nan), cfg)
+    assert excinfo.value.result.iterations == 13
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_short_custom_schedule_raises_without_partial_run(algorithm):
+    cfg = SolverConfig(
+        schedule=StepSchedule(kind="custom", values=(0.01,) * 4), max_iters=10, trace_stride=3
+    )
+    message = "custom schedule has 4 values, needed step 4"
+    with pytest.raises(ConfigurationError, match=message) as excinfo:
+        RUNNERS[algorithm](small_sparse_pca(), cfg)
+    assert not hasattr(excinfo.value, "result")
+
+
+STRIDE_PROBLEMS = {
+    "l1_pca": lambda: l1_pca_problem(noisy=False),
+    "l1_pca_noisy": lambda: l1_pca_problem(noisy=True),
+    "sparse_pca": small_sparse_pca,
+}
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    algorithm=st.sampled_from(sorted(RUNNERS)),
+    kind=st.sampled_from(sorted(STRIDE_PROBLEMS)),
+    strides=st.lists(st.integers(1, 70), min_size=2, max_size=2),
+    stop_tol=st.sampled_from([0.0, 0.05, 8.0, 10.0]),
+)
+def test_trace_stride_changes_only_which_rows_are_kept(algorithm, kind, strides, stop_tol):
+    # stationarity tolerances of 8 and 10 stop some L1-PCA runs at k = 10
+    problem = STRIDE_PROBLEMS[kind]()
+    a, b = (
+        RUNNERS[algorithm](
+            problem,
+            SolverConfig(
+                beta=1.0,
+                schedule=StepSchedule(kind="constant", eta0=0.002),
+                max_iters=60,
+                seed=2,
+                trace_stride=stride,
+                stop_tol_stationarity=stop_tol,
+                stop_tol_feasibility=0.2 if stop_tol else 0.0,
+            ),
+        )
+        for stride in strides
+    )
+    assert np.array_equal(a.final_x, b.final_x)
+    assert (a.termination, a.iterations) == (b.termination, b.iterations)
+    shared = sorted(set(a.trace.iters) & set(b.trace.iters))
+    assert shared[0] == 0
+
+    def rows(trace, column):
+        values = getattr(trace, column)
+        return None if values is None else [values[trace.iters.index(k)] for k in shared]
+
+    for column in ("f", "h", "feas", "stat", "h_mapped"):
+        assert rows(a.trace, column) == rows(b.trace, column)
+
+
 @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
 def test_trace_oracle_output_checked_in_loop(algorithm):
     # the first call is the trace's stationarity estimate at k = 0

@@ -472,10 +472,7 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except ConfigurationError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError) as err:  # ConfigurationError is a ValueError
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

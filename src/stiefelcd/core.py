@@ -275,29 +275,20 @@ def _scalar_map_inverse(sigma, tol):
     """
     ld = np.longdouble
     sigma = np.asarray(sigma, dtype=ld)
-    c0, c1, c2 = (ld(c) for c in _A_COEFFS)
-
-    def f(t):
-        t2 = t * t
-        return t * (c0 + c1 * t2 + c2 * t2 * t2) / ld(8)
-
-    def fprime(t):
-        q = t * t - ld(1)
-        return ld(1.875) * q * q
-
     lo = -(ld(1) + sigma)
     hi = ld(1) + np.maximum(sigma, ld(1))
     for _ in range(60):
         mid = ld(0.5) * (lo + hi)
-        below = f(mid) <= sigma
+        below = scalar_map(mid) <= sigma
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     t = ld(0.5) * (lo + hi)
     for _ in range(8):
-        deriv = fprime(t)
-        step = np.where(deriv > ld(1e-30), (f(t) - sigma) / np.maximum(deriv, ld(1e-30)), ld(0))
+        deriv = scalar_map_deriv(t)
+        newton = (scalar_map(t) - sigma) / np.maximum(deriv, ld(1e-30))
+        step = np.where(deriv > ld(1e-30), newton, ld(0))
         t = np.clip(t - step, lo, hi)
-    resid = np.abs(f(t) - sigma)
+    resid = np.abs(scalar_map(t) - sigma)
     bound = ld(tol) * np.maximum(ld(1), sigma)
     if np.any(resid > bound):
         worst = float(np.max(resid / np.maximum(bound, ld(1e-300))))

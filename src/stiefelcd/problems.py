@@ -100,25 +100,11 @@ def l1_regularizer(gamma: float, n_entries: int) -> Regularizer:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value, by power iteration on A'A."""
+    """Largest singular value; 0 for an empty matrix."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0
-    v = np.full(a.shape[1], 1.0 / np.sqrt(a.shape[1]))
-    sq = 0.0
-    for _ in range(500):
-        w = a.T @ (a @ v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v_new = w / nrm
-        if np.linalg.norm(v_new - v) < 1e-14:
-            v = v_new
-            sq = nrm
-            break
-        v = v_new
-        sq = nrm
-    return float(np.sqrt(sq))
+    return float(np.linalg.norm(a, 2))
 
 
 def _check_symmetric(a, name):

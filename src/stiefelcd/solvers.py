@@ -17,13 +17,14 @@ oracles skip its set-up.
 
 One driver, _lockstep, advances a stacked (B, n, p) iterate: a single
 run is a stack of one, and the step-size grid stacks its candidates, so
-each candidate scores bitwise what its single run would.  The driver
-validates x0 once and then runs on core's unchecked kernels, sharing one
-state per iterate (Gram residual and map polynomial) between the guard,
-the trace and the update; each run keeps its own bookkeeping (_Run), and
-each algorithm is one step (_Method).  Oracle outputs are shape-checked;
-every step's result and the trace's oracle outputs are checked for
-finiteness.
+each candidate scores bitwise what its single run would.  Step sizes are
+resolved and the safeguards checked before the first iteration; x0 is
+validated once.  The driver then runs on core's unchecked kernels,
+sharing one state per iterate (Gram residual and map polynomial) between
+the guard, the trace and the update, and owns every run's trace and
+outcome; each algorithm is one step (_Method).  Oracle outputs are
+shape-checked; every step's result and the trace's oracle outputs are
+checked for finiteness.
 """
 
 from __future__ import annotations
@@ -131,10 +132,9 @@ class StepSchedule:
             )
         return self.values[k]
 
-    def max_step(self, max_iters: int) -> float:
-        if self.kind == "custom":
-            return max(self.values[:max_iters])
-        return self.eta0
+    def steps(self, n: int) -> list:
+        """eta_0, ..., eta_{n-1}; raises ConfigurationError if a custom schedule is shorter."""
+        return [self.step(k) for k in range(n)]
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ def _loop_stationarity(problem: ProblemDefinition, q, rng, k: int) -> float:
     return float(np.linalg.norm(_tangent(q, w)))
 
 
-def _check_algorithm1_safeguards(problem: ProblemDefinition, cfg: SolverConfig):
+def _check_algorithm1_safeguards(problem: ProblemDefinition, cfg: SolverConfig, biggest: float):
     if not cfg.feas_shell_check:
         return
     m1, mt, mh = cfg.safeguards
@@ -296,7 +296,6 @@ def _check_algorithm1_safeguards(problem: ProblemDefinition, cfg: SolverConfig):
             f"got beta = {cfg.beta:.6g}"
         )
     cap = 1.0 / (2.0 * cfg.beta)
-    biggest = cfg.schedule.max_step(cfg.max_iters)
     if biggest > cap:
         raise ConfigurationError(
             f"feas_shell_check requires steps <= 1/(2 beta) = {cap:.6g}, "
@@ -304,7 +303,7 @@ def _check_algorithm1_safeguards(problem: ProblemDefinition, cfg: SolverConfig):
         )
 
 
-def _check_algorithm2_safeguards(problem: ProblemDefinition, cfg: SolverConfig):
+def _check_algorithm2_safeguards(problem: ProblemDefinition, cfg: SolverConfig, biggest: float):
     reg = problem.reg
     if reg is not None and reg.prox is None:
         raise ConfigurationError("proximal solver needs a regularizer with a prox")
@@ -315,7 +314,6 @@ def _check_algorithm2_safeguards(problem: ProblemDefinition, cfg: SolverConfig):
     if denom <= 0:
         return
     cap = 1.0 / denom
-    biggest = cfg.schedule.max_step(cfg.max_iters)
     if biggest > cap:
         raise ConfigurationError(
             f"feas_shell_check requires steps <= 1/(19 (Mt + Mr)) = {cap:.6g}, "
@@ -323,78 +321,23 @@ def _check_algorithm2_safeguards(problem: ProblemDefinition, cfg: SolverConfig):
         )
 
 
-def _remap(mapped):
-    """(G - I, A(.)) of the mapped point(s), for the proximal run's h_mapped merit."""
-    resid, poly = _state(mapped)
-    return resid, _map(mapped, poly)
+def _guard(x, feas: float, k: int, shell: bool):
+    """Raise if iterate k, with Gram residual feas, is non-finite, runaway or off the shell.
 
-
-class _Run:
-    """One run's bookkeeping: its guard, trace rows, stopping rule and result.
-
-    The driver keeps one of these per row of its stack; the iterate itself
-    lives with the driver.  failure holds (error, iterate, k) once a masked
-    error has ended the run.
+    The shell is checked only when shell (the run's feas_shell_check) is set.
     """
-
-    __slots__ = ("problem", "cfg", "trace", "t0", "failure")
-
-    def __init__(self, problem: ProblemDefinition, cfg: SolverConfig):
-        self.problem = problem
-        self.cfg = cfg
-        self.trace = IterateTrace()
-        self.t0 = time.perf_counter()
-        self.failure = None
-
-    def guard(self, x, feas: float, k: int):
-        """Raise if iterate k, with Gram residual feas, is non-finite, runaway or off the shell."""
-        # a non-finite entry of x makes feas non-finite, so x is scanned only then
-        if not math.isfinite(feas) and not np.isfinite(x).all():
-            raise DivergenceError(f"iterate became non-finite at iteration {k}")
-        if feas > DIVERGENCE_FEAS_LIMIT:
-            raise DivergenceError(
-                f"Gram residual {feas:.3g} exceeded the divergence guard at iteration {k}"
-            )
-        if self.cfg.feas_shell_check and feas > SHELL_RADIUS + 1e-12:
-            raise SafeguardViolationError(
-                f"iterate left the 1/6 feasibility shell at iteration {k} "
-                f"(residual {feas:.6g}); the bound beta >= max(16 M1, 60 Mt, 16 Mh) "
-                "did not hold for this run"
-            )
-
-    def record(self, k, feas, mapped, proj, remapped=None) -> float:
-        """Append iterate k's trace row and return its stationarity estimate.
-
-        mapped is A(x), proj the polar factor of x, and remapped the
-        _remap of mapped when the run records h_mapped.
-        """
-        problem, beta = self.problem, self.cfg.beta
-        h = problem.f_value(mapped) + 0.25 * beta * feas * feas
-        stat = _loop_stationarity(problem, proj, _LazyRng(self.cfg.seed, 3, k), k)
-        h_mapped = None
-        if remapped is not None:
-            feas_m = float(_fro(remapped[0]))
-            h_mapped = problem.f_value(remapped[1]) + 0.25 * beta * feas_m**2
-        self.trace.append(
-            k, problem.f_value(proj), h, feas, stat, time.perf_counter() - self.t0, h_mapped
+    # a non-finite entry of x makes feas non-finite, so x is scanned only then
+    if not math.isfinite(feas) and not np.isfinite(x).all():
+        raise DivergenceError(f"iterate became non-finite at iteration {k}")
+    if feas > DIVERGENCE_FEAS_LIMIT:
+        raise DivergenceError(
+            f"Gram residual {feas:.3g} exceeded the divergence guard at iteration {k}"
         )
-        return stat
-
-    def tol_met(self, k, feas, stat, proj) -> bool:
-        """The stopping rule at iterate k; stat is None when k was not traced."""
-        cfg = self.cfg
-        if stat is None:
-            stat = _loop_stationarity(self.problem, proj, _LazyRng(cfg.seed, 3, k), k)
-        return stat <= cfg.stop_tol_stationarity and feas <= cfg.stop_tol_feasibility
-
-    def result(self, x, termination: str, steps: int) -> SolverResult:
-        finite = bool(np.all(np.isfinite(x)))
-        return SolverResult(
-            final_x=x,
-            projected=project_stiefel(x) if finite else None,
-            trace=self.trace,
-            termination=termination,
-            iterations=steps,
+    if shell and feas > SHELL_RADIUS + 1e-12:
+        raise SafeguardViolationError(
+            f"iterate left the 1/6 feasibility shell at iteration {k} "
+            f"(residual {feas:.6g}); the bound beta >= max(16 M1, 60 Mt, 16 Mh) "
+            "did not hold for this run"
         )
 
 
@@ -414,8 +357,7 @@ def _baseline_step(x, mapped, w, eta, beta, resid, poly):
 class _Method:
     """One algorithm's iteration, split where the driver must go per run.
 
-    check(problem, cfg)                    safeguard checks before the run
-    direction(problem, seed, k, at)        one run's oracle call at x or A(x), shape-checked
+    check(problem, cfg, biggest)           safeguard checks before the run, given its largest step
     step(x, A(x), d, eta, beta, G - I, M)  update algebra on the stacked iterate
     retract(y)                             applied to the vetted update, if set
     """
@@ -424,40 +366,31 @@ class _Method:
     step: Callable
     label: str  # names the step in the driver's non-finite DivergenceError
     retract: Optional[Callable] = None
-    maps: bool = False  # direction or step reads A(x)
-    proximal: bool = False  # the driver applies reg.prox to the step; the trace records h_mapped
+    proximal: bool = False  # steps along phi and applies reg.prox; the trace records h_mapped
     at_map: bool = False  # the direction's oracle is called at A(x) rather than at x
-
-    def direction(self, problem, seed, k, at):
-        # the proximal method steps along the smooth part only; the others along f
-        oracle = problem.phi_subgrad if self.proximal else problem.f_subgrad
-        d = np.asarray(oracle(at, _LazyRng(seed, 0, k)), dtype=float)
-        if d.shape != at.shape:
-            raise DimensionError(f"direction shape {d.shape} != iterate shape {at.shape}")
-        return d
 
 
 _METHODS = {
-    "ncdf_sgd": _Method(
-        _check_algorithm1_safeguards, _sgd_step, "subgradient", maps=True, at_map=True
-    ),
-    "ncdf_proxsgd": _Method(
-        _check_algorithm2_safeguards, _prox_step, "proximal", maps=True, proximal=True
-    ),
+    "ncdf_sgd": _Method(_check_algorithm1_safeguards, _sgd_step, "subgradient", at_map=True),
+    "ncdf_proxsgd": _Method(_check_algorithm2_safeguards, _prox_step, "proximal", proximal=True),
     "rsgd_baseline": _Method(
-        lambda problem, cfg: None, _baseline_step, "baseline", retract=lambda y: _polar(y)[0]
+        lambda problem, cfg, biggest: None,
+        _baseline_step,
+        "baseline",
+        retract=lambda y: _polar(y)[0],
     ),
 }
 
 
 def _run_single(problem, cfg, x0, method: _Method) -> SolverResult:
-    """One run, driven as a stack of one; the masked error that ends it is re-raised.
+    """One run, driven as a stack of one; the error that ends it is re-raised.
 
-    A guard's or a step's error carries the partial run as err.result; a
-    configuration error, such as a custom schedule shorter than max_iters,
-    carries none.
+    A guard's or a step's error carries the partial run as err.result.  A
+    custom schedule shorter than max_iters fails before the first oracle
+    call, with no partial run.
     """
-    method.check(problem, cfg)
+    steps = cfg.schedule.steps(cfg.max_iters)
+    method.check(problem, cfg, max(steps))
     if x0 is None:
         x = default_initial_point(problem, cfg.seed)
     else:
@@ -466,15 +399,14 @@ def _run_single(problem, cfg, x0, method: _Method) -> SolverResult:
             raise ConfigurationError(
                 f"x0 shape {x.shape} does not match problem ({problem.n}, {problem.p})"
             )
-    run = _Run(problem, cfg)
-    results = _lockstep(problem, method, [run], x[None])
-    if run.failure is None:
-        return results[run]
-    err, x, k = run.failure
-    if not isinstance(err, ConfigurationError):
-        # hand the partial run back with the error so callers can still
-        # emit whatever trace was collected before the abort
-        err.result = run.result(x, "divergence_guard", k)
+    (outcome,) = _lockstep(problem, method, cfg, [cfg.seed], [steps], x[None])
+    if isinstance(outcome, SolverResult):
+        return outcome
+    err, x, k, trace = outcome
+    # hand the partial run back with the error so callers can still
+    # emit whatever trace was collected before the abort
+    projected = project_stiefel(x) if np.isfinite(x).all() else None
+    err.result = SolverResult(x, projected, trace, "divergence_guard", k)
     raise err
 
 
@@ -511,92 +443,94 @@ ALGORITHM_RUNNERS = {
 
 ALGORITHMS = tuple(_METHODS)
 
-# errors that end one run of the stack; any other propagates
-_MASKED = (DivergenceError, SafeguardViolationError, ConfigurationError)
+
+def _keep(kept, rows: list, *stacks):
+    """rows and each stack (None passes through) cut down to the rows indexed by kept."""
+    return [rows[i] for i in kept], *(None if a is None else a[kept] for a in stacks)
 
 
-def _guarded(live, x, feas, k, limit):
-    """Rows of the stack whose run passes its guard at iterate k; the others record their failure.
+def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> list:
+    """Advance runs that differ only in seed and step sizes as one (B, n, p) stack x.
 
-    The guard passes every residual at or below limit (the divergence
-    limit, or the shell radius under feas_shell_check), so the runs' own
-    guards are consulted only when some residual, nan included, is not.
+    cfg holds what the runs share; row i draws its oracle noise from
+    seeds[i] and steps by steps[i][k].  Returns one outcome per row: its
+    SolverResult, or (error, iterate, k, trace) for a run that a guard,
+    a non-finite trace oracle or a non-finite step ended at iterate k;
+    any other error propagates.  Each iteration forms the Gram state, the
+    map, the polar factor, the step and the proximal map once for the
+    whole stack; the guard, trace row, stopping rule and oracle calls go
+    row by row.  A row leaves the stack as soon as its run ends.
     """
-    if all(f <= limit for f in feas):
-        return range(len(live))
-    rows = []
-    for i, run in enumerate(live):
-        try:
-            run.guard(x[i], feas[i], k)
-        except _MASKED as err:
-            run.failure = (err, x[i], k)
-            continue
-        rows.append(i)
-    return rows
-
-
-def _keep(rows, live, *stacks):
-    """live and each stack (None passes through) cut down to the given rows."""
-    return [live[i] for i in rows], *(None if a is None else a[rows] for a in stacks)
-
-
-def _lockstep(problem, method: _Method, live: list, x) -> dict:
-    """Advance runs that share max_iters, trace stride and stop rule as one (B, n, p) stack x.
-
-    Returns {run: SolverResult} for every run that finishes.  A run whose
-    guard, trace, oracle, schedule or step raises a masked error leaves the
-    stack with its failure recorded; any other error propagates.  Each
-    iteration forms the Gram state, the map, the polar factor, the step and
-    the proximal map once for the whole stack; each run keeps its own
-    guard, trace row, stopping rule and oracle call on its slice.
-    """
-    cfg = live[0].cfg
-    stop_on = cfg.stop_tol_stationarity > 0 and cfg.stop_tol_feasibility > 0
-    limit = DIVERGENCE_FEAS_LIMIT
-    if cfg.feas_shell_check:
-        limit = min(limit, SHELL_RADIUS + 1e-12)
+    shell = cfg.feas_shell_check
+    limit = min(DIVERGENCE_FEAS_LIMIT, SHELL_RADIUS + 1e-12) if shell else DIVERGENCE_FEAS_LIMIT
+    tol_stat, tol_feas = cfg.stop_tol_stationarity, cfg.stop_tol_feasibility
+    stop_on = tol_stat > 0 and tol_feas > 0
     reg = problem.reg if method.proximal else None
-    d = np.empty_like(x)  # the directions, one buffer cut down with the stack
-    results = {}
-    for k in range(cfg.max_iters):
+    # the proximal method steps along the smooth part only; the others along f
+    oracle = problem.phi_subgrad if method.proximal else problem.f_subgrad
+    rows = list(range(len(seeds)))  # the run of each row of the stack
+    steps = np.asarray(steps, dtype=float)  # (B, max_iters), cut down with the stack
+    d = np.empty_like(x)  # the directions, likewise
+    traces = [IterateTrace() for _ in seeds]
+    outcomes = [None] * len(seeds)
+    t0 = time.perf_counter()
+    for k in range(cfg.max_iters + 1):
         resid, poly = _state(x)
         feas = _fro(resid).tolist()
-        rows = _guarded(live, x, feas, k, limit)
-        if len(rows) < len(live):
-            feas = [feas[i] for i in rows]
-            live, x, resid, poly, d = _keep(rows, live, x, resid, poly, d)
-            if not live:
-                return results
+        # every residual at or below limit passes the guard; the guard itself runs only otherwise
+        if not all(f <= limit for f in feas):
+            for i, r in enumerate(rows):
+                try:
+                    _guard(x[i], feas[i], k, shell)
+                except (DivergenceError, SafeguardViolationError) as err:
+                    outcomes[r] = (err, x[i], k, traces[r])
+            kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
+            feas = [feas[i] for i in kept]
+            rows, x, resid, poly, d, steps = _keep(kept, rows, x, resid, poly, d, steps)
+        if not rows or k == cfg.max_iters:
+            break
         traced = k % cfg.trace_stride == 0
         stopping = stop_on and k % 10 == 0
-        mapped = _map(x, poly) if traced or method.maps else None
+        mapped = _map(x, poly) if traced or method.at_map or method.proximal else None
         if traced or stopping:
             proj = _polar(x)[0]
-            remapped = _remap(mapped) if traced and method.proximal else None
+        if traced and method.proximal:
+            # (G - I, A(.)) of the mapped points, for the h_mapped merit
+            resid_m, poly_m = _state(mapped)
+            remapped = _map(mapped, poly_m)
         at = mapped if method.at_map else x
-        etas, rows = [], []
-        for i, run in enumerate(live):
+        kept = []
+        for i, r in enumerate(rows):
             try:
                 if traced or stopping:
-                    stat = None
-                    if traced:
-                        mine = None if remapped is None else (remapped[0][i], remapped[1][i])
-                        stat = run.record(k, feas[i], mapped[i], proj[i], mine)
-                    if stopping and run.tol_met(k, feas[i], stat, proj[i]):
-                        results[run] = run.result(x[i], "tol_met", k)
-                        continue
-                d[i] = method.direction(problem, run.cfg.seed, k, at[i])
-                etas.append(run.cfg.schedule.step(k))
-            except _MASKED as err:
-                run.failure = (err, x[i], k)
+                    stat = _loop_stationarity(problem, proj[i], _LazyRng(seeds[r], 3, k), k)
+                if traced:
+                    h = problem.f_value(mapped[i]) + 0.25 * cfg.beta * feas[i] * feas[i]
+                    h_mapped = None
+                    if method.proximal:
+                        feas_m = float(_fro(resid_m[i]))
+                        h_mapped = problem.f_value(remapped[i]) + 0.25 * cfg.beta * feas_m**2
+                    f = problem.f_value(proj[i])
+                    traces[r].append(k, f, h, feas[i], stat, time.perf_counter() - t0, h_mapped)
+                if stopping and stat <= tol_stat and feas[i] <= tol_feas:
+                    outcomes[r] = SolverResult(x[i], project_stiefel(x[i]), traces[r], "tol_met", k)
+                    continue
+                di = np.asarray(oracle(at[i], _LazyRng(seeds[r], 0, k)), dtype=float)
+            except DivergenceError as err:
+                outcomes[r] = (err, x[i], k, traces[r])
                 continue
-            rows.append(i)
-        if len(rows) < len(live):
-            live, x, resid, poly, mapped, d = _keep(rows, live, x, resid, poly, mapped, d)
-            if not live:
-                return results
+            if di.shape != x.shape[1:]:
+                raise DimensionError(f"direction shape {di.shape} != iterate shape {x.shape[1:]}")
+            d[i] = di
+            kept.append(i)
+        if len(kept) < len(rows):
+            rows, x, resid, poly, mapped, d, steps = _keep(
+                kept, rows, x, resid, poly, mapped, d, steps
+            )
+            if not rows:
+                break
         # a stack of one steps by a float: bitwise the same, and cheaper than a (1, 1, 1) array
-        eta = etas[0] if len(etas) == 1 else np.array(etas)[:, None, None]
+        eta = float(steps[0, k]) if len(rows) == 1 else steps[:, k, None, None]
         y = method.step(x, mapped, d, eta, cfg.beta, resid, poly)
         if reg is not None:
             y = np.asarray(reg.prox(y, eta), dtype=float)
@@ -604,16 +538,15 @@ def _lockstep(problem, method: _Method, live: list, x) -> dict:
             finite = np.isfinite(y).all(axis=(-2, -1))
             message = f"{method.label} step produced non-finite entries at iteration {k}"
             for i in np.flatnonzero(~finite):
-                live[i].failure = (DivergenceError(message), x[i], k)
-            live, y, d = _keep(np.flatnonzero(finite), live, y, d)
-            if not live:
-                return results
+                outcomes[rows[i]] = (DivergenceError(message), x[i], k, traces[rows[i]])
+            rows, y, d, steps = _keep(np.flatnonzero(finite), rows, y, d, steps)
+            if not rows:
+                break
         x = y if method.retract is None else method.retract(y)
-    # the driver guards iterates on entry, so vet the last update too
-    feas = _fro(_state(x)[0]).tolist()
-    for i in _guarded(live, x, feas, cfg.max_iters, limit):
-        results[live[i]] = live[i].result(x[i], "max_iters", cfg.max_iters)
-    return results
+    # any row still here passed the guard at k = max_iters
+    for i, r in enumerate(rows):
+        outcomes[r] = SolverResult(x[i], project_stiefel(x[i]), traces[r], "max_iters", k)
+    return outcomes
 
 
 def grid_candidates() -> tuple:
@@ -648,30 +581,24 @@ def run_step_grid(
         )
     method = _METHODS[algorithm]
     candidates = grid_candidates()
-    runs = {}
+    shared = replace(cfg, max_iters=budget_epochs * cfg.schedule.epoch_len)
+    kept, seeds, steps = [], [], []
     for i, eta in enumerate(candidates):
-        derived = int(np.random.SeedSequence([cfg.seed, 1000 + i]).generate_state(1)[0])
-        run_cfg = replace(
-            cfg,
-            schedule=replace(cfg.schedule, eta0=eta),
-            max_iters=budget_epochs * cfg.schedule.epoch_len,
-            seed=derived,
-        )
+        row = replace(cfg.schedule, eta0=eta).steps(shared.max_iters)
         try:
-            method.check(problem, run_cfg)
+            method.check(problem, shared, max(row))
         except ConfigurationError:
             continue
-        runs[i] = _Run(problem, run_cfg)
-    results = {}
-    if runs:
-        x = np.stack([default_initial_point(problem, run.cfg.seed) for run in runs.values()])
-        results = _lockstep(problem, method, list(runs.values()), x)
-    rows = []
-    for i, eta in enumerate(candidates):
-        result = results.get(runs.get(i))
-        value = float("inf") if result is None else problem.f_value(result.projected.matrix)
-        rows.append((eta, value))
-    return rows
+        kept.append(i)
+        seeds.append(int(np.random.SeedSequence([cfg.seed, 1000 + i]).generate_state(1)[0]))
+        steps.append(row)
+    values = [float("inf")] * len(candidates)
+    if kept:
+        x = np.stack([default_initial_point(problem, seed) for seed in seeds])
+        for i, outcome in zip(kept, _lockstep(problem, method, shared, seeds, steps, x)):
+            if isinstance(outcome, SolverResult):
+                values[i] = problem.f_value(outcome.projected.matrix)
+    return list(zip(candidates, values))
 
 
 def best_grid_step(rows) -> Optional[float]:

@@ -41,7 +41,7 @@ def test_quadratic_trace_gradient_matches_fd():
 def test_quadratic_trace_lipschitz_bound():
     a = np.diag([3.0, 1.0])
     prob = problems.make_quadratic_trace(a, p=1)
-    # power-iteration estimate should agree with the eigenvalue oracle
+    # the estimate should agree with the eigenvalue oracle
     top = max(abs(np.linalg.eigvalsh(a)))
     assert prob.lipschitz_est == pytest.approx(2.0 * top * np.sqrt(2.0), rel=1e-10)
     # and really bound the gradient on the unit shell
@@ -51,6 +51,17 @@ def test_quadratic_trace_lipschitz_bound():
 
         x = random_shell_point(rng, 2, 1, 1.0 - rng.random())
         assert np.linalg.norm(prob.phi_subgrad(x, None)) <= prob.lipschitz_est + 1e-12
+
+
+def test_spectral_norm_is_the_largest_singular_value():
+    # ones/sqrt(n) is a singular vector of the smaller singular value of both
+    # matrices, which a power iteration started there never leaves
+    assert problems.spectral_norm([[3.0, -3.0], [1.0, 1.0]]) == pytest.approx(np.sqrt(18.0))
+    assert problems.spectral_norm(np.zeros((0, 3))) == 0.0
+    prob = problems.make_quadratic_trace(np.array([[1.0, -2.0], [-2.0, 1.0]]), p=1)
+    x = np.array([[1.0], [-1.0]]) / np.sqrt(2.0)
+    # the gradient 2 A x has norm 6 at this feasible point
+    assert np.linalg.norm(prob.phi_subgrad(x, None)) <= prob.lipschitz_est
 
 
 def test_quadratic_trace_rejects_asymmetric():

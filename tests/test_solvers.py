@@ -97,6 +97,17 @@ def test_schedule_constant_and_custom():
         sched.step(3)
 
 
+def test_schedule_steps_lists_the_first_n_steps():
+    for sched in (
+        StepSchedule(kind="harmonic_decay", eta0=0.7, epoch_len=3),
+        StepSchedule(kind="constant", eta0=0.3),
+        StepSchedule(kind="custom", values=(0.5, 0.25, 0.125)),
+    ):
+        assert sched.steps(3) == [sched.step(k) for k in range(3)]
+    with pytest.raises(ConfigurationError, match="custom schedule has 3 values, needed step 3"):
+        StepSchedule(kind="custom", values=(0.5, 0.25, 0.125)).steps(4)
+
+
 def test_schedule_validation():
     with pytest.raises(ConfigurationError):
         StepSchedule(kind="linear")
@@ -653,7 +664,9 @@ def test_grid_propagates_oracle_dimension_error(algorithm):
     calls = []
 
     def oracle(x, rng):
-        # the ten candidates' trace estimates at k = 0 get valid outputs
+        # at k = 0 each candidate makes its trace estimate and then its step's
+        # oracle call, so the first five candidates get valid outputs and the
+        # sixth candidate's trace estimate, the 11th call, raises
         calls.append(1)
         return 2.0 * x if len(calls) <= 10 else np.ones((4, 3))
 
@@ -958,9 +971,42 @@ def test_short_custom_schedule_raises_without_partial_run(algorithm):
         schedule=StepSchedule(kind="custom", values=(0.01,) * 4), max_iters=10, trace_stride=3
     )
     message = "custom schedule has 4 values, needed step 4"
+    calls = []
+    problem = small_sparse_pca()
+
+    def oracle(x, rng):
+        calls.append(1)
+        return problem.phi_subgrad(x, rng)
+
     with pytest.raises(ConfigurationError, match=message) as excinfo:
-        RUNNERS[algorithm](small_sparse_pca(), cfg)
+        RUNNERS[algorithm](replace(problem, phi_subgrad=oracle), cfg)
     assert not hasattr(excinfo.value, "result")
+    # the schedule is resolved before the first iteration
+    assert calls == []
+
+
+@pytest.mark.parametrize("algorithm", ["ncdf_sgd", "ncdf_proxsgd"])
+def test_shell_check_reads_only_the_steps_within_max_iters(algorithm):
+    values = (1e-6,) * 5 + (1e6,)
+    cfg = SolverConfig(
+        beta=1.0,
+        schedule=StepSchedule(kind="custom", values=values),
+        max_iters=5,
+        feas_shell_check=True,
+        safeguards=(1e-3, 1e-3, 1e-3),
+        trace_stride=5,
+    )
+    # the huge last value lies past max_iters, so it is never checked
+    assert RUNNERS[algorithm](small_sparse_pca(), cfg).termination == "max_iters"
+    with pytest.raises(ConfigurationError, match="largest scheduled step is 1e\\+06"):
+        RUNNERS[algorithm](small_sparse_pca(), replace(cfg, max_iters=6))
+
+
+def test_proximal_run_needs_a_regularizer_with_a_prox():
+    problem = small_sparse_pca()
+    problem = replace(problem, reg=replace(problem.reg, prox=None))
+    with pytest.raises(ConfigurationError, match="regularizer with a prox"):
+        run_prox_subgradient(problem, gentle_config(max_iters=5))
 
 
 STRIDE_PROBLEMS = {

@@ -269,28 +269,46 @@ def scalar_map_deriv(t):
 def _scalar_map_inverse(sigma, tol):
     """Solve scalar_map(t) = sigma per entry, sigma >= 0, in extended precision.
 
-    Safeguarded bisection on [-(1 + sigma), 1 + max(sigma, 1)] followed by
-    a few Newton polish steps.  The map is strictly increasing, so the
-    bracket always contains exactly one root.
+    The map factors exactly as
+
+        scalar_map(t) - 1 = (t - 1)^3 (3 t^2 + 9 t + 8) / 8,
+
+    and the quadratic factor has no real root (discriminant 81 - 96 < 0),
+    so the root is the zero of g(t) = (t - 1) - cbrt(8 (sigma - 1) / q(t))
+    with q(t) = 3 t^2 + 9 t + 8.  Unlike scalar_map(t) - sigma, whose
+    triple root at t = 1 makes plain Newton converge only linearly and
+    leaves t resolved to the cube root of the rounding error, g has slope
+    near 1 there: an error in t is an error of the same size in g.  Newton
+    steps on g start from the smaller of two upper bounds on the root,
+    1 + cbrt((sigma - 1) / 2.5) (q >= 20 for t >= 1) and
+    1 + (8 (sigma - 1) / 3)^(1/5) (q >= 3 (t - 1)^2), stay clipped to the
+    bracket [-(1 + sigma), 1 + max(sigma, 1)] and stop once a step is below
+    a few ulps of t.  Since t - 1 cancels for small t, g resolves t only
+    to within a few ulps of 1; below sigma = 1/2 (t < 0.29, where the map's
+    slope is at least 1.6) one Newton step on the map itself cuts that
+    error to about 1e-38.  sigma = 0 maps to t = 0 exactly.
     """
     ld = np.longdouble
     sigma = np.asarray(sigma, dtype=ld)
-    lo = -(ld(1) + sigma)
-    hi = ld(1) + np.maximum(sigma, ld(1))
-    for _ in range(60):
-        mid = ld(0.5) * (lo + hi)
-        below = scalar_map(mid) <= sigma
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    t = ld(0.5) * (lo + hi)
-    for _ in range(8):
-        deriv = scalar_map_deriv(t)
-        newton = (scalar_map(t) - sigma) / np.maximum(deriv, ld(1e-30))
-        step = np.where(deriv > ld(1e-30), newton, ld(0))
+    one = ld(1)
+    c = ld(8) * (sigma - one)
+    lo = -(one + sigma)
+    hi = one + np.maximum(sigma, one)
+    t = one + np.minimum(np.cbrt(c / ld(20)), np.abs(c / ld(3)) ** ld(0.2))
+    ulps = ld(4) * np.finfo(ld).eps
+    for _ in range(32):
+        q = (ld(3) * t + ld(9)) * t + ld(8)
+        r = np.cbrt(c / q)
+        step = ((t - one) - r) / (one + r * (ld(6) * t + ld(9)) / (ld(3) * q))
         t = np.clip(t - step, lo, hi)
+        if np.all(np.abs(step) <= ulps * np.maximum(np.abs(t), one)):
+            break
+    small = sigma < ld(0.5)
+    polish = (scalar_map(t) - sigma) / scalar_map_deriv(np.where(small, t, ld(0)))
+    t = np.where(sigma == 0, ld(0), np.where(small, t - polish, t))
     resid = np.abs(scalar_map(t) - sigma)
-    bound = ld(tol) * np.maximum(ld(1), sigma)
-    if np.any(resid > bound):
+    bound = ld(tol) * np.maximum(one, sigma)
+    if not np.all(resid <= bound):
         worst = float(np.max(resid / np.maximum(bound, ld(1e-300))))
         raise NumericalError(
             f"scalar root solve missed its target by {worst:.2e}x the tolerance"
@@ -305,17 +323,17 @@ def inverse_A(y, tol: float = 1e-14) -> np.ndarray:
     U diag(t) V' with scalar_map(t) = s.  Singular values are refined by
     one extended-precision Rayleigh step before the root solve, because
     near s = 1 the inverse map has unbounded slope and plain double SVD
-    accuracy would be amplified there.
+    accuracy would be amplified there.  The root solve itself runs on the
+    exact factorization scalar_map(t) - 1 = (t - 1)^3 (3 t^2 + 9 t + 8) / 8,
+    taking the cube root of s - 1 explicitly, so it adds no error of its
+    own at s = 1 (see _scalar_map_inverse).
     """
     y = validate_matrix(y)
-    u, s, vt = np.linalg.svd(y, full_matrices=False)
+    u, _, vt = np.linalg.svd(y, full_matrices=False)
     ld = np.longdouble
-    yl = y.astype(ld)
     ul = u.astype(ld)
     vl = vt.astype(ld)
-    refined = np.array(
-        [max(ul[:, i] @ yl @ vl[i], ld(0)) for i in range(s.size)], dtype=ld
-    )
+    refined = np.maximum(np.einsum("ji,jk,ik->i", ul, y.astype(ld), vl), ld(0))
     t = _scalar_map_inverse(refined, tol)
     return np.asarray((ul * t) @ vl, dtype=float)
 

@@ -309,6 +309,11 @@ def run_stationarity_suite(problem: ProblemDefinition, beta: float, seed=0, samp
     if not beta > 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
     m1 = estimate_constants(problem, seed=seed)[0]
+    return _stationarity_reports(problem, beta, m1, seed, samples)
+
+
+def _stationarity_reports(problem, beta, m1, seed, samples):
+    """run_stationarity_suite on checked arguments, given the safeguard constant m1."""
     suite = (
         ("stationarity_lower_bound", _sampled(0.0, _stationarity_gap(problem, beta, m1))),
         ("projection_descent", _sampled(1e-10, _descent_gap(problem, beta, m1))),

@@ -221,6 +221,24 @@ def test_run_divergence_exits_2_with_partial_trace(tmp_path, capsys):
     assert summary["termination"] == "divergence_guard"
 
 
+def _reject_constant(name):
+    raise ValueError(f"summary line is not strict JSON: {name}")
+
+
+def test_run_summary_is_strict_json_when_a_value_overflows(tmp_path, capsys):
+    # the stationarity norm squares entries near 1e200 and overflows to inf
+    cfg = minimal_config(tmp_path, algorithm="ncdf_proxsgd", max_iters=50)
+    cfg["problem"] = {"kind": "quadratic_trace", "n": 6, "p": 2, "seed": 0, "scale": 1e200}
+    cfg["solver"]["schedule"] = {"kind": "constant", "eta0": 1e200}
+    with np.errstate(all="ignore"):
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    summary = json.loads(line, parse_constant=_reject_constant)
+    assert summary["stationarity"] is None
+    assert summary["termination"] == "divergence_guard"
+    assert json.loads((tmp_path / "summary.json").read_text()) == summary
+
+
 def test_run_safeguard_violation_exits_3(tmp_path, capsys):
     # safeguards reported honestly but beta below the required level
     cfg = minimal_config(tmp_path)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,22 @@ def poly_oracle(t):
 def poly_deriv_oracle(t):
     # d/dt of the oracle above, expanded term by term
     return (15.0 - 30.0 * t**2 + 15.0 * t**4) / 8.0
+
+
+def exact_inverse_oracle(target, iters=80):
+    # bisection for poly_oracle(t) = target in exact rationals on [0, 4]
+    # (the root for target <= 30 is below 2.7); the polynomial is written
+    # with integer coefficients so nothing rounds, and the only error left
+    # is the final bracket width 4 / 2^iters
+    target = Fraction(target)
+    lo, hi = Fraction(0), Fraction(4)
+    for _ in range(iters):
+        mid = (lo + hi) / 2
+        if mid * (15 - 10 * mid**2 + 3 * mid**4) / 8 <= target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 def bisect_oracle(target, lo=-10.0, hi=10.0, iters=200):
@@ -304,6 +322,49 @@ def test_inverse_scalar_matches_bisection_oracle():
 def test_inverse_of_zero_is_zero():
     out = core.inverse_A(np.zeros((4, 2)))
     assert np.array_equal(out, np.zeros((4, 2)))
+
+
+# the inverse has unbounded slope at s = 1, where A(t) - 1 ~ (5/2) (t - 1)^3
+NEAR_ONE_SPECTRUM = (1.0, 1.0 + 2.0**-40, 1.0 - 2.0**-40, 1.0 + 1e-6, 1.0 - 1e-6, 0.5, 2.0, 30.0)
+
+
+@pytest.mark.parametrize("s", NEAR_ONE_SPECTRUM)
+def test_inverse_scalar_matches_exact_rational_root(s):
+    out = core.inverse_A([[s]])
+    assert abs(Fraction(float(out[0, 0])) - exact_inverse_oracle(s)) <= Fraction(1e-15)
+
+
+@pytest.mark.parametrize("s", [1e-12, 3e-9, 1e-4])
+def test_inverse_keeps_relative_accuracy_for_small_values(s):
+    t = Fraction(float(core.inverse_A([[s]])[0, 0]))
+    exact = exact_inverse_oracle(s, iters=160)
+    assert abs(t - exact) <= Fraction(1e-15) * exact
+
+
+def test_inverse_diagonal_matches_exact_rational_roots():
+    # a diagonal matrix's singular values and vectors come out of the SVD exactly
+    idx = np.arange(len(NEAR_ONE_SPECTRUM))
+    y = np.zeros((idx.size + 2, idx.size))
+    y[idx, idx] = NEAR_ONE_SPECTRUM
+    out = core.inverse_A(y)
+    diag = out[idx, idx].copy()
+    out[idx, idx] = 0.0
+    assert not out.any()
+    for s, t in zip(NEAR_ONE_SPECTRUM, diag):
+        assert abs(Fraction(float(t)) - exact_inverse_oracle(s)) <= Fraction(1e-15)
+
+
+def test_inverse_returns_orthonormal_input():
+    # a signed partial permutation has exactly orthonormal columns in floating
+    # point, so its singular values are exactly 1.  (A Q from QR is off by
+    # ~1e-16 there, and its exact preimage lies cbrt(1e-16 / 2.5) ~ 3e-6 away.)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        p = int(rng.integers(1, n + 1))
+        q = np.zeros((n, p))
+        q[rng.choice(n, p, replace=False), np.arange(p)] = rng.choice([-1.0, 1.0], p)
+        assert np.max(np.abs(core.inverse_A(q) - q)) <= 1e-15
 
 
 def test_inverse_roundtrip_on_sampled_spectra():

@@ -333,7 +333,10 @@ def inverse_A(y, tol: float = 1e-14) -> np.ndarray:
     ld = np.longdouble
     ul = u.astype(ld)
     vl = vt.astype(ld)
-    refined = np.maximum(np.einsum("ji,jk,ik->i", ul, y.astype(ld), vl), ld(0))
+    # u_i' Y v_i / (|u_i| |v_i|): the float64 vectors are unit only to about
+    # 1e-16, and an unnormalised quotient would carry that error to first order
+    norms = np.sqrt(np.einsum("ji,ji->i", ul, ul) * np.einsum("ik,ik->i", vl, vl))
+    refined = np.maximum(np.einsum("ji,jk,ik->i", ul, y.astype(ld), vl) / norms, ld(0))
     t = _scalar_map_inverse(refined, tol)
     return np.asarray((ul * t) @ vl, dtype=float)
 

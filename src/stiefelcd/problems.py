@@ -52,6 +52,8 @@ class ProblemDefinition:
     reg: Optional[Regularizer] = None
     lipschitz_est: float = 0.0
     smooth: bool = False
+    # phi_subgrad as it was before attach_noise wrapped it; None if no noise is attached
+    noise_free_subgrad: Optional[SubgradOracle] = None
 
     def __post_init__(self):
         if self.p < 1 or self.n < self.p:
@@ -72,6 +74,16 @@ class ProblemDefinition:
         if self.reg is not None:
             w = w + self.reg.subgrad(x)
         return w
+
+    def noise_free(self) -> "ProblemDefinition":
+        """This problem with attach_noise's noise taken off; itself if none is attached.
+
+        Stationarity is measured on it.  Replacing phi_subgrad on a noisy
+        problem leaves noise_free_subgrad, and so this problem, as it was.
+        """
+        if self.noise_free_subgrad is None:
+            return self
+        return replace(self, phi_subgrad=self.noise_free_subgrad, noise_free_subgrad=None)
 
 
 def l1_regularizer(gamma: float, n_entries: int) -> Regularizer:
@@ -297,7 +309,9 @@ def attach_noise(problem: ProblemDefinition, model: NoiseModel) -> ProblemDefini
     """Wrap the smooth-part oracle with additive truncated Gaussian noise.
 
     sigma = 0 returns the problem unchanged.  The wrapped problem is no
-    longer marked smooth because its oracle is stochastic.
+    longer marked smooth because its oracle is stochastic; it keeps the
+    noise-free oracle as noise_free_subgrad, which problem.noise_free()
+    restores.
     """
     if model.sigma == 0.0:
         return problem
@@ -307,7 +321,12 @@ def attach_noise(problem: ProblemDefinition, model: NoiseModel) -> ProblemDefini
         w = np.asarray(base(x, rng), dtype=float)
         return w + model.draw(rng, w.shape)
 
-    return replace(problem, phi_subgrad=noisy, smooth=False)
+    return replace(
+        problem,
+        phi_subgrad=noisy,
+        smooth=False,
+        noise_free_subgrad=problem.noise_free_subgrad or base,
+    )
 
 
 def estimate_constants(problem: ProblemDefinition, samples: int = 200, seed: int = 0):
@@ -318,6 +337,8 @@ def estimate_constants(problem: ProblemDefinition, samples: int = 200, seed: int
     directions transported through the map's Jacobian, and Mh bounds raw
     subgradient norms at X itself.  Sampled maxima are lower bounds of
     the true suprema and are inflated by 1.5 before being returned.
+    A noisy problem is sampled with its noise, because the bounds cover
+    the directions that the solvers actually step along.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")

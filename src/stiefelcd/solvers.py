@@ -9,11 +9,14 @@ Two penalty-based iterations and one feasible baseline:
   run_riemannian_baseline  projected subgradient step followed by the
                          polar retraction (stays exactly feasible)
 
-Runs are deterministic given (problem, config, seed): every iteration
-draws from a generator keyed by (seed, stream, iteration), so oracle
-noise at iteration k is reproducible bitwise.  Oracles receive a stand-in
-that builds that generator on first attribute access, so deterministic
-oracles skip its set-up.
+Runs are deterministic given (problem, config, seed): each run owns one
+counter-based generator (Philox keyed by its seed), and every oracle call
+draws from it positioned at (stream, iteration), so oracle noise at
+iteration k is reproducible bitwise and independent of the run's history.
+The generator is built on the first draw, so deterministic oracles skip
+its set-up.  Stationarity (the trace's stat column and
+stationarity_estimate) is measured with the noise-free oracle of a
+problem that attach_noise made noisy.
 
 One driver, _lockstep, advances a stacked (B, n, p) iterate: a single
 run is a stack of one, and the step-size grid stacks its candidates, so
@@ -69,27 +72,57 @@ DIVERGENCE_FEAS_LIMIT = 10.0
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
+    """Generator seeded by SeedSequence([seed, *key]); default_initial_point draws from it."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-class _LazyRng:
-    """Stand-in for _rng(seed, *key) that builds the generator on first attribute access.
+def _philox(seed: int) -> np.random.Generator:
+    """The one generator of the run seeded seed: Philox keyed by SeedSequence([seed])."""
+    key = np.random.SeedSequence([int(seed)]).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
-    Oracles call it like a Generator (rng.normal, rng.standard_normal, ...);
-    one that never draws costs no SeedSequence set-up, and one that does
-    gets exactly the generator _rng would have built.
+
+class _RunNoise:
+    """One run's oracle noise, handed to its oracle calls as their generator.
+
+    at(stream, k) marks the next oracle call; that call's first attribute
+    access (rng.normal, rng.standard_normal, ...) moves the run's Philox
+    to counter (0, 0, k, stream) with nothing buffered, and its later
+    accesses continue that stream.  So the draws of iteration k depend on
+    (seed, stream, k) only.  The Philox is built on the first draw: an
+    oracle that never draws costs no set-up.
     """
 
-    __slots__ = ("_key", "_gen")
+    __slots__ = ("_seed", "_gen", "_state", "_at")
 
-    def __init__(self, seed: int, *key: int):
-        self._key = (seed, *key)
-        self._gen = None
+    def __init__(self, seed: int):
+        self._seed, self._gen, self._state, self._at = seed, None, None, None
+
+    def at(self, stream: int, k: int) -> "_RunNoise":
+        self._at = (0, 0, k, stream)
+        return self
+
+    def _generator(self) -> np.random.Generator:
+        if self._at is not None:
+            if self._gen is None:
+                self._gen = _philox(self._seed)
+                self._state = self._gen.bit_generator.state  # counter 0, empty buffer
+            self._state["state"]["counter"] = self._at
+            self._gen.bit_generator.state = self._state
+            self._at = None
+        return self._gen
 
     def __getattr__(self, name):
-        if self._gen is None:
-            self._gen = _rng(*self._key)
-        return getattr(self._gen, name)
+        return getattr(self._generator(), name)
+
+
+def _keyed_rng(seed: int, stream: int, k: int) -> np.random.Generator:
+    """A fresh generator, placed where the run seeded seed draws stream at iteration k.
+
+    Stream 0 is the step direction's oracle call, stream 3 the trace's
+    stationarity estimate.
+    """
+    return _RunNoise(seed).at(stream, k)._generator()
 
 
 @dataclass(frozen=True)
@@ -258,8 +291,9 @@ def prox_subgradient_step(x, d, eta: float, reg=None) -> np.ndarray:
 def stationarity_estimate(problem: ProblemDefinition, point, rng=None) -> float:
     """Norm of the projected subgradient ||W - X sym(X'W)||_F at a feasible point.
 
-    Uses the single element returned by the problem's oracle, so for
-    composite objectives this is an upper estimate tied to that selection.
+    Uses the single element returned by the problem's noise-free oracle
+    (problem.noise_free()), so for composite objectives this is an upper
+    estimate tied to that selection.
     """
     if isinstance(point, StiefelPoint):
         x = point.matrix
@@ -267,22 +301,32 @@ def stationarity_estimate(problem: ProblemDefinition, point, rng=None) -> float:
         x = validate_matrix(point, "point")
         if feasibility_violation(x) > 1e-8:
             raise ValueError("stationarity estimate requires a feasible point")
-    w = problem.f_subgrad(x, rng)
-    return float(np.linalg.norm(project_tangent(x, w)))
+    w = problem.noise_free().f_subgrad(x, rng)
+    return _norm(project_tangent(x, w))
+
+
+def _norm(w) -> float:
+    """Frobenius norm of w; rescaled by max |w_ij| only where the plain norm overflows."""
+    nrm = float(np.linalg.norm(w))
+    if nrm == math.inf and np.isfinite(w).all():
+        m = float(np.max(np.abs(w)))
+        nrm = m * float(np.linalg.norm(w / m))
+    return nrm
 
 
 def _loop_stationarity(problem: ProblemDefinition, q, rng, k: int) -> float:
     """stationarity_estimate at the loop's polar factor q, without re-validating q.
 
-    The oracle output is shape-checked; a non-finite one aborts the run as
-    a divergence, like a non-finite step does.
+    problem is the run's noise-free problem.  The oracle output is
+    shape-checked; a non-finite one aborts the run as a divergence, like a
+    non-finite step does.
     """
     w = problem.f_subgrad(q, rng)
     if w.shape != q.shape:
         raise DimensionError(f"shape {w.shape} != base shape {q.shape}")
     if not np.isfinite(w).all():
         raise DivergenceError(f"stationarity oracle produced non-finite entries at iteration {k}")
-    return float(np.linalg.norm(_tangent(q, w)))
+    return _norm(_tangent(q, w))
 
 
 def _check_algorithm1_safeguards(problem: ProblemDefinition, cfg: SolverConfig, biggest: float):
@@ -452,14 +496,14 @@ def _keep(kept, rows: list, *stacks):
 def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> list:
     """Advance runs that differ only in seed and step sizes as one (B, n, p) stack x.
 
-    cfg holds what the runs share; row i draws its oracle noise from
-    seeds[i] and steps by steps[i][k].  Returns one outcome per row: its
-    SolverResult, or (error, iterate, k, trace) for a run that a guard,
-    a non-finite trace oracle or a non-finite step ended at iterate k;
-    any other error propagates.  Each iteration forms the Gram state, the
-    map, the polar factor, the step and the proximal map once for the
-    whole stack; the guard, trace row, stopping rule and oracle calls go
-    row by row.  A row leaves the stack as soon as its run ends.
+    cfg holds what the runs share; row i draws its oracle noise from the
+    generator of seeds[i] and steps by steps[i][k].  Returns one outcome
+    per row: its SolverResult, or (error, iterate, k, trace) for a run
+    that a guard, a non-finite trace oracle or a non-finite step ended at
+    iterate k; any other error propagates.  Each iteration forms the Gram
+    state, the map, the polar factor, the step and the proximal map once
+    for the whole stack; the guard, trace row, stopping rule and oracle
+    calls go row by row.  A row leaves the stack as soon as its run ends.
     """
     shell = cfg.feas_shell_check
     limit = min(DIVERGENCE_FEAS_LIMIT, SHELL_RADIUS + 1e-12) if shell else DIVERGENCE_FEAS_LIMIT
@@ -468,6 +512,8 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     reg = problem.reg if method.proximal else None
     # the proximal method steps along the smooth part only; the others along f
     oracle = problem.phi_subgrad if method.proximal else problem.f_subgrad
+    clean = problem.noise_free()  # the trace's stationarity oracle
+    noise = [_RunNoise(seed) for seed in seeds]
     rows = list(range(len(seeds)))  # the run of each row of the stack
     steps = np.asarray(steps, dtype=float)  # (B, max_iters), cut down with the stack
     d = np.empty_like(x)  # the directions, likewise
@@ -503,7 +549,7 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
         for i, r in enumerate(rows):
             try:
                 if traced or stopping:
-                    stat = _loop_stationarity(problem, proj[i], _LazyRng(seeds[r], 3, k), k)
+                    stat = _loop_stationarity(clean, proj[i], noise[r].at(3, k), k)
                 if traced:
                     h = problem.f_value(mapped[i]) + 0.25 * cfg.beta * feas[i] * feas[i]
                     h_mapped = None
@@ -515,7 +561,7 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
                 if stopping and stat <= tol_stat and feas[i] <= tol_feas:
                     outcomes[r] = SolverResult(x[i], project_stiefel(x[i]), traces[r], "tol_met", k)
                     continue
-                di = np.asarray(oracle(at[i], _LazyRng(seeds[r], 0, k)), dtype=float)
+                di = np.asarray(oracle(at[i], noise[r].at(0, k)), dtype=float)
             except DivergenceError as err:
                 outcomes[r] = (err, x[i], k, traces[r])
                 continue

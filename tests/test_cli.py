@@ -226,7 +226,8 @@ def _reject_constant(name):
 
 
 def test_run_summary_is_strict_json_when_a_value_overflows(tmp_path, capsys):
-    # the stationarity norm squares entries near 1e200 and overflows to inf
+    # the stationarity norm's plain sum of squares of entries near 1e200
+    # overflows; the norm is rescaled instead of being lost to inf
     cfg = minimal_config(tmp_path, algorithm="ncdf_proxsgd", max_iters=50)
     cfg["problem"] = {"kind": "quadratic_trace", "n": 6, "p": 2, "seed": 0, "scale": 1e200}
     cfg["solver"]["schedule"] = {"kind": "constant", "eta0": 1e200}
@@ -234,9 +235,50 @@ def test_run_summary_is_strict_json_when_a_value_overflows(tmp_path, capsys):
         assert main(["run", write_config(tmp_path, cfg)]) == 2
     line = capsys.readouterr().out.strip().splitlines()[-1]
     summary = json.loads(line, parse_constant=_reject_constant)
-    assert summary["stationarity"] is None
+    assert isinstance(summary["stationarity"], float)
+    assert 1e199 < summary["stationarity"] < 1e202
     assert summary["termination"] == "divergence_guard"
     assert json.loads((tmp_path / "summary.json").read_text()) == summary
+    # the trace's stat column takes the same norm
+    stat = read_trace_csv(tmp_path / "trace.csv")["stat"]
+    assert len(stat) == 1 and 1e199 < stat[0] < 1e202
+
+
+def test_run_summary_writes_non_finite_values_as_null(tmp_path, capsys):
+    from dataclasses import replace
+
+    from stiefelcd.cli import _emit_outputs, build_problem, build_solver
+    from stiefelcd.solvers import run_subgradient
+
+    cfg = minimal_config(tmp_path, max_iters=5)
+    problem = build_problem(cfg["problem"])
+    result = run_subgradient(problem, build_solver(cfg["solver"], problem)[0])
+    overflowing = replace(problem, phi_value=lambda x: -float("inf"))
+    _emit_outputs(overflowing, result, cfg["output"], float("nan"))
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    summary = json.loads(line, parse_constant=_reject_constant)
+    assert summary["final_f"] is None
+    assert summary["seconds"] is None
+    assert json.loads((tmp_path / "summary.json").read_text()) == summary
+
+
+def test_run_summary_measures_stationarity_without_noise(tmp_path, capsys):
+    from stiefelcd.cli import build_problem, build_solver
+    from stiefelcd.core import project_tangent
+    from stiefelcd.solvers import run_subgradient, stationarity_estimate
+
+    cfg = minimal_config(tmp_path, max_iters=40)
+    clean = build_problem(dict(cfg["problem"]))
+    cfg["problem"]["noise"] = {"sigma": 0.5, "bound": 1.0}
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    noisy = build_problem(cfg["problem"])
+    result = run_subgradient(noisy, build_solver(cfg["solver"], noisy)[0])
+    assert summary["stationarity"] == stationarity_estimate(clean, result.projected)
+    # the noisy oracle would have given another value
+    x = result.projected.matrix
+    w = noisy.f_subgrad(x, np.random.default_rng(0))
+    assert summary["stationarity"] != float(np.linalg.norm(project_tangent(x, w)))
 
 
 def test_run_safeguard_violation_exits_3(tmp_path, capsys):

@@ -367,6 +367,20 @@ def test_inverse_returns_orthonormal_input():
         assert np.max(np.abs(core.inverse_A(q) - q)) <= 1e-15
 
 
+def test_inverse_returns_orthonormal_hadamard_columns():
+    # signed Hadamard columns over 4 are exactly orthonormal, but unlike a
+    # permutation their SVD returns singular vectors that are unit only to
+    # ~1e-16; the Rayleigh refinement must divide that out
+    h = np.ones((1, 1))
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    signs = np.where(np.arange(16) % 3 == 0, -1.0, 1.0)
+    for p, tol in ((1, 1e-15), (2, 1e-15), (3, 1e-15), (8, 5e-7)):
+        q = h[:, :p] * signs[:p] / 4.0
+        assert np.array_equal(q.T @ q, np.eye(p))
+        assert np.max(np.abs(core.inverse_A(q) - q)) <= tol
+
+
 def test_inverse_roundtrip_on_sampled_spectra():
     rng = np.random.default_rng(1)
     worst = 0.0

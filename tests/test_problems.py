@@ -269,9 +269,37 @@ def test_attach_noise_perturbs_oracle_and_clears_smooth_flag():
     assert np.array_equal(w, w2)
 
 
+def test_noise_free_restores_the_unwrapped_oracle():
+    prob = problems.make_l1_pca(problems.gaussian_matrix(20, 6, seed=5), 2)
+    assert prob.noise_free() is prob
+    model = problems.NoiseModel(sigma=0.05, bound=0.1)
+    noisy = problems.attach_noise(prob, model)
+    assert noisy.noise_free().phi_subgrad is prob.phi_subgrad
+    assert noisy.noise_free().noise_free_subgrad is None
+    # noise on noise still comes off down to the first oracle
+    twice = problems.attach_noise(noisy, model)
+    assert twice.noise_free().phi_subgrad is prob.phi_subgrad
+
+
 # ---------------------------------------------------------------------------
 # constants estimation
 # ---------------------------------------------------------------------------
+
+def test_estimate_constants_samples_the_noisy_oracle():
+    # the safeguard bounds cover the noisy directions the solvers step along
+    prob = problems.make_l1_pca(problems.gaussian_matrix(20, 6, seed=5), 2)
+    noisy = problems.attach_noise(prob, problems.NoiseModel(sigma=0.05, bound=0.1))
+    assert problems.estimate_constants(noisy, samples=40, seed=3) == (
+        40.48463465489766,
+        46.99927665014137,
+        40.760236106179505,
+    )
+    assert problems.estimate_constants(prob, samples=40, seed=3) == (
+        41.23153501070482,
+        44.37700577938532,
+        40.82982176939919,
+    )
+
 
 def test_estimate_constants_zero_objective():
     prob = problems.ProblemDefinition(

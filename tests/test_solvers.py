@@ -727,12 +727,12 @@ def test_trace_append_and_len():
 # the fused loop against a step-by-step run on the public kernels
 
 
-def keyed_rng(seed, *key):
-    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
-
-
 def reference_run(problem, cfg, algorithm, x0):
-    """The loop rebuilt from public kernels only: (final x, trace rows)."""
+    """The loop rebuilt from public kernels only: (final x, trace rows).
+
+    Oracle noise comes from a generator built afresh for every call by
+    solvers._keyed_rng, and stat from the noise-free oracle.
+    """
     x = x0.copy()
     rows = []
     for k in range(cfg.max_iters):
@@ -741,7 +741,7 @@ def reference_run(problem, cfg, algorithm, x0):
             mapped = apply_A(x)
             h = problem.f_value(mapped) + 0.25 * cfg.beta * feas * feas
             proj = project_stiefel(x).matrix
-            w = problem.f_subgrad(proj, keyed_rng(cfg.seed, 3, k))
+            w = problem.noise_free().f_subgrad(proj, solvers._keyed_rng(cfg.seed, 3, k))
             stat = float(np.linalg.norm(project_tangent(proj, w)))
             h_mapped = None
             if algorithm == "ncdf_proxsgd":
@@ -749,7 +749,7 @@ def reference_run(problem, cfg, algorithm, x0):
                 h_mapped = problem.f_value(apply_A(mapped)) + 0.25 * cfg.beta * feas_m**2
             rows.append((k, problem.f_value(proj), h, feas, stat, h_mapped))
         eta = cfg.schedule.step(k)
-        rng = keyed_rng(cfg.seed, 0, k)
+        rng = solvers._keyed_rng(cfg.seed, 0, k)
         if algorithm == "ncdf_sgd":
             w = problem.f_subgrad(apply_A(x), rng)
             x = subgradient_step(x, jacobian_apply(x, w), eta, cfg.beta)
@@ -806,22 +806,57 @@ def test_fused_loop_bitwise_matches_public_kernels(algorithm, noisy, stride):
 
 def test_deterministic_oracle_builds_no_generator(monkeypatch):
     built = []
-    real = solvers._rng
+    real = solvers._philox
 
-    def counting(seed, *key):
-        built.append(key)
-        return real(seed, *key)
+    def counting(seed):
+        built.append(seed)
+        return real(seed)
 
-    monkeypatch.setattr(solvers, "_rng", counting)
-    cfg = gentle_config(max_iters=30, trace_stride=30, seed=2)
+    monkeypatch.setattr(solvers, "_philox", counting)
+    cfg = gentle_config(max_iters=30, trace_stride=1, seed=2)
     problem = l1_pca_problem(noisy=False)
     x0 = np.eye(problem.n, problem.p)
     for runner in RUNNERS.values():
         runner(problem, cfg, x0=x0)
     assert built == []
-    # a noisy oracle draws at every step, so each step builds its generator
-    run_subgradient(l1_pca_problem(noisy=True), cfg, x0=x0)
-    assert sorted(built) == sorted([(3, 0)] + [(0, k) for k in range(30)])
+    # a noisy oracle draws at every step, all from the run's one generator
+    for runner in RUNNERS.values():
+        runner(l1_pca_problem(noisy=True), cfg, x0=x0)
+    assert built == [cfg.seed] * len(RUNNERS)
+
+
+def test_oracle_draws_continue_within_one_call():
+    draws = []
+
+    def oracle(x, rng):
+        draws.append((rng.standard_normal(x.shape), rng.standard_normal(x.shape)))
+        return 2.0 * x
+
+    cfg = gentle_config(max_iters=4, trace_stride=4, seed=3)
+    run_subgradient(problem_with_oracle(oracle), cfg, x0=np.eye(4, 2))
+    # calls: the trace's stationarity at k = 0 (stream 3), then one step per k (stream 0)
+    keys = [(3, 0)] + [(0, k) for k in range(4)]
+    assert len(draws) == len(keys)
+    for (first, second), (stream, k) in zip(draws, keys):
+        assert not np.array_equal(first, second)
+        rng = solvers._keyed_rng(cfg.seed, stream, k)
+        assert np.array_equal(first, rng.standard_normal((4, 2)))
+        assert np.array_equal(second, rng.standard_normal((4, 2)))
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_noisy_trace_stat_is_noise_free_norm_at_polar_factor(algorithm):
+    problem = l1_pca_problem(noisy=True)
+    clean = make_l1_pca(gaussian_matrix(20, 6, seed=5), 2)
+    cfg = gentle_config(max_iters=12, trace_stride=1, seed=8)
+    x0 = default_initial_point(problem, 4)
+    trace = RUNNERS[algorithm](problem, cfg, x0=x0).trace
+    for k in range(cfg.max_iters):
+        # iterate k is where the run cut at k iterations ends
+        xk = x0 if k == 0 else RUNNERS[algorithm](problem, replace(cfg, max_iters=k), x0=x0).final_x
+        q = project_stiefel(xk).matrix
+        expected = float(np.linalg.norm(project_tangent(q, clean.f_subgrad(q))))
+        assert trace.stat[k] == expected
 
 
 def problem_with_oracle(oracle):
@@ -870,11 +905,11 @@ def test_non_finite_oracle_output_aborts_as_divergence(algorithm):
 def poisoned(problem, seed, k, bad):
     """problem whose oracle returns bad in every call of iteration k of the run seeded seed.
 
-    The solver hands the oracle a generator keyed by (seed, stream, iteration),
+    The solver positions the oracle's generator at (seed, stream, iteration),
     stream 0 for the step direction and 3 for the trace's stationarity
     estimate, so one draw from it tells the oracle which call it is serving.
     """
-    marks = {solvers._rng(seed, stream, k).random() for stream in (0, 3)}
+    marks = {solvers._keyed_rng(seed, stream, k).random() for stream in (0, 3)}
     base = problem.phi_subgrad
 
     def oracle(x, rng):

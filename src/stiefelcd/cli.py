@@ -186,6 +186,14 @@ def build_problem(conf: dict):
     return problem
 
 
+def _kind_keys(conf: dict, shared, seeded):
+    """Check the problem keys: shared by both data sources, or for seeded data only."""
+    _known_keys(conf, {"kind", "data_path", "noise", *shared, *seeded}, "problem")
+    ignored = sorted(set(conf) & set(seeded)) if "data_path" in conf else []
+    if ignored:
+        raise ConfigurationError(f"problem: data_path excludes the seeded-data keys {ignored}")
+
+
 def _problem_of_kind(conf: dict):
     """The problem section's objective, before any noise is attached."""
     path = conf.get("data_path", "")
@@ -193,7 +201,7 @@ def _problem_of_kind(conf: dict):
         raise ConfigurationError(f"problem.data_path: expected a file path, got {path!r}")
     kind = conf.get("kind")
     if kind == "quadratic_trace":
-        _known_keys(conf, {"kind", "n", "p", "seed", "scale", "data_path", "noise"}, "problem")
+        _kind_keys(conf, {"p"}, {"n", "seed", "scale"})
         p = _get_num(conf, "p", "problem", required=True, minimum=1, integer=True)
         if "data_path" in conf:
             mat = load_matrix_csv(conf["data_path"])
@@ -205,11 +213,7 @@ def _problem_of_kind(conf: dict):
             mat = 0.5 * (m + m.T)
         return make_quadratic_trace(mat, p)
     if kind == "sparse_pca":
-        _known_keys(
-            conf,
-            {"kind", "n", "p", "gamma", "seed", "top_eigenvalues", "data_path", "noise"},
-            "problem",
-        )
+        _kind_keys(conf, {"p", "gamma"}, {"n", "seed", "top_eigenvalues"})
         p = _get_num(conf, "p", "problem", required=True, minimum=1, integer=True)
         gamma = _get_num(conf, "gamma", "problem", required=True, minimum=0.0)
         if "data_path" in conf:
@@ -223,7 +227,7 @@ def _problem_of_kind(conf: dict):
             cov = spiked_covariance(n, top, seed)
         return make_sparse_pca(cov, p, gamma)
     if kind == "l1_pca":
-        _known_keys(conf, {"kind", "rows", "n", "p", "seed", "data_path", "noise"}, "problem")
+        _kind_keys(conf, {"p"}, {"rows", "n", "seed"})
         p = _get_num(conf, "p", "problem", required=True, minimum=1, integer=True)
         if "data_path" in conf:
             data = load_matrix_csv(conf["data_path"])

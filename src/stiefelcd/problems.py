@@ -3,7 +3,8 @@
 Each factory returns a ProblemDefinition bundling value and subgradient
 oracles for an objective f = phi + (optional) separable regularizer.
 Oracles are stateless: stochastic ones draw from the generator handed in
-by the caller, so a run's randomness is owned entirely by the solver.
+by the caller, so a run's randomness is owned entirely by the solver;
+called with None instead, they draw nothing and return an exact element.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ class Regularizer:
 
 @dataclass(frozen=True)
 class ProblemDefinition:
-    """Objective f(X) = phi(X) + reg.value(X) on n x p matrices."""
+    """Objective f(X) = phi(X) + reg.value(X) on n x p matrices.
+
+    phi_subgrad(x, rng) draws any noise from rng; with rng None it is exact.
+    """
 
     n: int
     p: int
@@ -52,8 +56,6 @@ class ProblemDefinition:
     reg: Optional[Regularizer] = None
     lipschitz_est: float = 0.0
     smooth: bool = False
-    # phi_subgrad as it was before attach_noise wrapped it; None if no noise is attached
-    noise_free_subgrad: Optional[SubgradOracle] = None
 
     def __post_init__(self):
         if self.p < 1 or self.n < self.p:
@@ -68,22 +70,10 @@ class ProblemDefinition:
         return val
 
     def f_subgrad(self, x, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        if rng is None:
-            rng = np.random.default_rng(0)
         w = np.asarray(self.phi_subgrad(x, rng), dtype=float)
         if self.reg is not None:
             w = w + self.reg.subgrad(x)
         return w
-
-    def noise_free(self) -> "ProblemDefinition":
-        """This problem with attach_noise's noise taken off; itself if none is attached.
-
-        Stationarity is measured on it.  Replacing phi_subgrad on a noisy
-        problem leaves noise_free_subgrad, and so this problem, as it was.
-        """
-        if self.noise_free_subgrad is None:
-            return self
-        return replace(self, phi_subgrad=self.noise_free_subgrad, noise_free_subgrad=None)
 
 
 def l1_regularizer(gamma: float, n_entries: int) -> Regularizer:
@@ -309,9 +299,8 @@ def attach_noise(problem: ProblemDefinition, model: NoiseModel) -> ProblemDefini
     """Wrap the smooth-part oracle with additive truncated Gaussian noise.
 
     sigma = 0 returns the problem unchanged.  The wrapped problem is no
-    longer marked smooth because its oracle is stochastic; it keeps the
-    noise-free oracle as noise_free_subgrad, which problem.noise_free()
-    restores.
+    longer marked smooth because its oracle is stochastic; called with
+    rng None, it returns the base oracle's output without noise.
     """
     if model.sigma == 0.0:
         return problem
@@ -319,14 +308,9 @@ def attach_noise(problem: ProblemDefinition, model: NoiseModel) -> ProblemDefini
 
     def noisy(x, rng):
         w = np.asarray(base(x, rng), dtype=float)
-        return w + model.draw(rng, w.shape)
+        return w if rng is None else w + model.draw(rng, w.shape)
 
-    return replace(
-        problem,
-        phi_subgrad=noisy,
-        smooth=False,
-        noise_free_subgrad=problem.noise_free_subgrad or base,
-    )
+    return replace(problem, phi_subgrad=noisy, smooth=False)
 
 
 def estimate_constants(problem: ProblemDefinition, samples: int = 200, seed: int = 0):

@@ -10,13 +10,13 @@ Two penalty-based iterations and one feasible baseline:
                          polar retraction (stays exactly feasible)
 
 Runs are deterministic given (problem, config, seed): each run owns one
-counter-based generator (Philox keyed by its seed), and every oracle call
-draws from it positioned at (stream, iteration), so oracle noise at
-iteration k is reproducible bitwise and independent of the run's history.
-The generator is built on the first draw, so deterministic oracles skip
-its set-up.  Stationarity (the trace's stat column and
-stationarity_estimate) is measured with the noise-free oracle of a
-problem that attach_noise made noisy.
+counter-based generator (Philox keyed by its seed), and the step's oracle
+call at iteration k draws from it positioned at that iteration, so oracle
+noise at iteration k is reproducible bitwise and independent of the run's
+history.  The generator is built on the first draw, so deterministic
+oracles skip its set-up.  Stationarity (the trace's stat column, the
+stopping rule and stationarity_estimate) calls the oracle without a
+generator, which the oracle contract makes exact.
 
 One driver, _lockstep, advances a stacked (B, n, p) iterate: a single
 run is a stack of one, and the step-size grid stacks its candidates, so
@@ -85,11 +85,11 @@ def _philox(seed: int) -> np.random.Generator:
 class _RunNoise:
     """One run's oracle noise, handed to its oracle calls as their generator.
 
-    at(stream, k) marks the next oracle call; that call's first attribute
-    access (rng.normal, rng.standard_normal, ...) moves the run's Philox
-    to counter (0, 0, k, stream) with nothing buffered, and its later
-    accesses continue that stream.  So the draws of iteration k depend on
-    (seed, stream, k) only.  The Philox is built on the first draw: an
+    at(k) marks the next oracle call; that call's first attribute access
+    (rng.normal, rng.standard_normal, ...) moves the run's Philox to
+    counter (0, 0, k, 0) with nothing buffered, and its later accesses
+    continue from there.  So the draws of iteration k depend on (seed, k)
+    only.  The Philox is built on the first draw: an
     oracle that never draws costs no set-up.
     """
 
@@ -98,8 +98,8 @@ class _RunNoise:
     def __init__(self, seed: int):
         self._seed, self._gen, self._state, self._at = seed, None, None, None
 
-    def at(self, stream: int, k: int) -> "_RunNoise":
-        self._at = (0, 0, k, stream)
+    def at(self, k: int) -> "_RunNoise":
+        self._at = (0, 0, k, 0)
         return self
 
     def _generator(self) -> np.random.Generator:
@@ -116,13 +116,9 @@ class _RunNoise:
         return getattr(self._generator(), name)
 
 
-def _keyed_rng(seed: int, stream: int, k: int) -> np.random.Generator:
-    """A fresh generator, placed where the run seeded seed draws stream at iteration k.
-
-    Stream 0 is the step direction's oracle call, stream 3 the trace's
-    stationarity estimate.
-    """
-    return _RunNoise(seed).at(stream, k)._generator()
+def _keyed_rng(seed: int, k: int) -> np.random.Generator:
+    """A fresh generator, placed where the step of the run seeded seed draws at iteration k."""
+    return _RunNoise(seed).at(k)._generator()
 
 
 @dataclass(frozen=True)
@@ -175,10 +171,9 @@ class SolverConfig:
     """Run configuration shared by all three algorithms.
 
     safeguards holds the sampled constant estimates (M1, Mt, Mh) used when
-    feas_shell_check is on; stop tolerances of zero disable early
-    stopping.  The stopping rule is evaluated every 10 iterations and
-    requires the projected stationarity estimate and the Gram residual to
-    both fall below their tolerances.
+    feas_shell_check is on.  Every 10 iterations the stopping rule ends a
+    run whose projected stationarity estimate and Gram residual are both
+    below their tolerances; both zero disable it, and one alone is rejected.
     """
 
     beta: float = 0.1
@@ -204,6 +199,10 @@ class SolverConfig:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.stop_tol_stationarity < 0 or self.stop_tol_feasibility < 0:
             raise ConfigurationError("stop tolerances must be nonnegative")
+        if (self.stop_tol_stationarity > 0) != (self.stop_tol_feasibility > 0):
+            raise ConfigurationError(
+                "stop_tol_stationarity and stop_tol_feasibility stop a run only together"
+            )
 
     @property
     def eta0(self) -> float:
@@ -288,12 +287,12 @@ def prox_subgradient_step(x, d, eta: float, reg=None) -> np.ndarray:
     return y
 
 
-def stationarity_estimate(problem: ProblemDefinition, point, rng=None) -> float:
+def stationarity_estimate(problem: ProblemDefinition, point) -> float:
     """Norm of the projected subgradient ||W - X sym(X'W)||_F at a feasible point.
 
-    Uses the single element returned by the problem's noise-free oracle
-    (problem.noise_free()), so for composite objectives this is an upper
-    estimate tied to that selection.
+    Uses the single exact element that the problem's oracle returns when
+    called without a generator, so for composite objectives this is an
+    upper estimate tied to that selection.
     """
     if isinstance(point, StiefelPoint):
         x = point.matrix
@@ -301,7 +300,7 @@ def stationarity_estimate(problem: ProblemDefinition, point, rng=None) -> float:
         x = validate_matrix(point, "point")
         if feasibility_violation(x) > 1e-8:
             raise ValueError("stationarity estimate requires a feasible point")
-    w = problem.noise_free().f_subgrad(x, rng)
+    w = problem.f_subgrad(x)
     return _norm(project_tangent(x, w))
 
 
@@ -314,14 +313,13 @@ def _norm(w) -> float:
     return nrm
 
 
-def _loop_stationarity(problem: ProblemDefinition, q, rng, k: int) -> float:
+def _loop_stationarity(problem: ProblemDefinition, q, k: int) -> float:
     """stationarity_estimate at the loop's polar factor q, without re-validating q.
 
-    problem is the run's noise-free problem.  The oracle output is
-    shape-checked; a non-finite one aborts the run as a divergence, like a
-    non-finite step does.
+    The oracle output is shape-checked; a non-finite one aborts the run as
+    a divergence, like a non-finite step does.
     """
-    w = problem.f_subgrad(q, rng)
+    w = problem.f_subgrad(q)
     if w.shape != q.shape:
         raise DimensionError(f"shape {w.shape} != base shape {q.shape}")
     if not np.isfinite(w).all():
@@ -365,15 +363,14 @@ def _check_algorithm2_safeguards(problem: ProblemDefinition, cfg: SolverConfig, 
         )
 
 
-def _guard(x, feas: float, k: int, shell: bool):
-    """Raise if iterate k, with Gram residual feas, is non-finite, runaway or off the shell.
+def _guard(feas: float, k: int, shell: bool):
+    """Raise if iterate k, with Gram residual feas, is runaway or off the shell.
 
     The shell is checked only when shell (the run's feas_shell_check) is set.
+    Iterates are finite (x0 is validated, every step checked), so only an
+    overflowing Gram matrix makes feas inf or NaN; both trip the guard.
     """
-    # a non-finite entry of x makes feas non-finite, so x is scanned only then
-    if not math.isfinite(feas) and not np.isfinite(x).all():
-        raise DivergenceError(f"iterate became non-finite at iteration {k}")
-    if feas > DIVERGENCE_FEAS_LIMIT:
+    if not feas <= DIVERGENCE_FEAS_LIMIT:
         raise DivergenceError(
             f"Gram residual {feas:.3g} exceeded the divergence guard at iteration {k}"
         )
@@ -508,11 +505,10 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     shell = cfg.feas_shell_check
     limit = min(DIVERGENCE_FEAS_LIMIT, SHELL_RADIUS + 1e-12) if shell else DIVERGENCE_FEAS_LIMIT
     tol_stat, tol_feas = cfg.stop_tol_stationarity, cfg.stop_tol_feasibility
-    stop_on = tol_stat > 0 and tol_feas > 0
+    stop_on = tol_stat > 0  # SolverConfig makes both tolerances positive or neither
     reg = problem.reg if method.proximal else None
     # the proximal method steps along the smooth part only; the others along f
     oracle = problem.phi_subgrad if method.proximal else problem.f_subgrad
-    clean = problem.noise_free()  # the trace's stationarity oracle
     noise = [_RunNoise(seed) for seed in seeds]
     rows = list(range(len(seeds)))  # the run of each row of the stack
     steps = np.asarray(steps, dtype=float)  # (B, max_iters), cut down with the stack
@@ -527,7 +523,7 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
         if not all(f <= limit for f in feas):
             for i, r in enumerate(rows):
                 try:
-                    _guard(x[i], feas[i], k, shell)
+                    _guard(feas[i], k, shell)
                 except (DivergenceError, SafeguardViolationError) as err:
                     outcomes[r] = (err, x[i], k, traces[r])
             kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
@@ -549,7 +545,7 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
         for i, r in enumerate(rows):
             try:
                 if traced or stopping:
-                    stat = _loop_stationarity(clean, proj[i], noise[r].at(3, k), k)
+                    stat = _loop_stationarity(problem, proj[i], k)
                 if traced:
                     h = problem.f_value(mapped[i]) + 0.25 * cfg.beta * feas[i] * feas[i]
                     h_mapped = None
@@ -561,7 +557,7 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
                 if stopping and stat <= tol_stat and feas[i] <= tol_feas:
                     outcomes[r] = SolverResult(x[i], project_stiefel(x[i]), traces[r], "tol_met", k)
                     continue
-                di = np.asarray(oracle(at[i], noise[r].at(0, k)), dtype=float)
+                di = np.asarray(oracle(at[i], noise[r].at(k)), dtype=float)
             except DivergenceError as err:
                 outcomes[r] = (err, x[i], k, traces[r])
                 continue
@@ -609,12 +605,12 @@ def run_step_grid(
     """(eta0, final projected objective) for every grid candidate, in grid order.
 
     Candidate i runs cfg with eta0 set to the candidate, max_iters to
-    budget_epochs epochs and a seed derived from (cfg.seed, i); its row is
-    bitwise what the single run of that config scores.  The candidates
-    advance in lockstep as one stacked iterate.  A candidate that diverges,
-    trips a guard or fails a configuration check scores +inf; any other
-    error propagates.  A custom schedule is rejected, because it ignores
-    the eta0 that the grid varies.
+    budget_epochs epochs, tracing off and a seed derived from (cfg.seed,
+    i); its row is bitwise what the single run of that config scores with
+    tracing off.  The candidates advance in lockstep as one stacked
+    iterate.  A candidate that diverges, trips a guard or fails a
+    configuration check scores +inf; any other error propagates.  A custom
+    schedule is rejected, because it ignores the eta0 that the grid varies.
     """
     if algorithm not in _METHODS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
@@ -627,7 +623,8 @@ def run_step_grid(
         )
     method = _METHODS[algorithm]
     candidates = grid_candidates()
-    shared = replace(cfg, max_iters=budget_epochs * cfg.schedule.epoch_len)
+    budget = budget_epochs * cfg.schedule.epoch_len
+    shared = replace(cfg, max_iters=budget, trace_stride=budget)
     kept, seeds, steps = [], [], []
     for i, eta in enumerate(candidates):
         row = replace(cfg.schedule, eta0=eta).steps(shared.max_iters)

@@ -349,6 +349,55 @@ def test_run_quadratic_from_csv(tmp_path):
     assert main(["run", write_config(tmp_path, cfg)]) == 0
 
 
+@pytest.mark.parametrize(
+    "kind, extra, seeded",
+    [
+        ("l1_pca", {}, {"rows": "abc", "n": -5, "seed": 1.5}),
+        ("sparse_pca", {"gamma": 0.1}, {"n": 6, "top_eigenvalues": [3.0]}),
+    ],
+)
+def test_run_data_path_loads_and_rejects_seeded_data_keys(tmp_path, capsys, kind, extra, seeded):
+    data = np.random.default_rng(1).standard_normal((8, 4))
+    data_path = tmp_path / "data.csv"
+    np.savetxt(data_path, data.T @ data if kind == "sparse_pca" else data, delimiter=",")
+    cfg = minimal_config(tmp_path, max_iters=10)
+    cfg["problem"] = {"kind": kind, "data_path": str(data_path), "p": 2, **extra}
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    assert len(read_trace_csv(tmp_path / "trace.csv")["iter"]) == 10
+    # with data_path the seeded-data keys would be silently ignored
+    capsys.readouterr()
+    cfg["problem"].update(seeded)
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert f"problem: data_path excludes the seeded-data keys {sorted(seeded)}" in err
+
+
+@pytest.mark.parametrize("key", ["stop_tol_stationarity", "stop_tol_feasibility"])
+def test_run_one_stop_tolerance_alone_exits_3(tmp_path, capsys, key):
+    # the stopping rule needs both, so one alone would run silently to max_iters
+    cfg = minimal_config(tmp_path, **{key: 1e30})
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "configuration error: solver.stop_tol_stationarity and stop_tol_feasibility" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_run_leaving_the_shell_exits_3_with_partial_outputs(tmp_path, capsys):
+    cfg = minimal_config(tmp_path, max_iters=50, feas_shell_check=True, safeguards=[0, 0, 0])
+    cfg["problem"]["scale"] = 50
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith(
+        "safeguard violated (solver.feas_shell_check): iterate left the 1/6 feasibility shell "
+        "at iteration 1"
+    )
+    assert list(read_trace_csv(tmp_path / "trace.csv")["iter"]) == [0]
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert summary["termination"] == "divergence_guard"
+    assert summary["iterations"] == 1
+    assert json.loads((tmp_path / "summary.json").read_text()) == summary
+
+
 # ---------------------------------------------------------------------------
 # verify
 

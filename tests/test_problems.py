@@ -269,16 +269,18 @@ def test_attach_noise_perturbs_oracle_and_clears_smooth_flag():
     assert np.array_equal(w, w2)
 
 
-def test_noise_free_restores_the_unwrapped_oracle():
+def test_noisy_oracle_without_generator_is_the_clean_oracle():
     prob = problems.make_l1_pca(problems.gaussian_matrix(20, 6, seed=5), 2)
-    assert prob.noise_free() is prob
     model = problems.NoiseModel(sigma=0.05, bound=0.1)
     noisy = problems.attach_noise(prob, model)
-    assert noisy.noise_free().phi_subgrad is prob.phi_subgrad
-    assert noisy.noise_free().noise_free_subgrad is None
+    x = problems.gaussian_matrix(6, 2, seed=1)
     # noise on noise still comes off down to the first oracle
-    twice = problems.attach_noise(noisy, model)
-    assert twice.noise_free().phi_subgrad is prob.phi_subgrad
+    for wrapped in (noisy, problems.attach_noise(noisy, model)):
+        assert np.array_equal(wrapped.phi_subgrad(x, None), prob.phi_subgrad(x, None))
+        assert np.array_equal(wrapped.f_subgrad(x), prob.f_subgrad(x))
+        # with a generator the noise is drawn
+        w = wrapped.phi_subgrad(x, np.random.default_rng(0))
+        assert not np.array_equal(w, prob.phi_subgrad(x, None))
 
 
 # ---------------------------------------------------------------------------

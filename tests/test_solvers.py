@@ -134,6 +134,11 @@ def test_solver_config_validation():
         SolverConfig(seed=-1)
     with pytest.raises(ConfigurationError):
         SolverConfig(stop_tol_stationarity=-1e-3)
+    # the stopping rule needs both tolerances, so one alone would silently run to max_iters
+    with pytest.raises(ConfigurationError, match="only together"):
+        SolverConfig(stop_tol_stationarity=1e30)
+    with pytest.raises(ConfigurationError, match="only together"):
+        SolverConfig(stop_tol_feasibility=1e-3)
     cfg = SolverConfig(schedule=StepSchedule(kind="constant", eta0=0.02))
     assert cfg.eta0 == 0.02
 
@@ -676,6 +681,21 @@ def test_grid_propagates_oracle_dimension_error(algorithm):
     assert len(calls) == 11
 
 
+def test_grid_traces_only_iteration_0():
+    # nothing reads the candidates' trace rows, so a stride-1 config traces iteration 0 only:
+    # one stationarity call and max_iters step calls per candidate
+    calls = []
+
+    def oracle(x, rng):
+        calls.append(1)
+        return 2.0 * x
+
+    cfg = SolverConfig(schedule=StepSchedule(kind="constant"), trace_stride=1)
+    rows = run_step_grid(problem_with_oracle(oracle), cfg, budget_epochs=5)
+    assert all(np.isfinite(value) for _, value in rows)
+    assert len(calls) == len(rows) * (1 + 5)
+
+
 # ---------------------------------------------------------------------------
 # projection finishing
 
@@ -730,8 +750,8 @@ def test_trace_append_and_len():
 def reference_run(problem, cfg, algorithm, x0):
     """The loop rebuilt from public kernels only: (final x, trace rows).
 
-    Oracle noise comes from a generator built afresh for every call by
-    solvers._keyed_rng, and stat from the noise-free oracle.
+    Oracle noise comes from a generator built afresh for every step by
+    solvers._keyed_rng, and stat from the oracle called without one.
     """
     x = x0.copy()
     rows = []
@@ -741,7 +761,7 @@ def reference_run(problem, cfg, algorithm, x0):
             mapped = apply_A(x)
             h = problem.f_value(mapped) + 0.25 * cfg.beta * feas * feas
             proj = project_stiefel(x).matrix
-            w = problem.noise_free().f_subgrad(proj, solvers._keyed_rng(cfg.seed, 3, k))
+            w = problem.f_subgrad(proj)
             stat = float(np.linalg.norm(project_tangent(proj, w)))
             h_mapped = None
             if algorithm == "ncdf_proxsgd":
@@ -749,7 +769,7 @@ def reference_run(problem, cfg, algorithm, x0):
                 h_mapped = problem.f_value(apply_A(mapped)) + 0.25 * cfg.beta * feas_m**2
             rows.append((k, problem.f_value(proj), h, feas, stat, h_mapped))
         eta = cfg.schedule.step(k)
-        rng = solvers._keyed_rng(cfg.seed, 0, k)
+        rng = solvers._keyed_rng(cfg.seed, k)
         if algorithm == "ncdf_sgd":
             w = problem.f_subgrad(apply_A(x), rng)
             x = subgradient_step(x, jacobian_apply(x, w), eta, cfg.beta)
@@ -829,17 +849,17 @@ def test_oracle_draws_continue_within_one_call():
     draws = []
 
     def oracle(x, rng):
-        draws.append((rng.standard_normal(x.shape), rng.standard_normal(x.shape)))
+        if rng is not None:
+            draws.append((rng.standard_normal(x.shape), rng.standard_normal(x.shape)))
         return 2.0 * x
 
     cfg = gentle_config(max_iters=4, trace_stride=4, seed=3)
     run_subgradient(problem_with_oracle(oracle), cfg, x0=np.eye(4, 2))
-    # calls: the trace's stationarity at k = 0 (stream 3), then one step per k (stream 0)
-    keys = [(3, 0)] + [(0, k) for k in range(4)]
-    assert len(draws) == len(keys)
-    for (first, second), (stream, k) in zip(draws, keys):
+    # only the step's call at each k gets a generator; the trace's stationarity call at k = 0 none
+    assert len(draws) == 4
+    for k, (first, second) in enumerate(draws):
         assert not np.array_equal(first, second)
-        rng = solvers._keyed_rng(cfg.seed, stream, k)
+        rng = solvers._keyed_rng(cfg.seed, k)
         assert np.array_equal(first, rng.standard_normal((4, 2)))
         assert np.array_equal(second, rng.standard_normal((4, 2)))
 
@@ -857,6 +877,59 @@ def test_noisy_trace_stat_is_noise_free_norm_at_polar_factor(algorithm):
         q = project_stiefel(xk).matrix
         expected = float(np.linalg.norm(project_tangent(q, clean.f_subgrad(q))))
         assert trace.stat[k] == expected
+
+
+def test_self_drawing_oracle_gets_no_generator_for_stationarity():
+    # an oracle that draws its own noise, without attach_noise: every stationarity call
+    # (trace row, stopping rule, stationarity_estimate) is exact, every step call draws
+    c = np.arange(8.0).reshape(4, 2)
+    calls = []
+
+    def oracle(x, rng):
+        if rng is None:
+            calls.append(None)
+            return c
+        calls.append(rng.standard_normal(x.shape))
+        return c + calls[-1]
+
+    problem = ProblemDefinition(
+        n=4, p=2, phi_value=lambda x: float(np.sum(c * x)), phi_subgrad=oracle
+    )
+    cfg = gentle_config(
+        max_iters=20, trace_stride=20, seed=3, stop_tol_stationarity=1e-9, stop_tol_feasibility=1e-9
+    )
+    result = run_subgradient(problem, cfg, x0=np.eye(4, 2))
+    assert result.termination == "max_iters"
+    assert result.trace.stat == [float(np.linalg.norm(project_tangent(np.eye(4, 2), c)))]
+    q = result.projected.matrix
+    assert stationarity_estimate(problem, q) == float(np.linalg.norm(project_tangent(q, c)))
+    # k = 0: the trace row and the stopping rule share one call; k = 10: the stopping rule
+    exact = [0, 11, 22]
+    assert [i for i, call in enumerate(calls) if call is None] == exact
+    steps = [call for i, call in enumerate(calls) if i not in exact]
+    assert len(steps) == cfg.max_iters
+    for k, draw in enumerate(steps):
+        assert np.array_equal(draw, solvers._keyed_rng(cfg.seed, k).standard_normal((4, 2)))
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_non_finite_stationarity_oracle_ends_the_run_at_its_traced_iteration(algorithm):
+    exact_calls = []
+
+    def oracle(x, rng):
+        if rng is None:
+            exact_calls.append(1)
+            if len(exact_calls) == 3:
+                return np.full(x.shape, np.nan)
+        return 2.0 * x
+
+    cfg = SolverConfig(max_iters=12, trace_stride=3, seed=1)
+    message = "^stationarity oracle produced non-finite entries at iteration 6$"
+    with pytest.raises(DivergenceError, match=message) as excinfo:
+        RUNNERS[algorithm](problem_with_oracle(oracle), cfg, x0=np.eye(4, 2))
+    partial = excinfo.value.result
+    assert partial.iterations == 6
+    assert partial.trace.iters == [0, 3]
 
 
 def problem_with_oracle(oracle):
@@ -903,17 +976,19 @@ def test_non_finite_oracle_output_aborts_as_divergence(algorithm):
 
 
 def poisoned(problem, seed, k, bad):
-    """problem whose oracle returns bad in every call of iteration k of the run seeded seed.
+    """problem whose oracle returns bad in the step of iteration k of the run seeded seed.
 
-    The solver positions the oracle's generator at (seed, stream, iteration),
-    stream 0 for the step direction and 3 for the trace's stationarity
-    estimate, so one draw from it tells the oracle which call it is serving.
+    The solver positions the step oracle's generator at (seed, iteration), so
+    one draw from it tells the oracle which iteration it is serving.
+    Stationarity calls get no generator and pass through to the clean oracle.
     """
-    marks = {solvers._keyed_rng(seed, stream, k).random() for stream in (0, 3)}
+    mark = solvers._keyed_rng(seed, k).random()
     base = problem.phi_subgrad
 
     def oracle(x, rng):
-        return np.full(x.shape, bad) if rng.random() in marks else base(x, rng)
+        if rng is not None and rng.random() == mark:
+            return np.full(x.shape, bad)
+        return base(x, rng)
 
     return replace(problem, phi_subgrad=oracle)
 
@@ -951,7 +1026,8 @@ def test_poisoned_oracle_ends_the_run_at_that_iteration(algorithm, k, stride, ba
         RUNNERS[algorithm](poisoned(problem, cfg.seed, k, bad), cfg)
     partial = excinfo.value.result
     assert partial.iterations == k
-    rows = sum(1 for i in clean.trace.iters if i < k)
+    # a traced iteration k writes its row before the poisoned step
+    rows = sum(1 for i in clean.trace.iters if i <= k)
     assert partial.trace.iters == clean.trace.iters[:rows]
     for column in ("f", "h", "feas", "stat"):
         assert getattr(partial.trace, column) == getattr(clean.trace, column)[:rows]

@@ -20,6 +20,12 @@ from .core import apply_A, jacobian_apply, random_shell_point
 SubgradOracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 
+def _stacks(fn):
+    """Mark fn as mapping a (B, n, p) stack slice by slice, bitwise as each slice alone."""
+    fn._stacks = True
+    return fn
+
+
 @dataclass(frozen=True)
 class Regularizer:
     """Weighted convex regularization term gamma * r(X).
@@ -47,6 +53,7 @@ class ProblemDefinition:
     """Objective f(X) = phi(X) + reg.value(X) on n x p matrices.
 
     phi_subgrad(x, rng) draws any noise from rng; with rng None it is exact.
+    Marked _stacks, it also maps a (B, n, p) stack, given a one-pass iterable of row rngs.
     """
 
     n: int
@@ -88,6 +95,7 @@ def l1_regularizer(gamma: float, n_entries: int) -> Regularizer:
         x = np.asarray(x, dtype=float)
         return np.sign(x) * np.maximum(np.abs(x) - tau * gamma, 0.0)
 
+    @_stacks
     def subgrad(x):
         # minimum-norm selection: zero on exact zeros
         return gamma * np.sign(np.asarray(x, dtype=float))
@@ -115,8 +123,9 @@ def _check_symmetric(a, name):
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
-    if np.linalg.norm(a - a.T) > 1e-12 * max(1.0, np.linalg.norm(a)):
-        raise ValueError(f"{name} must be symmetric")
+    with np.errstate(over="ignore"):  # the norms overflow from entries near 1e154 on
+        if np.linalg.norm(a - a.T) > 1e-12 * max(1.0, np.linalg.norm(a)):
+            raise ValueError(f"{name} must be symmetric")
     return 0.5 * (a + a.T)
 
 
@@ -133,6 +142,7 @@ def make_quadratic_trace(a_mat, p: int) -> ProblemDefinition:
         x = np.asarray(x, dtype=float)
         return -float(np.sum(x * (a @ x)))
 
+    @_stacks
     def phi_subgrad(x, rng):
         return -2.0 * (a @ np.asarray(x, dtype=float))
 
@@ -182,6 +192,7 @@ def make_l1_pca(data, p: int) -> ProblemDefinition:
     def phi_value(x):
         return -float(np.sum(np.abs(d @ np.asarray(x, dtype=float))))
 
+    @_stacks
     def phi_subgrad(x, rng):
         return -d.T @ np.sign(d @ np.asarray(x, dtype=float))
 
@@ -300,16 +311,22 @@ def attach_noise(problem: ProblemDefinition, model: NoiseModel) -> ProblemDefini
 
     sigma = 0 returns the problem unchanged.  The wrapped problem is no
     longer marked smooth because its oracle is stochastic; called with
-    rng None, it returns the base oracle's output without noise.
+    rng None, it returns the base oracle's output without noise.  It maps
+    stacks if its base does, row i drawing from the i-th generator as alone.
     """
     if model.sigma == 0.0:
         return problem
     base = problem.phi_subgrad
 
     def noisy(x, rng):
-        w = np.asarray(base(x, rng), dtype=float)
-        return w if rng is None else w + model.draw(rng, w.shape)
+        stack = rng is not None and np.ndim(x) == 3
+        rngs = list(rng) if stack else rng  # the base may read each row's generator too
+        w = np.asarray(base(x, rngs), dtype=float)
+        if not stack:
+            return w if rng is None else w + model.draw(rng, w.shape)
+        return w + np.stack([model.draw(g, w.shape[1:]) for g in rngs])
 
+    noisy._stacks = getattr(base, "_stacks", False)
     return replace(problem, phi_subgrad=noisy, smooth=False)
 
 

@@ -25,9 +25,10 @@ resolved and the safeguards checked before the first iteration; x0 is
 validated once.  The driver then runs on core's unchecked kernels,
 sharing one state per iterate (Gram residual and map polynomial) between
 the guard, the trace and the update, and owns every run's trace and
-outcome; each algorithm is one step (_Method).  Oracle outputs are
-shape-checked; every step's result and the trace's oracle outputs are
-checked for finiteness.
+outcome; each algorithm is one step (_Method).  A grid calls an oracle
+marked problems._stacks once per iteration on its whole stack.  Oracle
+outputs are shape-checked; every step's result and the trace's oracle
+outputs are checked for finiteness.
 """
 
 from __future__ import annotations
@@ -162,7 +163,11 @@ class StepSchedule:
         return self.values[k]
 
     def steps(self, n: int) -> list:
-        """eta_0, ..., eta_{n-1}; raises ConfigurationError if a custom schedule is shorter."""
+        """step(0), ..., step(n - 1); raises ConfigurationError if a custom schedule is shorter."""
+        if self.kind == "constant":
+            return [self.eta0] * n
+        if self.kind == "harmonic_decay":
+            return (self.eta0 / (0.1 * (np.arange(n) // self.epoch_len) + 1.0)).tolist()
         return [self.step(k) for k in range(n)]
 
 
@@ -301,7 +306,8 @@ def stationarity_estimate(problem: ProblemDefinition, point) -> float:
         if feasibility_violation(x) > 1e-8:
             raise ValueError("stationarity estimate requires a feasible point")
     w = problem.f_subgrad(x)
-    return _norm(project_tangent(x, w))
+    with np.errstate(over="ignore"):  # _norm rescales; _lockstep silences it once per run
+        return _norm(project_tangent(x, w))
 
 
 def _norm(w) -> float:
@@ -485,11 +491,19 @@ ALGORITHM_RUNNERS = {
 ALGORITHMS = tuple(_METHODS)
 
 
+def _direction(w, shape):
+    w = np.asarray(w, dtype=float)
+    if w.shape != shape:
+        raise DimensionError(f"direction shape {w.shape} != iterate shape {shape}")
+    return w
+
+
 def _keep(kept, rows: list, *stacks):
     """rows and each stack (None passes through) cut down to the rows indexed by kept."""
     return [rows[i] for i in kept], *(None if a is None else a[kept] for a in stacks)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks end a run on non-finite values
 def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> list:
     """Advance runs that differ only in seed and step sizes as one (B, n, p) stack x.
 
@@ -499,8 +513,9 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     that a guard, a non-finite trace oracle or a non-finite step ended at
     iterate k; any other error propagates.  Each iteration forms the Gram
     state, the map, the polar factor, the step and the proximal map once
-    for the whole stack; the guard, trace row, stopping rule and oracle
-    calls go row by row.  A row leaves the stack as soon as its run ends.
+    for the whole stack, and the oracle too if every callable of the
+    direction is marked _stacks; the guard, trace row and stopping rule go
+    row by row.  A row leaves the stack as soon as its run ends.
     """
     shell = cfg.feas_shell_check
     limit = min(DIVERGENCE_FEAS_LIMIT, SHELL_RADIUS + 1e-12) if shell else DIVERGENCE_FEAS_LIMIT
@@ -509,6 +524,9 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     reg = problem.reg if method.proximal else None
     # the proximal method steps along the smooth part only; the others along f
     oracle = problem.phi_subgrad if method.proximal else problem.f_subgrad
+    stacked = getattr(problem.phi_subgrad, "_stacks", False) and (
+        method.proximal or problem.reg is None or getattr(problem.reg.subgrad, "_stacks", False)
+    )
     noise = [_RunNoise(seed) for seed in seeds]
     rows = list(range(len(seeds)))  # the run of each row of the stack
     steps = np.asarray(steps, dtype=float)  # (B, max_iters), cut down with the stack
@@ -541,8 +559,15 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
             resid_m, poly_m = _state(mapped)
             remapped = _map(mapped, poly_m)
         at = mapped if method.at_map else x
+        batched = stacked and len(rows) > 1  # a stack of one keeps its 2-d call
+        if batched:
+            try:
+                d = _direction(oracle(at, (noise[r].at(k) for r in rows)), x.shape)
+            except DivergenceError:
+                batched = False  # per-row calls pin the error on the rows that raise it
+        visit = rows if traced or stopping or not batched else []
         kept = []
-        for i, r in enumerate(rows):
+        for i, r in enumerate(visit):
             try:
                 if traced or stopping:
                     stat = _loop_stationarity(problem, proj[i], k)
@@ -557,15 +582,13 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
                 if stopping and stat <= tol_stat and feas[i] <= tol_feas:
                     outcomes[r] = SolverResult(x[i], project_stiefel(x[i]), traces[r], "tol_met", k)
                     continue
-                di = np.asarray(oracle(at[i], noise[r].at(k)), dtype=float)
+                if not batched:
+                    d[i] = _direction(oracle(at[i], noise[r].at(k)), x.shape[1:])
             except DivergenceError as err:
                 outcomes[r] = (err, x[i], k, traces[r])
                 continue
-            if di.shape != x.shape[1:]:
-                raise DimensionError(f"direction shape {di.shape} != iterate shape {x.shape[1:]}")
-            d[i] = di
             kept.append(i)
-        if len(kept) < len(rows):
+        if len(kept) < len(visit):
             rows, x, resid, poly, mapped, d, steps = _keep(
                 kept, rows, x, resid, poly, mapped, d, steps
             )

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,20 @@ def test_run_summary_is_strict_json_when_a_value_overflows(tmp_path, capsys):
     # the trace's stat column takes the same norm
     stat = read_trace_csv(tmp_path / "trace.csv")["stat"]
     assert len(stat) == 1 and 1e199 < stat[0] < 1e202
+
+
+def test_run_overflowing_divergence_prints_only_its_error_line(tmp_path, capsys):
+    # overflow in the run (the stationarity norm, the proximal step) ends it
+    # through the finiteness checks, so numpy's warnings would only repeat it
+    cfg = minimal_config(tmp_path, algorithm="ncdf_proxsgd", max_iters=50)
+    cfg["problem"] = {"kind": "quadratic_trace", "n": 6, "p": 2, "seed": 0, "scale": 1e200}
+    cfg["solver"]["schedule"] = {"kind": "constant", "eta0": 1e200}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    expected = "run diverged: proximal step produced non-finite entries at iteration 0\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_run_summary_writes_non_finite_values_as_null(tmp_path, capsys):

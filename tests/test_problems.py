@@ -377,3 +377,31 @@ def test_synthetic_mlp_dataset_shapes():
     prob = problems.make_orthogonal_mlp(data, widths=(5, 2, 3), seed=2)
     q = random_stiefel(np.random.default_rng(1), 5, 2)
     assert np.isfinite(prob.f_value(q))
+
+
+def marked(fn):
+    return getattr(fn, "_stacks", False)
+
+
+def test_stack_mark_follows_the_callable():
+    import functools
+    from dataclasses import replace
+
+    data = problems.gaussian_matrix(20, 6, seed=5)
+    model = problems.NoiseModel(sigma=0.05, bound=0.1)
+    l1 = problems.make_l1_pca(data, 2)
+    spca = problems.make_sparse_pca(data.T @ data / 20.0, 2, 0.1)
+    for fn in (l1.phi_subgrad, spca.phi_subgrad, spca.reg.subgrad):
+        assert marked(fn)
+    noisy = problems.attach_noise(l1, model)
+    assert marked(noisy.phi_subgrad)
+    assert marked(problems.attach_noise(noisy, model).phi_subgrad)
+    # functools.wraps copies the mark, so a wrapping tracer keeps the stacked path
+    assert marked(functools.wraps(noisy.phi_subgrad)(lambda x, rng: None))
+    # replacing the callable drops the mark, and noise over an unmarked oracle has none
+    plain = replace(l1, phi_subgrad=lambda x, rng: l1.phi_subgrad(x, rng))
+    assert not marked(plain.phi_subgrad)
+    assert not marked(problems.attach_noise(plain, model).phi_subgrad)
+    # the MLP oracle transposes its 2-d iterate, so it is called per row
+    mlp = problems.make_orthogonal_mlp(problems.synthetic_mlp_dataset(5, (4, 2, 1), 0), (4, 2, 1))
+    assert not marked(mlp.phi_subgrad)

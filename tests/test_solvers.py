@@ -108,6 +108,24 @@ def test_schedule_steps_lists_the_first_n_steps():
         StepSchedule(kind="custom", values=(0.5, 0.25, 0.125)).steps(4)
 
 
+@pytest.mark.parametrize(
+    "sched",
+    [
+        StepSchedule(kind="constant", eta0=0.03),
+        StepSchedule(kind="constant", eta0=7),
+        StepSchedule(kind="harmonic_decay", eta0=0.03),
+        StepSchedule(kind="harmonic_decay", eta0=1.0 / 3.0, epoch_len=7),
+        StepSchedule(kind="harmonic_decay", eta0=9e-2, epoch_len=250),
+        StepSchedule(kind="custom", values=tuple(np.geomspace(0.5, 1e-6, 2500))),
+    ],
+)
+def test_schedule_steps_equal_step_bitwise(sched):
+    steps = sched.steps(2500)
+    expected = [sched.step(k) for k in range(2500)]
+    assert [type(v) for v in steps] == [type(v) for v in expected]
+    assert [float(v).hex() for v in steps] == [float(v).hex() for v in expected]
+
+
 def test_schedule_validation():
     with pytest.raises(ConfigurationError):
         StepSchedule(kind="linear")
@@ -1213,3 +1231,119 @@ def test_loop_validates_only_at_the_boundary(monkeypatch, algorithm):
     # x0 on entry plus the final projection, however many iterations ran
     assert per_run[0] == per_run[1]
     assert per_run[0][0] == "x0"
+
+
+# ---------------------------------------------------------------------------
+# oracles called once on the whole stack
+
+# (data rows, n, p): the 6 x 2 circle with p = 1, 30 x 12 L1-PCA with p = 3, 100 x 5 sparse PCA
+STACK_SHAPES = [(6, 2, 1), (30, 12, 3), (100, 100, 5)]
+
+
+@pytest.mark.parametrize("batch", [2, 10])
+@pytest.mark.parametrize("rows, n, p", STACK_SHAPES)
+def test_stacked_builtin_oracles_match_their_per_row_calls_bitwise(rows, n, p, batch):
+    data = gaussian_matrix(rows, n, seed=rows)
+    reg = l1_regularizer(0.1, n * p)
+    callables = [
+        make_quadratic_trace(data.T @ data / rows, p).phi_subgrad,
+        make_l1_pca(data, p).phi_subgrad,
+        lambda x, rng: reg.subgrad(x),
+    ]
+    x = np.random.default_rng(batch).standard_normal((batch, n, p))
+    for fn in callables:
+        stacked = fn(x, (solvers._RunNoise(s).at(5) for s in range(batch)))
+        assert np.array_equal(stacked, np.stack([fn(x[i], None) for i in range(batch)]))
+    # each row of a noisy stack draws what that row's run draws alone at iteration 5
+    model = NoiseModel(sigma=0.05, bound=0.1)
+    noisy = attach_noise(make_l1_pca(data, p), model)
+    seeds = [11 * s + 3 for s in range(batch)]
+    # noise on noise: both wrappers read each row's generator, inner draws first
+    for fn in (noisy.phi_subgrad, attach_noise(noisy, model).phi_subgrad):
+        stacked = fn(x, (solvers._RunNoise(s).at(5) for s in seeds))
+        per_row = [fn(x[i], solvers._RunNoise(s).at(5)) for i, s in enumerate(seeds)]
+        assert np.array_equal(stacked, np.stack(per_row))
+        assert not np.array_equal(stacked, fn(x, None))
+
+
+def counted(problem, calls):
+    """problem whose phi_subgrad appends each call's iterate ndim to calls; wraps keeps its mark."""
+    base = problem.phi_subgrad
+
+    @functools.wraps(base)
+    def oracle(x, rng):
+        calls.append(np.ndim(x))
+        return base(x, rng)
+
+    return replace(problem, phi_subgrad=oracle)
+
+
+def stack_grid_config():
+    return SolverConfig(beta=1.0, schedule=StepSchedule(kind="constant"), trace_stride=1, seed=5)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_builtin_grid_makes_one_oracle_call_per_iteration(algorithm, noisy):
+    problem = small_sparse_pca()
+    if noisy:
+        problem = attach_noise(problem, NoiseModel(sigma=0.05, bound=0.1))
+    calls = []
+    rows = run_step_grid(counted(problem, calls), stack_grid_config(), 20, algorithm)
+    assert sum(np.isfinite(value) for _, value in rows) >= 2  # the stack never shrinks to one
+    # one stacked call per iteration, plus one stationarity call per candidate at iteration 0
+    assert sorted(calls) == [2] * 10 + [3] * 20
+    assert rows == run_step_grid(problem, stack_grid_config(), 20, algorithm)
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_unmarked_regularizer_subgrad_keeps_per_row_calls_unless_proximal(algorithm):
+    problem = small_sparse_pca()
+    subgrad = problem.reg.subgrad
+    problem = replace(problem, reg=replace(problem.reg, subgrad=lambda x: subgrad(x)))
+    calls = []
+    rows = run_step_grid(counted(problem, calls), stack_grid_config(), 20, algorithm)
+    if algorithm == "ncdf_proxsgd":  # steps along phi alone
+        assert sorted(calls) == [2] * 10 + [3] * 20
+    else:
+        assert set(calls) == {2}
+    assert rows == run_step_grid(small_sparse_pca(), stack_grid_config(), 20, algorithm)
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_replaced_per_row_oracle_runs_a_full_grid(algorithm):
+    problem = attach_noise(small_sparse_pca(), NoiseModel(sigma=0.05, bound=0.1))
+    base = problem.phi_subgrad
+
+    def per_row(x, rng):
+        assert x.ndim == 2
+        return base(x, rng)
+
+    cfg = stack_grid_config()
+    rows = run_step_grid(replace(problem, phi_subgrad=per_row), cfg, 20, algorithm)
+    assert rows == run_step_grid(problem, cfg, 20, algorithm)
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_stacked_divergence_error_falls_back_to_per_row_calls(algorithm):
+    # a marked oracle whose stacked call at k = 1 raises: that iteration calls
+    # the rows one by one, and only the second row's own call raises, so only
+    # candidate 1 scores inf
+    problem = small_sparse_pca()
+    base = problem.phi_subgrad
+    calls = []
+
+    @functools.wraps(base)
+    def oracle(x, rng):
+        calls.append(np.ndim(x))
+        # k = 0 made one stacked and ten stationarity calls; k = 1's stacked call is the 12th
+        if len(calls) in (12, 14):
+            raise DivergenceError("refused")
+        return base(x, rng)
+
+    cfg = replace(stack_grid_config(), trace_stride=20)
+    rows = run_step_grid(replace(problem, phi_subgrad=oracle), cfg, 20, algorithm)
+    clean = run_step_grid(problem, cfg, 20, algorithm)
+    assert calls[:22] == [3] + [2] * 10 + [3] + [2] * 10
+    assert rows[1][1] == float("inf") and clean[1][1] < float("inf")
+    assert rows[:1] + rows[2:] == clean[:1] + clean[2:]

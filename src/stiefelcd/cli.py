@@ -32,6 +32,8 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -151,9 +153,11 @@ def _get_num(sec, key, path, default=None, required=False, minimum=None, integer
     return int(value) if integer else float(value)
 
 
-def _get_num_list(sec, key, path, default=None, length=None, **num):
+def _get_num_list(sec, key, path, default=None, length=None, missing=None, **num):
     """sec[key] as a list of numbers, each checked by _get_num under path.key.i."""
     if key not in sec:
+        if missing:
+            raise ConfigurationError(f"{path}.{key}: {missing}")
         return default
     value = sec[key]
     if not isinstance(value, list) or length not in (None, len(value)):
@@ -163,12 +167,73 @@ def _get_num_list(sec, key, path, default=None, length=None, **num):
     return [_get_num(entries, i, f"{path}.{key}", required=True, **num) for i in entries]
 
 
+def _symmetric_part(m):
+    return 0.5 * (m + m.T)
+
+
+_COUNT = partial(_get_num, required=True, minimum=1, integer=True)
+_SEED = partial(_get_num, default=0, minimum=0, integer=True)
+_TOP = partial(_get_num_list, default=(10.0, 8.0, 6.0, 4.0, 2.0), minimum=0.0)
+_WIDTHS = partial(
+    _get_num_list, length=3, missing="expected [d_in, hidden, d_out]", minimum=1, integer=True
+)
+# kind: (keys read with either data source, keys read only for seeded data, the seeded
+# data from the keys read, the problem from the data and the keys read), each key
+# mapped to its reader; every kind but those in _NO_DATA_PATH may load data_path instead
+_KINDS = {
+    "quadratic_trace": (
+        {"p": _COUNT},
+        {"n": _COUNT, "seed": _SEED, "scale": partial(_get_num, default=1.0)},
+        lambda k: _symmetric_part(gaussian_matrix(k["n"], k["n"], k["seed"], k["scale"])),
+        lambda data, k: make_quadratic_trace(data, k["p"]),
+    ),
+    "sparse_pca": (
+        {"p": _COUNT, "gamma": partial(_get_num, required=True, minimum=0.0)},
+        {"n": _COUNT, "seed": _SEED, "top_eigenvalues": _TOP},
+        lambda k: spiked_covariance(k["n"], k["top_eigenvalues"], k["seed"]),
+        lambda data, k: make_sparse_pca(data, k["p"], k["gamma"]),
+    ),
+    "l1_pca": (
+        {"p": _COUNT},
+        {"rows": _COUNT, "n": _COUNT, "seed": _SEED},
+        lambda k: gaussian_matrix(k["rows"], k["n"], k["seed"]),
+        lambda data, k: make_l1_pca(data, k["p"]),
+    ),
+    "orthogonal_mlp": (
+        {},
+        {"widths": _WIDTHS, "n_samples": _COUNT, "seed": _SEED},
+        lambda k: synthetic_mlp_dataset(k["n_samples"], k["widths"], k["seed"]),
+        lambda data, k: make_orthogonal_mlp(data, k["widths"], seed=k["seed"]),
+    ),
+}
+_NO_DATA_PATH = {"orthogonal_mlp"}
+_NOISE = {"sigma": partial(_get_num, required=True, minimum=0.0), "bound": _get_num}
+
+
 def build_problem(conf: dict):
-    """ProblemDefinition from the config's problem section."""
+    """ProblemDefinition from the config's problem section, read by its kind's _KINDS entry.
+
+    data_path, where the kind takes it, replaces the seeded-data keys; an
+    optional noise section (sigma, bound) attaches oracle noise.
+    """
+    path = conf.get("data_path", "")
+    if not isinstance(path, str):
+        raise ConfigurationError(f"problem.data_path: expected a file path, got {path!r}")
+    kind = conf.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        what = "required field missing" if kind is None else f"unknown problem kind {kind!r}"
+        raise ConfigurationError(f"problem.kind: {what}")
+    shared, seeded, seeded_data, build = _KINDS[kind]
+    loads = [] if kind in _NO_DATA_PATH else ["data_path"]
+    _known_keys(conf, {"kind", "noise", *loads, *shared, *seeded}, "problem")
+    loaded = "data_path" in conf
+    ignored = sorted(set(conf) & set(seeded)) if loaded else []
+    if ignored:
+        raise ConfigurationError(f"problem: data_path excludes the seeded-data keys {ignored}")
+    readers = shared if loaded else {**shared, **seeded}
+    keys = {key: read(conf, key, "problem") for key, read in readers.items()}
     try:
-        problem = _problem_of_kind(conf)
-    except ConfigurationError:
-        raise
+        problem = build(load_matrix_csv(path) if loaded else seeded_data(keys), keys)
     except (ValueError, OSError) as err:
         # a factory's check across fields (n >= p, ...) or an unreadable data file
         raise ConfigurationError(f"problem: {err}") from err
@@ -176,92 +241,35 @@ def build_problem(conf: dict):
     if noise is not None:
         if not isinstance(noise, dict):
             raise ConfigurationError("problem.noise: must be a JSON object")
-        _known_keys(noise, {"sigma", "bound"}, "problem.noise")
-        sigma = _get_num(noise, "sigma", "problem.noise", required=True, minimum=0.0)
-        bound = _get_num(noise, "bound", "problem.noise", default=None)
+        _known_keys(noise, _NOISE, "problem.noise")
+        model = {key: read(noise, key, "problem.noise") for key, read in _NOISE.items()}
         try:
-            problem = attach_noise(problem, NoiseModel(sigma=sigma, bound=bound))
+            problem = attach_noise(problem, NoiseModel(**model))
         except ValueError as err:
             raise ConfigurationError(f"problem.noise: {err}") from err
     return problem
 
 
-def _kind_keys(conf: dict, shared, seeded):
-    """Check the problem keys: shared by both data sources, or for seeded data only."""
-    _known_keys(conf, {"kind", "data_path", "noise", *shared, *seeded}, "problem")
-    ignored = sorted(set(conf) & set(seeded)) if "data_path" in conf else []
-    if ignored:
-        raise ConfigurationError(f"problem: data_path excludes the seeded-data keys {ignored}")
-
-
-def _problem_of_kind(conf: dict):
-    """The problem section's objective, before any noise is attached."""
-    path = conf.get("data_path", "")
-    if not isinstance(path, str):
-        raise ConfigurationError(f"problem.data_path: expected a file path, got {path!r}")
-    kind = conf.get("kind")
-    if kind == "quadratic_trace":
-        _kind_keys(conf, {"p"}, {"n", "seed", "scale"})
-        p = _get_num(conf, "p", "problem", required=True, minimum=1, integer=True)
-        if "data_path" in conf:
-            mat = load_matrix_csv(conf["data_path"])
-        else:
-            n = _get_num(conf, "n", "problem", required=True, minimum=1, integer=True)
-            seed = _get_num(conf, "seed", "problem", default=0, minimum=0, integer=True)
-            scale = _get_num(conf, "scale", "problem", default=1.0)
-            m = gaussian_matrix(n, n, seed, scale)
-            mat = 0.5 * (m + m.T)
-        return make_quadratic_trace(mat, p)
-    if kind == "sparse_pca":
-        _kind_keys(conf, {"p", "gamma"}, {"n", "seed", "top_eigenvalues"})
-        p = _get_num(conf, "p", "problem", required=True, minimum=1, integer=True)
-        gamma = _get_num(conf, "gamma", "problem", required=True, minimum=0.0)
-        if "data_path" in conf:
-            cov = load_matrix_csv(conf["data_path"])
-        else:
-            n = _get_num(conf, "n", "problem", required=True, minimum=1, integer=True)
-            seed = _get_num(conf, "seed", "problem", default=0, minimum=0, integer=True)
-            top = _get_num_list(
-                conf, "top_eigenvalues", "problem", [10.0, 8.0, 6.0, 4.0, 2.0], minimum=0.0
-            )
-            cov = spiked_covariance(n, top, seed)
-        return make_sparse_pca(cov, p, gamma)
-    if kind == "l1_pca":
-        _kind_keys(conf, {"p"}, {"rows", "n", "seed"})
-        p = _get_num(conf, "p", "problem", required=True, minimum=1, integer=True)
-        if "data_path" in conf:
-            data = load_matrix_csv(conf["data_path"])
-        else:
-            rows = _get_num(conf, "rows", "problem", required=True, minimum=1, integer=True)
-            n = _get_num(conf, "n", "problem", required=True, minimum=1, integer=True)
-            seed = _get_num(conf, "seed", "problem", default=0, minimum=0, integer=True)
-            data = gaussian_matrix(rows, n, seed)
-        return make_l1_pca(data, p)
-    if kind == "orthogonal_mlp":
-        _known_keys(conf, {"kind", "widths", "n_samples", "seed", "noise"}, "problem")
-        widths = _get_num_list(conf, "widths", "problem", length=3, minimum=1, integer=True)
-        if widths is None:
-            raise ConfigurationError("problem.widths: expected [d_in, hidden, d_out]")
-        n_samples = _get_num(conf, "n_samples", "problem", required=True, minimum=1, integer=True)
-        seed = _get_num(conf, "seed", "problem", default=0, minimum=0, integer=True)
-        dataset = synthetic_mlp_dataset(n_samples, widths, seed)
-        return make_orthogonal_mlp(dataset, widths, seed=seed)
-    if kind is None:
-        raise ConfigurationError("problem.kind: required field missing")
-    raise ConfigurationError(f"problem.kind: unknown problem kind {kind!r}")
+def _numbers(cls, sec: dict, path: str, **minimum) -> dict:
+    """sec's int and float fields of dataclass cls, a left-out key at its field's default."""
+    # solvers.py postpones annotations, so a field's type is the type's name
+    return {
+        f.name: _get_num(
+            sec, f.name, path, f.default, minimum=minimum.get(f.name), integer=f.type == "int"
+        )
+        for f in fields(cls)
+        if f.type in ("int", "float")
+    }
 
 
 def build_solver(conf: dict, problem):
-    """(SolverConfig, algorithm name, budget_epochs or None) from the solver section."""
-    _known_keys(
-        conf,
-        {
-            "algorithm", "beta", "max_iters", "seed", "schedule", "feas_shell_check",
-            "safeguards", "stop_tol_stationarity", "stop_tol_feasibility",
-            "trace_stride", "budget_epochs",
-        },
-        "solver",
-    )
+    """(SolverConfig, algorithm name, budget_epochs or None) from the solver section.
+
+    Its keys are SolverConfig's fields, algorithm and budget_epochs, and the
+    schedule's are StepSchedule's; a key left out takes its field's default.
+    """
+    field_names = {f.name for f in fields(SolverConfig)}
+    _known_keys(conf, {"algorithm", "budget_epochs", *field_names}, "solver")
     algorithm = conf.get("algorithm", "ncdf_sgd")
     if not isinstance(algorithm, str) or algorithm not in ALGORITHM_RUNNERS:
         raise ConfigurationError(
@@ -271,52 +279,32 @@ def build_solver(conf: dict, problem):
     sched_spec = conf.get("schedule", {})
     if not isinstance(sched_spec, dict):
         raise ConfigurationError("solver.schedule: must be a JSON object")
-    _known_keys(sched_spec, {"kind", "eta0", "epoch_len", "values"}, "solver.schedule")
-    values = _get_num_list(sched_spec, "values", "solver.schedule")
+    _known_keys(sched_spec, {f.name for f in fields(StepSchedule)}, "solver.schedule")
+    _get_num_list(sched_spec, "values", "solver.schedule")  # StepSchedule converts them
+    sched = {**sched_spec, **_numbers(StepSchedule, sched_spec, "solver.schedule")}
     try:
-        schedule = StepSchedule(
-            kind=sched_spec.get("kind", "harmonic_decay"),
-            eta0=_get_num(sched_spec, "eta0", "solver.schedule", default=0.1),
-            epoch_len=_get_num(
-                sched_spec, "epoch_len", "solver.schedule", default=1, integer=True
-            ),
-            values=tuple(values) if values is not None else None,
-        )
+        schedule = StepSchedule(**sched)
     except ConfigurationError as err:
         raise ConfigurationError(f"solver.schedule.{err}") from err
-
-    seed = _get_num(conf, "seed", "solver", default=0, minimum=0, integer=True)
-    if conf.get("safeguards") == "estimate":
-        safeguards = estimate_constants(problem, seed=seed)
-    else:
-        safeguards = tuple(
-            _get_num_list(conf, "safeguards", "solver", [0.0, 0.0, 0.0], length=3)
-        )
-    shell_check = conf.get("feas_shell_check", False)
-    if not isinstance(shell_check, bool):
+    # a custom schedule reads values only, and the other kinds all its keys but values
+    unread = {"eta0", "epoch_len"} if schedule.kind == "custom" else {"values"}
+    unread = sorted(unread & set(sched_spec))
+    if unread:
         raise ConfigurationError(
-            f"solver.feas_shell_check: expected true or false, got {shell_check!r}"
+            f"solver.schedule: kind {schedule.kind!r} excludes the keys {unread}"
         )
 
+    given = {key: value for key, value in conf.items() if key in field_names}
+    given.update(_numbers(SolverConfig, conf, "solver", seed=0), schedule=schedule)
+    if conf.get("safeguards") == "estimate":
+        given["safeguards"] = estimate_constants(problem, seed=given["seed"])
+    elif "safeguards" in conf:
+        given["safeguards"] = tuple(_get_num_list(conf, "safeguards", "solver", length=3))
     try:
-        cfg = SolverConfig(
-            beta=_get_num(conf, "beta", "solver", default=0.1),
-            schedule=schedule,
-            max_iters=_get_num(conf, "max_iters", "solver", default=1000, integer=True),
-            feas_shell_check=shell_check,
-            safeguards=safeguards,
-            seed=seed,
-            stop_tol_stationarity=_get_num(
-                conf, "stop_tol_stationarity", "solver", default=0.0
-            ),
-            stop_tol_feasibility=_get_num(
-                conf, "stop_tol_feasibility", "solver", default=0.0
-            ),
-            trace_stride=_get_num(conf, "trace_stride", "solver", default=1, integer=True),
-        )
+        cfg = SolverConfig(**given)
     except ConfigurationError as err:
         raise ConfigurationError(f"solver.{err}") from err
-    budget = _get_num(conf, "budget_epochs", "solver", default=None, minimum=1, integer=True)
+    budget = _get_num(conf, "budget_epochs", "solver", minimum=1, integer=True)
     return cfg, algorithm, budget
 
 
@@ -329,20 +317,10 @@ def _fmt(value) -> str:
 
 
 def write_trace_csv(path, trace):
+    columns = (trace.f, trace.h, trace.feas, trace.stat, trace.seconds)
     rows = [TRACE_HEADER]
-    for i in range(len(trace)):
-        rows.append(
-            ",".join(
-                [
-                    str(trace.iters[i]),
-                    _fmt(trace.f[i]),
-                    _fmt(trace.h[i]),
-                    _fmt(trace.feas[i]),
-                    _fmt(trace.stat[i]),
-                    _fmt(trace.seconds[i]),
-                ]
-            )
-        )
+    for i, k in enumerate(trace.iters):
+        rows.append(",".join([str(k), *(_fmt(col[i]) for col in columns)]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -356,16 +334,14 @@ def read_trace_csv(path):
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0:
         data = data.reshape(0, 6)
-    cols = TRACE_HEADER.split(",")
-    return {name: data[:, j] for j, name in enumerate(cols)}
+    return {name: data[:, j] for j, name in enumerate(TRACE_HEADER.split(","))}
 
 
 def _summarize(problem, result, seconds: float) -> dict:
     projected = result.projected
     final_f = None if projected is None else problem.f_value(projected.matrix)
     stat = None if projected is None else stationarity_estimate(problem, projected)
-    finite = bool(np.all(np.isfinite(result.final_x)))
-    feas = feasibility_violation(result.final_x) if finite else None
+    feas = feasibility_violation(result.final_x) if np.isfinite(result.final_x).all() else None
     return {
         "final_f": final_f,
         "final_feasibility": feas,
@@ -377,16 +353,14 @@ def _summarize(problem, result, seconds: float) -> dict:
 
 
 def _emit_outputs(problem, result, out_spec: dict, seconds: float):
-    trace_path = out_spec.get("trace_path")
-    if trace_path:
+    if trace_path := out_spec.get("trace_path"):
         write_trace_csv(trace_path, result.trace)
     summary = {
         key: None if isinstance(value, float) and not math.isfinite(value) else value
         for key, value in _summarize(problem, result, seconds).items()
     }
     line = json.dumps(summary, sort_keys=True, allow_nan=False)
-    summary_path = out_spec.get("summary_path")
-    if summary_path:
+    if summary_path := out_spec.get("summary_path"):
         with open(summary_path, "w", encoding="utf-8") as fh:
             fh.write(line + "\n")
     print(line)
@@ -401,14 +375,13 @@ def cmd_run(args) -> int:
     problem = build_problem(_section(cfg_dict, "problem"))
     solver_cfg, algorithm, _ = build_solver(_section(cfg_dict, "solver"), problem)
     out_spec = _output_section(cfg_dict)
-    runner = ALGORITHM_RUNNERS[algorithm]
     t0 = time.perf_counter()
     try:
-        result = runner(problem, solver_cfg)
+        result = ALGORITHM_RUNNERS[algorithm](problem, solver_cfg)
     except (DivergenceError, SafeguardViolationError) as err:
-        partial = getattr(err, "result", None)
-        if partial is not None:
-            _emit_outputs(problem, partial, out_spec, time.perf_counter() - t0)
+        partial_run = getattr(err, "result", None)
+        if partial_run is not None:
+            _emit_outputs(problem, partial_run, out_spec, time.perf_counter() - t0)
         if isinstance(err, DivergenceError):
             print(f"run diverged: {err}", file=sys.stderr)
             return EXIT_DIVERGED
@@ -444,7 +417,10 @@ def cmd_grid(args) -> int:
     _output_section(cfg_dict)  # grid writes no files, but a typo in output is still an error
     if budget is None:
         raise ConfigurationError("solver.budget_epochs: required for grid search")
-    rows = run_step_grid(problem, solver_cfg, budget, algorithm)
+    try:
+        rows = run_step_grid(problem, solver_cfg, budget, algorithm)
+    except ConfigurationError as err:  # the grid's own check: no custom schedule
+        raise ConfigurationError(f"solver: {err}") from err
     for eta, val in rows:
         print(f"{_fmt(eta)} {_fmt(val)}")
     best_eta = best_grid_step(rows)
@@ -476,9 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as err:
         return int(err.code or 0)
     try:

@@ -138,13 +138,13 @@ class StepSchedule:
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
-            raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
+            raise ConfigurationError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
         if self.kind == "custom":
             if not self.values:
-                raise ConfigurationError("custom schedule requires a values sequence")
+                raise ConfigurationError("values must be a nonempty sequence for a custom schedule")
             vals = tuple(float(v) for v in self.values)
             if any(v <= 0 for v in vals):
-                raise ConfigurationError("custom schedule values must be positive")
+                raise ConfigurationError("values must be positive for a custom schedule")
             object.__setattr__(self, "values", vals)
         elif not self.eta0 > 0:
             raise ConfigurationError(f"eta0 must be positive, got {self.eta0}")
@@ -192,6 +192,11 @@ class SolverConfig:
     trace_stride: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.feas_shell_check, bool):
+            # bool("false") is True, so a string would silently turn the check on
+            raise ConfigurationError(
+                f"feas_shell_check: expected true or false, got {self.feas_shell_check!r}"
+            )
         if not self.beta > 0:
             raise ConfigurationError(f"beta must be positive, got {self.beta}")
         if self.max_iters < 1:
@@ -203,7 +208,9 @@ class SolverConfig:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.stop_tol_stationarity < 0 or self.stop_tol_feasibility < 0:
-            raise ConfigurationError("stop tolerances must be nonnegative")
+            raise ConfigurationError(
+                "stop_tol_stationarity and stop_tol_feasibility must be nonnegative"
+            )
         if (self.stop_tol_stationarity > 0) != (self.stop_tol_feasibility > 0):
             raise ConfigurationError(
                 "stop_tol_stationarity and stop_tol_feasibility stop a run only together"

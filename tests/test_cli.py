@@ -3,6 +3,7 @@
 import json
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stiefelcd.cli as cli
 import stiefelcd.core as core
 from stiefelcd.cli import main, read_trace_csv, write_trace_csv
 from stiefelcd.errors import ConfigurationError
-from stiefelcd.solvers import IterateTrace
+from stiefelcd.solvers import IterateTrace, SolverConfig, StepSchedule
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -634,3 +636,131 @@ def test_fuzzed_configs_exit_0_2_or_3(
     assert code in (0, 2, 3), err
     if code == 3:
         assert _PATH.search(err), err
+
+
+# ---------------------------------------------------------------------------
+# config schema: error paths, keys a schedule does not read, README coverage
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        (key, "x", "expected a finite number, got 'x'")
+        for key in ("beta", "max_iters", "seed", "stop_tol_stationarity",
+                    "stop_tol_feasibility", "trace_stride", "schedule.eta0",
+                    "schedule.epoch_len")
+    ]
+    + [
+        (key, 1.5, "expected a 64-bit integer, got 1.5")
+        for key in ("max_iters", "seed", "trace_stride", "schedule.epoch_len")
+    ],
+)
+def test_numeric_solver_key_fault_names_its_path_once(tmp_path, capsys, key, value, expected):
+    cfg = minimal_config(tmp_path)
+    section, _, name = key.rpartition(".")
+    (cfg["solver"][section] if section else cfg["solver"])[name] = value
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err == f"configuration error: solver.{key}: {expected}\n"
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "schedule, unread",
+    [
+        ({"kind": "custom", "values": [0.005] * 100, "eta0": -5}, ["eta0"]),
+        ({"kind": "custom", "values": [0.005] * 100, "epoch_len": 2, "eta0": 0.1},
+         ["epoch_len", "eta0"]),
+        ({"kind": "harmonic_decay", "eta0": 0.005, "values": [1.0]}, ["values"]),
+        ({"kind": "constant", "eta0": 0.005, "epoch_len": 3, "values": [1.0]}, ["values"]),
+        ({"eta0": 0.005, "values": [1.0]}, ["values"]),
+    ],
+)
+def test_schedule_keys_its_kind_does_not_read_exit_3(tmp_path, capsys, schedule, unread):
+    cfg = minimal_config(tmp_path)
+    cfg["solver"]["schedule"] = schedule
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    kind = schedule.get("kind", "harmonic_decay")
+    expected = f"configuration error: solver.schedule: kind {kind!r} excludes the keys {unread}\n"
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "trace.csv").exists()
+    # without the keys it does not read, the same schedule runs
+    for key in unread:
+        del schedule[key]
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+
+
+def test_grid_custom_schedule_error_names_the_solver_section(tmp_path, capsys):
+    cfg = minimal_config(tmp_path, budget_epochs=2)
+    cfg["solver"]["schedule"] = {"kind": "custom", "values": [0.01]}
+    assert main(["grid", write_config(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err.startswith("configuration error: solver: grid search varies")
+
+
+def _schema_paths():
+    """Every dotted config path the parser knows, read from its tables and dataclasses."""
+    problem = {"kind", "data_path", "noise"}
+    for shared, seeded, *_ in cli._KINDS.values():
+        problem |= {*shared, *seeded}
+    solver = {"algorithm", "budget_epochs", *(f.name for f in fields(SolverConfig))}
+    return {
+        "problem", "solver", "output", "output.trace_path", "output.summary_path",
+        *(f"problem.{key}" for key in problem),
+        *(f"problem.noise.{key}" for key in cli._NOISE),
+        *(f"solver.{key}" for key in solver),
+        *(f"solver.schedule.{f.name}" for f in fields(StepSchedule)),
+    }
+
+
+def test_schema_knows_the_documented_keys():
+    # a sample of the paths, so that an empty table cannot pass the test below
+    assert {"problem.top_eigenvalues", "problem.widths", "problem.noise.bound", "solver.beta",
+            "solver.safeguards", "solver.schedule.values", "output.summary_path"} <= _schema_paths()
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["run", "grid"]),
+    kind=st.sampled_from(sorted(_BASE_PROBLEMS)),
+    problem_edits=st.dictionaries(st.sampled_from(_PROBLEM_KEYS), _VALUES, max_size=3),
+    solver_edits=st.dictionaries(st.sampled_from(_SOLVER_KEYS), _VALUES, max_size=3),
+)
+def test_fuzzed_config_errors_name_a_path_the_schema_knows(
+    tmp_path, capsys, command, kind, problem_edits, solver_edits
+):
+    cfg = {
+        "problem": {**_BASE_PROBLEMS[kind], **problem_edits},
+        "solver": {"max_iters": 5, "budget_epochs": 2, "beta": 1.0, **solver_edits},
+        "output": {"trace_path": str(tmp_path / "t.csv")},
+    }
+    code = main([command, write_config(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    if code == 3:
+        found = _PATH.search(err)
+        assert found, err
+        # a list entry is named by its index under the list's key
+        path = re.sub(r"(\.\d+)+$", "", found.group(0))
+        assert path in _schema_paths(), err
+
+
+def test_readme_command_line_section_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    named = {word for span in re.findall(r"`([^`]+)`", prose)
+             for word in re.findall(r"[a-z_][a-z_0-9]*", span)}
+
+    def example_keys(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield key
+                yield from example_keys(value)
+
+    named |= set(example_keys(example))
+    keys = {path.rsplit(".", 1)[-1] for path in _schema_paths()}
+    assert keys - named == set()

@@ -69,6 +69,17 @@ def test_quadratic_trace_rejects_asymmetric():
         problems.make_quadratic_trace(np.array([[1.0, 2.0], [0.0, 1.0]]), p=1)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e300])
+def test_symmetry_check_holds_where_the_norms_overflow(scale):
+    # from entries of about 1e154 on ||A||_F is inf, which would pass any finite asymmetry
+    with pytest.raises(ValueError, match="A must be symmetric"):
+        problems.make_quadratic_trace(scale * np.array([[1.0, 5.0], [0.0, 1.0]]), p=1)
+    symmetric = scale * np.array([[1.0, 5.0], [5.0, 1.0]])
+    prob = problems.make_quadratic_trace(symmetric, p=1)
+    x = np.array([[1.0], [0.0]])
+    assert np.array_equal(prob.phi_subgrad(x, None), -2.0 * symmetric @ x)
+
+
 # ---------------------------------------------------------------------------
 # regularizer and sparse PCA
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ Config files are JSON objects with at most these three sections:
    "solver": {"algorithm": ..., "beta": ..., "schedule": {...}, ...},
    "output": {"trace_path": ..., "summary_path": ...}}
 
-Any other top-level key is a configuration error.
+Any other top-level key is a configuration error, and so is null for any
+section or key: a key left out takes its default.
 
 Trace CSV columns are fixed: iter,f,h,feas,stat,seconds.  Floats are
 written with shortest round-trip formatting, so parsing the file back
@@ -113,27 +114,47 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _section(cfg: dict, name: str, required=True) -> dict:
-    sec = cfg.get(name)
-    if sec is None:
+def _null(path: str) -> ConfigurationError:
+    return ConfigurationError(f"{path}: expected a value, got null")
+
+
+def _section(conf: dict, name: str, parent: str = "", required=True) -> dict:
+    """conf[name], a JSON object, as a dict; {} if left out and not required."""
+    path = f"{parent}.{name}" if parent else name
+    if name not in conf:
         if required:
-            raise ConfigurationError(f"{name}: section missing from config")
+            raise ConfigurationError(f"{path}: section missing from config")
         return {}
+    sec = conf[name]
+    if sec is None:
+        raise _null(path)
     if not isinstance(sec, dict):
-        raise ConfigurationError(f"{name}: must be a JSON object")
+        raise ConfigurationError(f"{path}: must be a JSON object")
     return sec
 
 
 def _known_keys(sec: dict, allowed, path: str):
+    """Reject unknown keys, then keys given as null, naming the first by its dotted path."""
     unknown = sorted(set(sec) - set(allowed))
     if unknown:
         raise ConfigurationError(f"{path}: unknown keys {unknown}")
+    nulls = sorted(key for key, value in sec.items() if value is None)
+    if nulls:
+        raise _null(f"{path}.{nulls[0]}")
+
+
+def _file_path(sec: dict, key: str, path: str) -> str:
+    """sec[key], a nonempty string; "" if left out."""
+    value = sec.get(key, "")
+    if key in sec and not (isinstance(value, str) and value):
+        raise ConfigurationError(f"{path}.{key}: expected a file path, got {value!r}")
+    return value
 
 
 def _output_section(cfg: dict) -> dict:
     out_spec = _section(cfg, "output", required=False)
     _known_keys(out_spec, {"trace_path", "summary_path"}, "output")
-    return out_spec
+    return {key: _file_path(out_spec, key, "output") for key in out_spec}
 
 
 def _get_num(sec, key, path, default=None, required=False, minimum=None, integer=False):
@@ -216,16 +237,16 @@ def build_problem(conf: dict):
     data_path, where the kind takes it, replaces the seeded-data keys; an
     optional noise section (sigma, bound) attaches oracle noise.
     """
-    path = conf.get("data_path", "")
-    if not isinstance(path, str):
-        raise ConfigurationError(f"problem.data_path: expected a file path, got {path!r}")
     kind = conf.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
+        if kind is None and "kind" in conf:
+            raise _null("problem.kind")
         what = "required field missing" if kind is None else f"unknown problem kind {kind!r}"
         raise ConfigurationError(f"problem.kind: {what}")
     shared, seeded, seeded_data, build = _KINDS[kind]
     loads = [] if kind in _NO_DATA_PATH else ["data_path"]
     _known_keys(conf, {"kind", "noise", *loads, *shared, *seeded}, "problem")
+    path = _file_path(conf, "data_path", "problem")
     loaded = "data_path" in conf
     ignored = sorted(set(conf) & set(seeded)) if loaded else []
     if ignored:
@@ -237,10 +258,8 @@ def build_problem(conf: dict):
     except (ValueError, OSError) as err:
         # a factory's check across fields (n >= p, ...) or an unreadable data file
         raise ConfigurationError(f"problem: {err}") from err
-    noise = conf.get("noise")
-    if noise is not None:
-        if not isinstance(noise, dict):
-            raise ConfigurationError("problem.noise: must be a JSON object")
+    if "noise" in conf:
+        noise = _section(conf, "noise", "problem")
         _known_keys(noise, _NOISE, "problem.noise")
         model = {key: read(noise, key, "problem.noise") for key, read in _NOISE.items()}
         try:
@@ -276,9 +295,7 @@ def build_solver(conf: dict, problem):
             f"solver.algorithm: unknown algorithm {algorithm!r}, "
             f"expected one of {sorted(ALGORITHM_RUNNERS)}"
         )
-    sched_spec = conf.get("schedule", {})
-    if not isinstance(sched_spec, dict):
-        raise ConfigurationError("solver.schedule: must be a JSON object")
+    sched_spec = _section(conf, "schedule", "solver", required=False)
     _known_keys(sched_spec, {f.name for f in fields(StepSchedule)}, "solver.schedule")
     _get_num_list(sched_spec, "values", "solver.schedule")  # StepSchedule converts them
     sched = {**sched_spec, **_numbers(StepSchedule, sched_spec, "solver.schedule")}

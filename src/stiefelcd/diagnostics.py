@@ -325,11 +325,18 @@ def _stationarity_reports(problem, beta, m1, seed, samples):
     return sorted(reports, key=lambda r: r.name)
 
 
+# points per f_values call of the sphere oracle: a stack of about a thousand
+# 2 x 1 points keeps the call count low and the memory flat in grid_steps
+SPHERE_CHUNK = 1024
+
+
 def brute_force_sphere_oracle(problem: ProblemDefinition, grid_steps: int):
     """Global minimum of f over the circle by exhaustive angle search.
 
     Returns (angle, value) for the first grid minimizer of
-    f((cos t, sin t)') over grid_steps uniform angles in [0, 2 pi).
+    f((cos t, sin t)') over grid_steps uniform angles in [0, 2 pi).  The
+    values come from problem.f_values on stacks of SPHERE_CHUNK points,
+    each bitwise f_value of its point.
     """
     if (problem.n, problem.p) != (2, 1):
         raise DimensionError(
@@ -340,11 +347,9 @@ def brute_force_sphere_oracle(problem: ProblemDefinition, grid_steps: int):
     thetas = 2.0 * math.pi * np.arange(grid_steps) / grid_steps
     cos, sin = np.cos(thetas), np.sin(thetas)
     values = np.empty(grid_steps)
-    point = np.empty((2, 1))
-    for i in range(grid_steps):
-        point[0, 0] = cos[i]
-        point[1, 0] = sin[i]
-        values[i] = problem.f_value(point)
+    for lo in range(0, grid_steps, SPHERE_CHUNK):
+        hi = lo + SPHERE_CHUNK
+        values[lo:hi] = problem.f_values(np.stack([cos[lo:hi], sin[lo:hi]], axis=-1)[..., None])
     best = int(np.argmin(values))
     return float(thetas[best]), float(values[best])
 

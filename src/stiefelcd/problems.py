@@ -5,6 +5,14 @@ oracles for an objective f = phi + (optional) separable regularizer.
 Oracles are stateless: stochastic ones draw from the generator handed in
 by the caller, so a run's randomness is owned entirely by the solver;
 called with None instead, they draw nothing and return an exact element.
+
+Callables marked _stacks also map a (B, n, p) stack slice by slice, each
+slice bitwise as the 2-d call alone: an oracle returns the (B, n, p) stack
+of its subgradients, a value callable the B values.  The built-in
+quadratic's and L1-PCA's phi_subgrad and phi_value and the l1
+regularizer's subgrad and value are marked; f_values evaluates a stack in
+one call per callable where both value callables are marked, and slice by
+slice otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +32,11 @@ def _stacks(fn):
     """Mark fn as mapping a (B, n, p) stack slice by slice, bitwise as each slice alone."""
     fn._stacks = True
     return fn
+
+
+def _marked(*fns) -> bool:
+    """Whether every callable given, None aside, is marked _stacks."""
+    return all(getattr(fn, "_stacks", False) for fn in fns if fn is not None)
 
 
 @dataclass(frozen=True)
@@ -53,7 +66,8 @@ class ProblemDefinition:
     """Objective f(X) = phi(X) + reg.value(X) on n x p matrices.
 
     phi_subgrad(x, rng) draws any noise from rng; with rng None it is exact.
-    Marked _stacks, it also maps a (B, n, p) stack, given a one-pass iterable of row rngs.
+    Marked _stacks, it also maps a (B, n, p) stack, given a one-pass iterable
+    of row rngs or None; a marked phi_value maps a stack to its B values.
     """
 
     n: int
@@ -76,6 +90,16 @@ class ProblemDefinition:
             val += float(self.reg.value(x))
         return val
 
+    def f_values(self, x) -> np.ndarray:
+        """f of each slice of a (B, n, p) stack x, each bitwise f_value of the slice alone."""
+        reg_value = None if self.reg is None else self.reg.value
+        if len(x) < 2 or not _marked(self.phi_value, reg_value):
+            return np.array([self.f_value(s) for s in x], dtype=float)
+        val = np.asarray(self.phi_value(x), dtype=float)
+        if reg_value is not None:
+            val = val + np.asarray(reg_value(x), dtype=float)
+        return val
+
     def f_subgrad(self, x, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         w = np.asarray(self.phi_subgrad(x, rng), dtype=float)
         if self.reg is not None:
@@ -88,8 +112,9 @@ def l1_regularizer(gamma: float, n_entries: int) -> Regularizer:
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
 
+    @_stacks
     def value(x):
-        return gamma * float(np.sum(np.abs(x)))
+        return gamma * np.sum(np.abs(x), axis=(-2, -1))
 
     def prox(x, tau):
         x = np.asarray(x, dtype=float)
@@ -141,9 +166,10 @@ def make_quadratic_trace(a_mat, p: int) -> ProblemDefinition:
     a = _check_symmetric(a_mat, "A")
     n = a.shape[0]
 
+    @_stacks
     def phi_value(x):
         x = np.asarray(x, dtype=float)
-        return -float(np.sum(x * (a @ x)))
+        return -np.sum(x * (a @ x), axis=(-2, -1))
 
     @_stacks
     def phi_subgrad(x, rng):
@@ -192,8 +218,9 @@ def make_l1_pca(data, p: int) -> ProblemDefinition:
     if p < 1 or p > n:
         raise ValueError(f"need 1 <= p <= {n}, got {p}")
 
+    @_stacks
     def phi_value(x):
-        return -float(np.sum(np.abs(d @ np.asarray(x, dtype=float))))
+        return -np.sum(np.abs(d @ np.asarray(x, dtype=float)), axis=(-2, -1))
 
     @_stacks
     def phi_subgrad(x, rng):

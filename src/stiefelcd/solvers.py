@@ -26,9 +26,10 @@ validated once.  The driver then runs on core's unchecked kernels,
 sharing one state per iterate (Gram residual and map polynomial) between
 the guard, the trace and the update, and owns every run's trace and
 outcome; each algorithm is one step (_Method).  A grid calls an oracle
-marked problems._stacks once per iteration on its whole stack.  Oracle
-outputs are shape-checked; every step's result and the trace's oracle
-outputs are checked for finiteness.
+marked problems._stacks once per iteration on its whole stack, and trace
+rows are evaluated per block of iterates, with stacked calls where marked.
+Oracle outputs are shape-checked; every step's result and the trace's
+oracle outputs are checked for finiteness.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .errors import (
     GridSearchError,
     SafeguardViolationError,
 )
-from .problems import ProblemDefinition
+from .problems import ProblemDefinition, _marked
 
 SCHEDULE_KINDS = ("harmonic_decay", "constant", "custom")
 
@@ -223,7 +224,7 @@ class SolverConfig:
 
 @dataclass
 class IterateTrace:
-    """Per-iteration records; h_mapped is filled only by the proximal run."""
+    """Per-iteration records; seconds is the wall time when the iterate was reached."""
 
     iters: list = field(default_factory=list)
     f: list = field(default_factory=list)
@@ -231,19 +232,14 @@ class IterateTrace:
     feas: list = field(default_factory=list)
     stat: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
-    h_mapped: Optional[list] = None
 
-    def append(self, k, f, h, feas, stat, seconds, h_mapped=None):
+    def append(self, k, f, h, feas, stat, seconds):
         self.iters.append(int(k))
         self.f.append(float(f))
         self.h.append(float(h))
         self.feas.append(float(feas))
         self.stat.append(float(stat))
         self.seconds.append(float(seconds))
-        if h_mapped is not None:
-            if self.h_mapped is None:
-                self.h_mapped = []
-            self.h_mapped.append(float(h_mapped))
 
     def __len__(self):
         return len(self.iters)
@@ -326,20 +322,6 @@ def _norm(w) -> float:
     return nrm
 
 
-def _loop_stationarity(problem: ProblemDefinition, q, k: int) -> float:
-    """stationarity_estimate at the loop's polar factor q, without re-validating q.
-
-    The oracle output is shape-checked; a non-finite one aborts the run as
-    a divergence, like a non-finite step does.
-    """
-    w = problem.f_subgrad(q)
-    if w.shape != q.shape:
-        raise DimensionError(f"shape {w.shape} != base shape {q.shape}")
-    if not np.isfinite(w).all():
-        raise DivergenceError(f"stationarity oracle produced non-finite entries at iteration {k}")
-    return _norm(_tangent(q, w))
-
-
 def _check_algorithm1_safeguards(problem: ProblemDefinition, cfg: SolverConfig, biggest: float):
     if not cfg.feas_shell_check:
         return
@@ -420,7 +402,7 @@ class _Method:
     step: Callable
     label: str  # names the step in the driver's non-finite DivergenceError
     retract: Optional[Callable] = None
-    proximal: bool = False  # steps along phi and applies reg.prox; the trace records h_mapped
+    proximal: bool = False  # steps along phi and applies reg.prox
     at_map: bool = False  # the direction's oracle is called at A(x) rather than at x
 
 
@@ -477,9 +459,7 @@ def run_prox_subgradient(problem: ProblemDefinition, cfg: SolverConfig, x0=None)
     """Proximal subgradient method x+ = prox_{eta r}(A(x) - eta d).
 
     The smooth-part direction is evaluated at the iterate x_k itself, not
-    at the mapped point.  The trace records the dissolved objective both
-    at x_k (h column) and at A(x_k) (h_mapped), the latter being the
-    monotone-ish merit of this iteration.
+    at the mapped point.
     """
     return _run_single(problem, cfg, x0, _METHODS["ncdf_proxsgd"])
 
@@ -510,6 +490,114 @@ def _keep(kept, rows: list, *stacks):
     return [rows[i] for i in kept], *(None if a is None else a[kept] for a in stacks)
 
 
+# queued trace rows hold at most this many matrix entries per point (iterate
+# and mapped point), and never less than one row
+TRACE_QUEUE_ENTRIES = 8192
+
+
+class _TraceQueue:
+    """Trace and stopping-rule rows of one lockstep call, evaluated per block.
+
+    add() copies iterate k of a run, and its mapped point for a trace row,
+    into the block; flush() evaluates it when it is full, at the stopping
+    rule and (through end()) before any run's outcome is set.  With the
+    problem's callables marked _stacks, a block takes one _polar, one exact
+    oracle call, one _tangent/_fro and one f_values call each for f and h,
+    bitwise the rows' 2-d calls, which serve otherwise.  The rows are then
+    appended in order, and stat[run] keeps each run's last stationarity.  A
+    non-finite stationarity oracle output ends that run at its row's
+    iterate k, with the rows before k, and drops its later rows.
+    """
+
+    def __init__(self, problem, beta, shape, traces, outcomes):
+        self.problem, self.beta, self.traces, self.outcomes = problem, beta, traces, outcomes
+        block = max(1, TRACE_QUEUE_ENTRIES // (shape[0] * shape[1]))
+        self.x, self.mapped = np.empty((block, *shape)), np.empty((block, *shape))
+        self.rows = []  # (run, k, feas, seconds, traced) of each queued row
+        self.stat = {}
+        reg = problem.reg
+        self.stacked = _marked(problem.phi_subgrad, None if reg is None else reg.subgrad)
+
+    def add(self, run, k, x, mapped, feas, seconds):
+        """Queue iterate k of run; a trace row if mapped is given, else the stopping rule's."""
+        j = len(self.rows)
+        self.x[j] = x
+        if mapped is not None:
+            self.mapped[j] = mapped
+        self.rows.append((run, k, feas, seconds, mapped is not None))
+        if j + 1 == len(self.x):
+            self.flush()
+
+    def end(self, run, outcome):
+        """Flush, then set run's outcome unless a queued row of the run ended it first."""
+        self.flush()
+        if self.outcomes[run] is None:
+            self.outcomes[run] = outcome
+
+    def flush(self):
+        rows, self.rows = self.rows, []
+        if not rows:
+            return
+        x, mapped = self.x[: len(rows)], self.mapped[: len(rows)]
+        proj = _polar(x)[0]
+        block = None
+        if self.stacked and len(rows) > 1:
+            try:
+                block = self._block(proj, mapped, rows)
+            except Exception:  # per-row calls pin any error on the row that raises it
+                pass
+        for j, (r, k, feas, seconds, traced) in enumerate(rows):
+            if self.outcomes[r] is not None:
+                continue  # its run ended at an earlier row
+            try:
+                value = self._row(proj[j], mapped[j], feas, traced) if block is None else block[j]
+                if value is None:
+                    raise DivergenceError(
+                        f"stationarity oracle produced non-finite entries at iteration {k}"
+                    )
+            except DivergenceError as err:
+                self.outcomes[r] = (err, x[j].copy(), k, self.traces[r])
+                continue
+            stat, f, h = value
+            self.stat[r] = stat
+            if traced:
+                self.traces[r].append(k, f, h, feas, stat, seconds)
+
+    def _row(self, q, mapped, feas, traced):
+        """(stat, f, h) of one row by 2-d calls, None where the oracle output is not finite.
+
+        f and h are None for a stopping-rule row.
+        """
+        w = self.problem.f_subgrad(q)
+        if w.shape != q.shape:
+            raise DimensionError(f"shape {w.shape} != base shape {q.shape}")
+        if not np.isfinite(w).all():
+            return None
+        stat = _norm(_tangent(q, w))
+        if not traced:
+            return stat, None, None
+        h = self.problem.f_value(mapped) + 0.25 * self.beta * feas * feas
+        return stat, self.problem.f_value(q), h
+
+    def _block(self, proj, mapped, rows):
+        """_row's value of every row, by stacked calls; f and h are NaN for a stopping-rule row."""
+        w = self.problem.f_subgrad(proj)
+        if w.shape != proj.shape:
+            raise DimensionError(f"shape {w.shape} != base shape {proj.shape}")
+        t = _tangent(proj, w)
+        stat = _fro(t)
+        for j in np.flatnonzero(stat == math.inf):
+            stat[j] = _norm(t[j])  # rescaled where the plain norm overflows
+        f, h = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
+        traced = [j for j, row in enumerate(rows) if row[4]]
+        if traced:
+            feas = np.array([rows[j][2] for j in traced])
+            f[traced] = self.problem.f_values(proj[traced])
+            h[traced] = self.problem.f_values(mapped[traced]) + 0.25 * self.beta * feas * feas
+        finite = np.isfinite(w).all(axis=(-2, -1))
+        return [value[1:] if value[0] else None for value in zip(finite, stat, f, h)]
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the checks end a run on non-finite values
 def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> list:
     """Advance runs that differ only in seed and step sizes as one (B, n, p) stack x.
@@ -518,11 +606,14 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     generator of seeds[i] and steps by steps[i][k].  Returns one outcome
     per row: its SolverResult, or (error, iterate, k, trace) for a run
     that a guard, a non-finite trace oracle or a non-finite step ended at
-    iterate k; any other error propagates.  Each iteration forms the Gram
+    iterate k; any other error propagates, unless queued trace rows end
+    every run at an earlier iterate.  Each iteration forms the Gram
     state, the map, the polar factor, the step and the proximal map once
     for the whole stack, and the oracle too if every callable of the
-    direction is marked _stacks; the guard, trace row and stopping rule go
-    row by row.  A row leaves the stack as soon as its run ends.
+    direction is marked _stacks; the guard goes row by row, and trace and
+    stopping-rule rows per block (_TraceQueue), ending each run where it
+    would end if each row were evaluated at once.  A row leaves the stack
+    as soon as its run ends.
     """
     shell = cfg.feas_shell_check
     limit = min(DIVERGENCE_FEAS_LIMIT, SHELL_RADIUS + 1e-12) if shell else DIVERGENCE_FEAS_LIMIT
@@ -531,93 +622,88 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     reg = problem.reg if method.proximal else None
     # the proximal method steps along the smooth part only; the others along f
     oracle = problem.phi_subgrad if method.proximal else problem.f_subgrad
-    stacked = getattr(problem.phi_subgrad, "_stacks", False) and (
-        method.proximal or problem.reg is None or getattr(problem.reg.subgrad, "_stacks", False)
-    )
+    smooth_only = method.proximal or problem.reg is None
+    stacked = _marked(problem.phi_subgrad, None if smooth_only else problem.reg.subgrad)
     noise = [_RunNoise(seed) for seed in seeds]
     rows = list(range(len(seeds)))  # the run of each row of the stack
     steps = np.asarray(steps, dtype=float)  # (B, max_iters), cut down with the stack
     d = np.empty_like(x)  # the directions, likewise
     traces = [IterateTrace() for _ in seeds]
     outcomes = [None] * len(seeds)
+    queue = _TraceQueue(problem, cfg.beta, x.shape[1:], traces, outcomes)
     t0 = time.perf_counter()
-    for k in range(cfg.max_iters + 1):
-        resid, poly = _state(x)
-        feas = _fro(resid).tolist()
-        # every residual at or below limit passes the guard; the guard itself runs only otherwise
-        if not all(f <= limit for f in feas):
-            for i, r in enumerate(rows):
+    try:
+        for k in range(cfg.max_iters + 1):
+            resid, poly = _state(x)
+            feas = _fro(resid).tolist()
+            # every residual at or below limit passes the guard, which runs only otherwise
+            if not all(f <= limit for f in feas):
+                for i, r in enumerate(rows):
+                    try:
+                        _guard(feas[i], k, shell)
+                    except (DivergenceError, SafeguardViolationError) as err:
+                        queue.end(r, (err, x[i], k, traces[r]))
+                kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
+                feas = [feas[i] for i in kept]
+                rows, x, resid, poly, d, steps = _keep(kept, rows, x, resid, poly, d, steps)
+            if not rows or k == cfg.max_iters:
+                break
+            traced = k % cfg.trace_stride == 0
+            stopping = stop_on and k % 10 == 0
+            mapped = _map(x, poly) if traced or method.at_map or method.proximal else None
+            at = mapped if method.at_map else x
+            batched = stacked and len(rows) > 1  # a stack of one keeps its 2-d call
+            if batched:
                 try:
-                    _guard(feas[i], k, shell)
-                except (DivergenceError, SafeguardViolationError) as err:
-                    outcomes[r] = (err, x[i], k, traces[r])
-            kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
-            feas = [feas[i] for i in kept]
-            rows, x, resid, poly, d, steps = _keep(kept, rows, x, resid, poly, d, steps)
-        if not rows or k == cfg.max_iters:
-            break
-        traced = k % cfg.trace_stride == 0
-        stopping = stop_on and k % 10 == 0
-        mapped = _map(x, poly) if traced or method.at_map or method.proximal else None
-        if traced or stopping:
-            proj = _polar(x)[0]
-        if traced and method.proximal:
-            # (G - I, A(.)) of the mapped points, for the h_mapped merit
-            resid_m, poly_m = _state(mapped)
-            remapped = _map(mapped, poly_m)
-        at = mapped if method.at_map else x
-        batched = stacked and len(rows) > 1  # a stack of one keeps its 2-d call
-        if batched:
-            try:
-                d = _direction(oracle(at, (noise[r].at(k) for r in rows)), x.shape)
-            except DivergenceError:
-                batched = False  # per-row calls pin the error on the rows that raise it
-        visit = rows if traced or stopping or not batched else []
-        kept = []
-        for i, r in enumerate(visit):
-            try:
-                if traced or stopping:
-                    stat = _loop_stationarity(problem, proj[i], k)
-                if traced:
-                    h = problem.f_value(mapped[i]) + 0.25 * cfg.beta * feas[i] * feas[i]
-                    h_mapped = None
-                    if method.proximal:
-                        feas_m = float(_fro(resid_m[i]))
-                        h_mapped = problem.f_value(remapped[i]) + 0.25 * cfg.beta * feas_m**2
-                    f = problem.f_value(proj[i])
-                    traces[r].append(k, f, h, feas[i], stat, time.perf_counter() - t0, h_mapped)
-                if stopping and stat <= tol_stat and feas[i] <= tol_feas:
-                    outcomes[r] = SolverResult(x[i], project_stiefel(x[i]), traces[r], "tol_met", k)
-                    continue
-                if not batched:
-                    d[i] = _direction(oracle(at[i], noise[r].at(k)), x.shape[1:])
-            except DivergenceError as err:
-                outcomes[r] = (err, x[i], k, traces[r])
-                continue
-            kept.append(i)
-        if len(kept) < len(visit):
-            rows, x, resid, poly, mapped, d, steps = _keep(
-                kept, rows, x, resid, poly, mapped, d, steps
-            )
-            if not rows:
-                break
-        # a stack of one steps by a float: bitwise the same, and cheaper than a (1, 1, 1) array
-        eta = float(steps[0, k]) if len(rows) == 1 else steps[:, k, None, None]
-        y = method.step(x, mapped, d, eta, cfg.beta, resid, poly)
-        if reg is not None:
-            y = np.asarray(reg.prox(y, eta), dtype=float)
-        if not np.isfinite(y).all():
-            finite = np.isfinite(y).all(axis=(-2, -1))
-            message = f"{method.label} step produced non-finite entries at iteration {k}"
-            for i in np.flatnonzero(~finite):
-                outcomes[rows[i]] = (DivergenceError(message), x[i], k, traces[rows[i]])
-            rows, y, d, steps = _keep(np.flatnonzero(finite), rows, y, d, steps)
-            if not rows:
-                break
-        x = y if method.retract is None else method.retract(y)
+                    d = _direction(oracle(at, (noise[r].at(k) for r in rows)), x.shape)
+                except DivergenceError:
+                    batched = False  # per-row calls pin the error on the rows that raise it
+            if traced or stopping:
+                seconds = time.perf_counter() - t0
+                for i, r in enumerate(rows):
+                    queue.add(r, k, x[i], mapped[i] if traced else None, feas[i], seconds)
+            if stopping:
+                queue.flush()
+                for i, r in enumerate(rows):
+                    if outcomes[r] is None and queue.stat[r] <= tol_stat and feas[i] <= tol_feas:
+                        outcomes[r] = SolverResult(
+                            x[i], project_stiefel(x[i]), traces[r], "tol_met", k
+                        )
+            for i, r in enumerate([] if batched else rows):
+                if outcomes[r] is None:
+                    try:
+                        d[i] = _direction(oracle(at[i], noise[r].at(k)), x.shape[1:])
+                    except DivergenceError as err:
+                        queue.end(r, (err, x[i], k, traces[r]))
+            if outcomes.count(None) < len(rows):  # a flush or a per-row call ended runs
+                kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
+                rows, x, resid, poly, mapped, d, steps = _keep(
+                    kept, rows, x, resid, poly, mapped, d, steps
+                )
+                if not rows:
+                    break
+            # a stack of one steps by a float: bitwise the same, and cheaper than a (1, 1, 1) array
+            eta = float(steps[0, k]) if len(rows) == 1 else steps[:, k, None, None]
+            y = method.step(x, mapped, d, eta, cfg.beta, resid, poly)
+            if reg is not None:
+                y = np.asarray(reg.prox(y, eta), dtype=float)
+            if not np.isfinite(y).all():
+                message = f"{method.label} step produced non-finite entries at iteration {k}"
+                for i in np.flatnonzero(~np.isfinite(y).all(axis=(-2, -1))):
+                    queue.end(rows[i], (DivergenceError(message), x[i], k, traces[rows[i]]))
+                kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
+                rows, y, d, steps = _keep(kept, rows, y, d, steps)
+                if not rows:
+                    break
+            x = y if method.retract is None else method.retract(y)
+    except Exception:
+        queue.flush()  # a queued row may end a run before the error was reached
+        if any(outcome is None for outcome in outcomes):
+            raise
+        return outcomes
     # any row still here passed the guard at k = max_iters
     for i, r in enumerate(rows):
-        outcomes[r] = SolverResult(x[i], project_stiefel(x[i]), traces[r], "max_iters", k)
+        queue.end(r, SolverResult(x[i], project_stiefel(x[i]), traces[r], "max_iters", k))
     return outcomes
 
 

@@ -747,6 +747,37 @@ def test_fuzzed_config_errors_name_a_path_the_schema_knows(
         assert path in _schema_paths(), err
 
 
+@pytest.mark.parametrize("dotted", sorted(_schema_paths()))
+def test_null_for_any_section_or_key_exits_3_naming_its_path(tmp_path, capsys, dotted):
+    cfg = minimal_config(tmp_path, max_iters=5)
+    key = dotted.rsplit(".", 1)[-1]
+    kinds = [kind for kind, (shared, seeded, *_) in cli._KINDS.items() if key in shared | seeded]
+    if dotted.startswith("problem.") and kinds:  # a key its kind reads
+        cfg["problem"] = dict(_BASE_PROBLEMS[kinds[0]])
+    if dotted.startswith("problem.noise"):
+        cfg["problem"]["noise"] = {"sigma": 0.01}
+    *parents, last = dotted.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[last] = None
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err == f"configuration error: {dotted}: expected a value, got null\n"
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["trace_path", "summary_path"])
+@pytest.mark.parametrize("value", [5, True, ["t.csv"], ""])
+def test_output_paths_must_be_nonempty_strings(tmp_path, capsys, key, value):
+    # an integer path would be taken as an open file descriptor, and "" skipped the file
+    cfg = minimal_config(tmp_path, max_iters=5)
+    cfg["output"][key] = value
+    assert main(["run", write_config(tmp_path, cfg)]) == 3
+    expected = f"configuration error: output.{key}: expected a file path, got {value!r}\n"
+    assert capsys.readouterr() == ("", expected)
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_readme_command_line_section_names_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]

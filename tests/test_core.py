@@ -459,11 +459,12 @@ def test_scalar_root_solver_failure_is_detectable():
 # private kernels on stacked iterates
 # ---------------------------------------------------------------------------
 
+# stacks of up to 4 rows, as the step-size grid makes, and of 64, as a block of trace rows
 @settings(max_examples=20, deadline=None, database=None)
 @given(
-    shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)).filter(
-        lambda s: s[1] >= s[2]
-    ),
+    shape=st.tuples(
+        st.one_of(st.integers(1, 4), st.just(64)), st.integers(1, 9), st.integers(1, 9)
+    ).filter(lambda s: s[1] >= s[2]),
     scale=st.sampled_from([1e-3, 1.0, 1.5, 1e3]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -483,6 +484,7 @@ def test_private_kernels_on_a_stack_match_each_slice_bitwise(shape, scale, seed)
         "polar": q,
         "smallest": smallest,
         "fro": core._fro(resid),
+        "fro_tangent": core._fro(core._tangent(q, w)),
     }
     for b in range(shape[0]):
         xb, wb = x[b], w[b]
@@ -498,6 +500,7 @@ def test_private_kernels_on_a_stack_match_each_slice_bitwise(shape, scale, seed)
             "polar": q_b,
             "smallest": smallest_b,
             "fro": np.linalg.norm(resid_b),
+            "fro_tangent": np.linalg.norm(core._tangent(q_b, wb)),
         }
         for name, value in single.items():
             assert np.array_equal(stacked[name][b], value), name

@@ -272,6 +272,19 @@ def test_sphere_oracle_refinement_monotone():
         prev = value
 
 
+@pytest.mark.parametrize(
+    "steps", [1, 2, diagnostics.SPHERE_CHUNK, 2 * diagnostics.SPHERE_CHUNK + 5]
+)
+def test_sphere_oracle_matches_its_per_point_values_bitwise(steps):
+    # the stacked calls, chunk boundaries included, give each angle its point's f_value
+    problem = make_l1_pca(np.random.default_rng(3).standard_normal((6, 2)), 1)
+    thetas = 2.0 * math.pi * np.arange(steps) / steps
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    values = [problem.f_value(np.array([[cos[i]], [sin[i]]])) for i in range(steps)]
+    best = int(np.argmin(values))
+    assert brute_force_sphere_oracle(problem, steps) == (float(thetas[best]), values[best])
+
+
 def test_sphere_oracle_validation():
     tall = make_quadratic_trace(np.eye(3), 1)
     with pytest.raises(DimensionError):

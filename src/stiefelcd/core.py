@@ -13,15 +13,16 @@ with the constrained problem on the manifold.  Safeguarded runs keep
 their iterates inside the shell ||X'X - I||_F <= SHELL_RADIUS = 1/6.
 
 All matrices are dense float64 arrays with at least as many rows as
-columns.  Gram matrices are symmetrized before use so that downstream
-polynomials act on exactly symmetric inputs.
+columns.  validate_matrix returns them C-contiguous, and numpy's X'X of a
+C-contiguous X is exactly symmetric, so no Gram matrix needs symmetrizing.
 
 The public kernels validate their inputs at the boundary and then call
-private, unchecked helpers (_gram, _map_poly, _state, _fro, _map,
+private, unchecked helpers (_gram, _terms, _state, _fro, _map,
 _jacobian, _tangent, _polar).  The solver loop calls the same helpers
-directly on one per-iterate state: the Gram matrix G, its residual G - I
-and the map polynomial M = 15 I - 10 G + 3 G^2, formed once per iterate
-and reused for the feasibility guard, A(X) = X M / 8, the Jacobian and
+directly on one per-iterate state: the Gram residual G - I and the map
+polynomial stored divided by 8, M / 8 = 1.875 I - 1.25 G + 0.375 G^2
+(exact away from overflow and subnormals), formed once per iterate and
+reused for the feasibility guard, A(X) = X (M / 8), the Jacobian and
 the penalty gradient X (G - I).  The private helpers transpose only the
 last two axes, so they also accept a stack of iterates of shape (B, n, p)
 and act on each slice exactly as on the 2-d matrix alone; the solver
@@ -52,7 +53,7 @@ SHELL_RADIUS = 1.0 / 6.0
 
 
 def validate_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Return x as a float64 array after checking shape and finiteness.
+    """Return x as a C-contiguous float64 array after checking shape and finiteness.
 
     Accepts tall or square 2-d input (rows >= columns >= 1).
     """
@@ -64,7 +65,7 @@ def validate_matrix(x, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be tall or square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return np.ascontiguousarray(arr)
 
 
 def sym(m) -> np.ndarray:
@@ -78,30 +79,29 @@ def sym(m) -> np.ndarray:
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
-    # X'X symmetrized once; every polynomial below works on this copy.
-    g = x.swapaxes(-1, -2) @ x
-    return 0.5 * (g + g.swapaxes(-1, -2))
+    # X'X of a C-contiguous x (a stack too) is exactly symmetric as numpy computes it
+    return x.swapaxes(-1, -2) @ x
 
 
-def _map_poly(g: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """The map polynomial 15 I - 10 G + 3 G^2, in the dtype of g and eye."""
-    c0, c1, c2 = _A_COEFFS
-    return c0 * eye + c1 * g + c2 * (g @ g)
-
-
-@lru_cache(maxsize=8)
-def _eye(p: int, ndim: int) -> np.ndarray:
-    """Read-only identity with ndim axes, built once; matching axes spare a broadcast set-up."""
-    eye = np.eye(p).reshape((1,) * (ndim - 2) + (p, p))
+@lru_cache(maxsize=16)
+def _eye(p: int, ndim: int, scale: float = 1.0) -> np.ndarray:
+    """Read-only scale * I with ndim axes, built once; matching axes spare a broadcast set-up."""
+    eye = scale * np.eye(p).reshape((1,) * (ndim - 2) + (p, p))
     eye.flags.writeable = False
     return eye
 
 
-def _state(x: np.ndarray):
-    """Per-iterate state (G - I, M) of an unchecked x: Gram residual and map polynomial."""
+def _terms(p: int, ndim: int):
+    """(I, c0 I, c1, c2) with ndim axes: the identity and M / 8 = c0 I + c1 G + c2 G^2."""
+    c0, c1, c2 = _A_COEFFS
+    return _eye(p, ndim), _eye(p, ndim, c0 / 8.0), c1 / 8.0, c2 / 8.0
+
+
+def _state(x: np.ndarray, terms=None):
+    """(G - I, M / 8) of an unchecked C-contiguous x; terms, if given, is _terms(p, x.ndim)."""
+    eye, eye0, c1, c2 = terms or _terms(x.shape[-1], x.ndim)
     g = _gram(x)
-    eye = _eye(x.shape[-1], x.ndim)
-    return g - eye, _map_poly(g, eye)
+    return g - eye, eye0 + c1 * g + c2 * (g @ g)
 
 
 def _fro(m: np.ndarray) -> np.ndarray:
@@ -115,15 +115,15 @@ def _fro(m: np.ndarray) -> np.ndarray:
 
 
 def _map(x: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """A(X) = X M / 8 for the map polynomial M of x."""
-    return x @ poly / 8.0
+    """A(X) = X (M / 8) for the map polynomial M of x, given divided by 8."""
+    return x @ poly
 
 
 def _jacobian(x, d, resid, poly) -> np.ndarray:
-    """J(X)[D] from x's Gram residual G - I and map polynomial M; see jacobian_apply."""
+    """J(X)[D] from x's Gram residual G - I and map polynomial M / 8; see jacobian_apply."""
     s = 0.5 * (x.swapaxes(-1, -2) @ d + d.swapaxes(-1, -2) @ x)
     mix = s @ resid
-    return d @ poly / 8.0 - x @ s + 1.5 * (x @ (0.5 * (mix + mix.swapaxes(-1, -2))))
+    return d @ poly - x @ s + 1.5 * (x @ (0.5 * (mix + mix.swapaxes(-1, -2))))
 
 
 def _tangent(x, w) -> np.ndarray:
@@ -180,13 +180,13 @@ class PenaltyConfig:
 def apply_A(x) -> np.ndarray:
     """Evaluate the constraint-dissolving map X (15 I - 10 G + 3 G^2) / 8."""
     x = validate_matrix(x)
-    return _map(x, _map_poly(_gram(x), np.eye(x.shape[1])))
+    return _map(x, _state(x)[1])
 
 
 def feasibility_violation(x) -> float:
     """Gram residual ||X'X - I_p||_F; zero exactly on the manifold."""
     x = validate_matrix(x)
-    return float(np.linalg.norm(_gram(x) - np.eye(x.shape[1])))
+    return float(np.linalg.norm(_gram(x) - _terms(x.shape[1], 2)[0]))
 
 
 def ata_residual_identity(x):
@@ -207,9 +207,10 @@ def ata_residual_identity(x):
     ld = np.longdouble
     xl = x.astype(ld)
     eye = np.eye(x.shape[1], dtype=ld)
-    g = xl.T @ xl
+    g = xl.T @ xl  # numpy has no BLAS for longdouble, so symmetrize it here
     g = 0.5 * (g + g.T)
-    a = _map(xl, _map_poly(g, eye))
+    _, eye0, c1, c2 = _terms(x.shape[1], 2)
+    a = _map(xl, eye0 + c1 * g + c2 * (g @ g))
     lhs = a.T @ a - eye
     r = g - eye
     d0, d1, d2 = (ld(c) for c in _RESIDUAL_COEFFS)

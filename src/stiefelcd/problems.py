@@ -118,7 +118,9 @@ def l1_regularizer(gamma: float, n_entries: int) -> Regularizer:
 
     def prox(x, tau):
         x = np.asarray(x, dtype=float)
-        return np.sign(x) * np.maximum(np.abs(x) - tau * gamma, 0.0)
+        out = np.abs(x)  # sign(x) * max(|x| - tau * gamma, 0), ufunc by ufunc on one temporary
+        np.maximum(np.subtract(out, tau * gamma, out=out), 0.0, out=out)
+        return np.multiply(np.sign(x), out, out=out)
 
     @_stacks
     def subgrad(x):
@@ -161,19 +163,21 @@ def make_quadratic_trace(a_mat, p: int) -> ProblemDefinition:
     """Smooth benchmark phi(X) = -trace(X' A X) with gradient -2 A X.
 
     The Lipschitz estimate 2 ||A||_2 sqrt(2p) bounds the gradient norm on
-    the unit feasibility shell, where ||X||_F <= sqrt(2p).
+    the unit feasibility shell, where ||X||_F <= sqrt(2p).  The callables hold
+    -2A only; scaling by -2 and 1/2 is exact away from overflow and subnormals.
     """
     a = _check_symmetric(a_mat, "A")
     n = a.shape[0]
+    neg2a = -2.0 * a
 
     @_stacks
     def phi_value(x):
         x = np.asarray(x, dtype=float)
-        return -np.sum(x * (a @ x), axis=(-2, -1))
+        return 0.5 * np.sum(x * (neg2a @ x), axis=(-2, -1))
 
     @_stacks
     def phi_subgrad(x, rng):
-        return -2.0 * (a @ np.asarray(x, dtype=float))
+        return neg2a @ np.asarray(x, dtype=float)
 
     return ProblemDefinition(
         n=n,

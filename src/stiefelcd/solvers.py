@@ -28,8 +28,8 @@ the guard, the trace and the update, and owns every run's trace and
 outcome; each algorithm is one step (_Method).  A grid calls an oracle
 marked problems._stacks once per iteration on its whole stack, and trace
 rows are evaluated per block of iterates, with stacked calls where marked.
-Oracle outputs are shape-checked; every step's result and the trace's
-oracle outputs are checked for finiteness.
+Oracle outputs are shape-checked; the trace's oracle outputs and every step's
+result are checked for finiteness, the latter by the next guard unless retracted.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .core import (
     _polar,
     _state,
     _tangent,
+    _terms,
     apply_A,
     feasibility_violation,
     project_stiefel,
@@ -169,7 +170,8 @@ class StepSchedule:
             return [self.eta0] * n
         if self.kind == "harmonic_decay":
             return (self.eta0 / (0.1 * (np.arange(n) // self.epoch_len) + 1.0)).tolist()
-        return [self.step(k) for k in range(n)]
+        # a schedule shorter than n raises the short-schedule error at its first missing step
+        return list(self.values[:n]) if n <= len(self.values) else self.step(len(self.values))
 
 
 @dataclass(frozen=True)
@@ -362,8 +364,8 @@ def _guard(feas: float, k: int, shell: bool):
     """Raise if iterate k, with Gram residual feas, is runaway or off the shell.
 
     The shell is checked only when shell (the run's feas_shell_check) is set.
-    Iterates are finite (x0 is validated, every step checked), so only an
-    overflowing Gram matrix makes feas inf or NaN; both trip the guard.
+    The driver hands a non-finite iterate to its step's error instead, so here
+    only an overflowing Gram matrix makes feas inf or NaN; both trip the guard.
     """
     if not feas <= DIVERGENCE_FEAS_LIMIT:
         raise DivergenceError(
@@ -607,13 +609,13 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     per row: its SolverResult, or (error, iterate, k, trace) for a run
     that a guard, a non-finite trace oracle or a non-finite step ended at
     iterate k; any other error propagates, unless queued trace rows end
-    every run at an earlier iterate.  Each iteration forms the Gram
-    state, the map, the polar factor, the step and the proximal map once
-    for the whole stack, and the oracle too if every callable of the
-    direction is marked _stacks; the guard goes row by row, and trace and
-    stopping-rule rows per block (_TraceQueue), ending each run where it
-    would end if each row were evaluated at once.  A row leaves the stack
-    as soon as its run ends.
+    every run at an earlier iterate.  Each iteration forms the Gram state
+    (G - I, M / 8), the map, the polar factor, the step and the proximal
+    map once for the whole stack, and the oracle too if every callable of
+    the direction is marked _stacks.  The guard goes row by row, and finds
+    a non-finite step without retraction by its Gram residual; trace and
+    stopping-rule rows go per block (_TraceQueue), each run ending where it
+    would if each row were evaluated at once.  A row leaves when its run ends.
     """
     shell = cfg.feas_shell_check
     limit = min(DIVERGENCE_FEAS_LIMIT, SHELL_RADIUS + 1e-12) if shell else DIVERGENCE_FEAS_LIMIT
@@ -631,18 +633,25 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     traces = [IterateTrace() for _ in seeds]
     outcomes = [None] * len(seeds)
     queue = _TraceQueue(problem, cfg.beta, x.shape[1:], traces, outcomes)
+    terms = _terms(x.shape[-1], x.ndim)
+    non_finite = method.label + " step produced non-finite entries at iteration {}"
     t0 = time.perf_counter()
     try:
         for k in range(cfg.max_iters + 1):
-            resid, poly = _state(x)
-            feas = _fro(resid).tolist()
+            resid, poly = _state(x, terms)
+            flat = resid.reshape(len(rows), 1, -1)  # _fro's dot products, with math.sqrt per row
+            feas = [math.sqrt(s) for s in (flat @ flat.swapaxes(-1, -2)).ravel().tolist()]
             # every residual at or below limit passes the guard, which runs only otherwise
             if not all(f <= limit for f in feas):
                 for i, r in enumerate(rows):
-                    try:
-                        _guard(feas[i], k, shell)
-                    except (DivergenceError, SafeguardViolationError) as err:
-                        queue.end(r, (err, x[i], k, traces[r]))
+                    if math.isfinite(feas[i]) or np.isfinite(x[i]).all():
+                        try:
+                            _guard(feas[i], k, shell)
+                        except (DivergenceError, SafeguardViolationError) as err:
+                            queue.end(r, (err, x[i], k, traces[r]))
+                    else:  # step k - 1 was not finite (k > 0, as x0 is validated finite)
+                        err = DivergenceError(non_finite.format(k - 1))
+                        queue.end(r, (err, prev[i], k - 1, traces[r]))
                 kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
                 feas = [feas[i] for i in kept]
                 rows, x, resid, poly, d, steps = _keep(kept, rows, x, resid, poly, d, steps)
@@ -686,16 +695,17 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
             eta = float(steps[0, k]) if len(rows) == 1 else steps[:, k, None, None]
             y = method.step(x, mapped, d, eta, cfg.beta, resid, poly)
             if reg is not None:
-                y = np.asarray(reg.prox(y, eta), dtype=float)
-            if not np.isfinite(y).all():
-                message = f"{method.label} step produced non-finite entries at iteration {k}"
+                y = np.ascontiguousarray(reg.prox(y, eta), dtype=float)
+            # without a retraction, the next guard catches a non-finite step and reports prev
+            if method.retract is not None and not np.isfinite(y).all():
                 for i in np.flatnonzero(~np.isfinite(y).all(axis=(-2, -1))):
-                    queue.end(rows[i], (DivergenceError(message), x[i], k, traces[rows[i]]))
+                    err = DivergenceError(non_finite.format(k))
+                    queue.end(rows[i], (err, x[i], k, traces[rows[i]]))
                 kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
                 rows, y, d, steps = _keep(kept, rows, y, d, steps)
                 if not rows:
                     break
-            x = y if method.retract is None else method.retract(y)
+            prev, x = x, y if method.retract is None else method.retract(y)
     except Exception:
         queue.flush()  # a queued row may end a run before the error was reached
         if any(outcome is None for outcome in outcomes):

@@ -505,3 +505,32 @@ def test_private_kernels_on_a_stack_match_each_slice_bitwise(shape, scale, seed)
         for name, value in single.items():
             assert np.array_equal(stacked[name][b], value), name
         assert core._fro(resid_b) == single["fro"]
+
+
+# _gram is used unsymmetrized: numpy's X'X of a C-contiguous operand is exactly symmetric
+@pytest.mark.parametrize("batch", [1, 2, 10, 64])
+@pytest.mark.parametrize("shape", [(2, 1), (12, 3), (100, 5), (1000, 10), (200, 100)])
+def test_gram_of_a_c_contiguous_stack_is_exactly_symmetric(shape, batch):
+    x = np.random.default_rng(batch).standard_normal((batch, *shape))
+    g = core._gram(x)
+    assert np.array_equal(g, g.swapaxes(-1, -2))
+    assert np.array_equal(core._gram(x[0]), core._gram(x[0]).T)
+
+
+def test_public_kernels_hand_gram_a_c_contiguous_operand(monkeypatch):
+    # a column-strided view is not C-contiguous; validate_matrix copies it, so
+    # the Gram matrices that apply_A and feasibility_violation form are symmetric
+    view = np.random.default_rng(0).standard_normal((200, 200))[:, ::2]
+    assert view.shape == (200, 100) and not view.flags.c_contiguous
+    grams, gram = [], core._gram
+
+    def recording(x):
+        grams.append(gram(x))
+        return grams[-1]
+
+    monkeypatch.setattr(core, "_gram", recording)
+    core.apply_A(view)
+    core.feasibility_violation(view)
+    assert len(grams) == 2
+    for g in grams:
+        assert np.array_equal(g, g.T)

@@ -1505,3 +1505,234 @@ def test_stacked_divergence_error_falls_back_to_per_row_calls(algorithm):
     assert sorted(calls) == [2] * 10 + [3] * 21
     assert rows[1][1] == float("inf") and clean[1][1] < float("inf")
     assert rows[:1] + rows[2:] == clean[:1] + clean[2:]
+
+
+# ---------------------------------------------------------------------------
+# the driver against a loop frozen on the earlier kernel formulas: a
+# symmetrized Gram matrix, the map (x @ M) / 8 with M = 15 I - 10 G + 3 G^2,
+# the quadratic oracle -2.0 * (a @ x) and a finiteness check after every
+# step.  The driver stores M / 8, holds -2A and leaves a non-finite step to
+# the next guard; each of those is exact only if the BLAS at hand computes
+# scaled products and X'X as assumed, and a failure here names the case.
+
+
+def frozen_outcome(oracle, value, prox, cfg, algorithm, x0, eta0=None, shell=False):
+    """(final x, trace rows, ending) of one run on the frozen formulas.
+
+    oracle(x, rng) is the step's subgradient, value(x) f and prox(y, eta)
+    the regularizer's proximal map, whose regularizer is l1 with weight
+    prox.gamma, or None.  The ending is "max_iters", "guard" or
+    "non-finite"; with shell, every residual must stay inside the shell.
+    """
+    x = x0.copy()
+    p = x.shape[1]
+    eye = np.eye(p)
+    rows = []
+    schedule = cfg.schedule if eta0 is None else replace(cfg.schedule, eta0=eta0)
+
+    def state(x):
+        g = x.T @ x
+        g = 0.5 * (g + g.T)
+        return g - eye, 15.0 * eye + -10.0 * g + 3.0 * (g @ g)
+
+    def tangent(q, w):
+        return w - q @ (0.5 * (q.T @ w + w.T @ q))
+
+    def polar(y):
+        u, _, vt = np.linalg.svd(y, full_matrices=False)
+        return u @ vt
+
+    for k in range(cfg.max_iters + 1):
+        resid, m = state(x)
+        feas = float(np.linalg.norm(resid))
+        if not feas <= solvers.DIVERGENCE_FEAS_LIMIT:
+            return x, rows, "guard"
+        assert not shell or feas <= core.SHELL_RADIUS
+        if k == cfg.max_iters:
+            return x, rows, "max_iters"
+        mapped = x @ m / 8.0
+        if k % cfg.trace_stride == 0:
+            q = polar(x)
+            w = oracle(q, None) if prox is None else oracle(q, None) + prox.gamma * np.sign(q)
+            stat = float(np.linalg.norm(tangent(q, w)))
+            h = value(mapped) + 0.25 * cfg.beta * feas * feas
+            rows.append((k, value(q), h, feas, stat))
+        eta = schedule.step(k)
+        rng = solvers._keyed_rng(cfg.seed, k)
+        if algorithm == "ncdf_sgd":
+            w = oracle(mapped, rng)
+            s = 0.5 * (x.T @ w + w.T @ x)
+            mix = s @ resid
+            jac = w @ m / 8.0 - x @ s + 1.5 * (x @ (0.5 * (mix + mix.T)))
+            y = x - eta * (jac + cfg.beta * (x @ resid))
+        elif algorithm == "ncdf_proxsgd":
+            y = mapped - eta * oracle(x, rng)
+            y = y if prox is None else prox(y, eta)
+        else:
+            y = x - eta * tangent(x, oracle(x, rng))
+        if not np.isfinite(y).all():
+            return x, rows, "non-finite"
+        x = y if algorithm != "rsgd_baseline" else polar(y)
+
+
+def frozen_sparse_pca(cov, gamma):
+    """(oracle of the smooth part, f, prox) of make_sparse_pca(cov, p, gamma), frozen."""
+    a = 0.5 * (cov + cov.T)
+
+    def value(x):
+        return float(-np.sum(x * (a @ x))) + float(gamma * np.sum(np.abs(x)))
+
+    def prox(y, eta):
+        return np.sign(y) * np.maximum(np.abs(y) - eta * gamma, 0.0)
+
+    prox.gamma = gamma
+    return (lambda x, rng: -2.0 * (a @ x)), value, prox
+
+
+def frozen_l1_pca(data, noise=None):
+    """(oracle, f) of make_l1_pca(data, p), with attach_noise(noise) if given, frozen."""
+
+    def oracle(x, rng):
+        w = -data.T @ np.sign(data @ x)
+        return w if rng is None or noise is None else w + noise.draw(rng, w.shape)
+
+    return oracle, lambda x: float(-np.sum(np.abs(data @ x)))
+
+
+def assert_frozen(result, frozen):
+    final_x, rows, ending = frozen
+    assert ending == "max_iters"
+    assert np.array_equal(result.final_x, final_x)
+    trace = result.trace
+    assert list(zip(trace.iters, trace.f, trace.h, trace.feas, trace.stat)) == rows
+
+
+def test_sparse_pca_prox_run_matches_the_frozen_formulas_bitwise():
+    cov = spiked_covariance(100, [10.0, 8.0, 6.0, 4.0, 2.0], seed=3)
+    cfg = SolverConfig(
+        beta=1.0,
+        schedule=StepSchedule(kind="constant", eta0=5e-3),
+        max_iters=300,
+        seed=2,
+        trace_stride=300,
+    )
+    problem = make_sparse_pca(cov, 5, 0.1)
+    oracle, value, prox = frozen_sparse_pca(cov, 0.1)
+    x0 = default_initial_point(problem, cfg.seed)
+    frozen = frozen_outcome(oracle, value, prox, cfg, "ncdf_proxsgd", x0)
+    assert_frozen(run_prox_subgradient(problem, cfg), frozen)
+
+
+def test_noisy_l1_pca_sgd_run_matches_the_frozen_formulas_bitwise():
+    data = gaussian_matrix(30, 12, seed=4)
+    noise = NoiseModel(sigma=0.05, bound=0.1)
+    problem = attach_noise(make_l1_pca(data, 3), noise)
+    m1, mt, mh = estimate_constants(problem, samples=50)
+    beta = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
+    cfg = SolverConfig(
+        beta=beta,
+        schedule=StepSchedule(kind="constant", eta0=1.0 / (2.0 * beta)),
+        max_iters=200,
+        feas_shell_check=True,
+        safeguards=(m1, mt, mh),
+        seed=7,
+        trace_stride=1,
+    )
+    oracle, value = frozen_l1_pca(data, noise)
+    x0 = default_initial_point(problem, cfg.seed)
+    frozen = frozen_outcome(oracle, value, None, cfg, "ncdf_sgd", x0, shell=True)
+    assert_frozen(run_subgradient(problem, cfg), frozen)
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_circle_grid_matches_the_frozen_formulas_bitwise(algorithm):
+    # criterion 10's 2x1 circle, whose larger grid steps diverge
+    data = gaussian_matrix(6, 2, seed=11)
+    cfg = SolverConfig(
+        beta=0.1, schedule=StepSchedule(kind="harmonic_decay", eta0=0.03), seed=5
+    )
+    budget = 250
+    oracle, value = frozen_l1_pca(data)
+    expected, endings = [], set()
+    for i, eta in enumerate(grid_candidates()):
+        seed = int(np.random.SeedSequence([cfg.seed, 1000 + i]).generate_state(1)[0])
+        run_cfg = replace(cfg, max_iters=budget, trace_stride=budget, seed=seed)
+        x0 = default_initial_point(make_l1_pca(data, 1), seed)
+        x, _, ending = frozen_outcome(oracle, value, None, run_cfg, algorithm, x0, eta0=eta)
+        endings.add(ending)
+        u, _, vt = np.linalg.svd(x, full_matrices=False)
+        expected.append((eta, value(u @ vt) if ending == "max_iters" else float("inf")))
+    assert "max_iters" in endings
+    assert run_step_grid(make_l1_pca(data, 1), cfg, budget, algorithm) == expected
+
+
+# ---------------------------------------------------------------------------
+# a non-finite step is caught by the next iteration's guard (by the check
+# before the polar retraction for the baseline) and still reported as the
+# step's own error, with the iterate it started from
+
+
+def iterate_at(problem, cfg, algorithm, k):
+    """x_k of the clean run: x0 for k = 0, else the final iterate after k steps."""
+    if k == 0:
+        return default_initial_point(problem, cfg.seed)
+    return RUNNERS[algorithm](problem, replace(cfg, max_iters=k)).final_x
+
+
+def trace_rows(trace):
+    return list(zip(trace.iters, trace.f, trace.h, trace.feas, trace.stat))
+
+
+LABELS = {"ncdf_sgd": "subgradient", "ncdf_proxsgd": "proximal", "rsgd_baseline": "baseline"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k", [0, 29])  # the first step and the last one, max_iters - 1
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_overflowing_step_ends_the_run_at_its_own_iteration(algorithm, k):
+    problem = small_sparse_pca()
+    cfg = SolverConfig(
+        beta=1.0,
+        schedule=StepSchedule(kind="constant", eta0=0.01),
+        max_iters=30,
+        seed=4,
+        trace_stride=1,
+    )
+    message = f"^{LABELS[algorithm]} step produced non-finite entries at iteration {k}$"
+    with pytest.raises(DivergenceError, match=message) as excinfo:
+        RUNNERS[algorithm](poisoned(problem, cfg.seed, k, np.inf), cfg)
+    partial = excinfo.value.result
+    assert (partial.termination, partial.iterations) == ("divergence_guard", k)
+    x_k = iterate_at(problem, cfg, algorithm, k)
+    assert np.array_equal(partial.final_x, x_k)
+    assert np.array_equal(partial.projected.matrix, project_stiefel(x_k).matrix)
+    # rows 0..k: iteration k is traced before its step
+    through_k = RUNNERS[algorithm](problem, replace(cfg, max_iters=k + 1))
+    assert trace_rows(partial.trace) == trace_rows(through_k.trace)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_overflowing_step_of_one_stacked_row_leaves_the_others_running(algorithm):
+    problem = small_sparse_pca()
+    cfg = SolverConfig(
+        beta=1.0, schedule=StepSchedule(kind="constant"), max_iters=20, trace_stride=3
+    )
+    seeds, k = [3, 8, 21], 7
+    steps = [[0.01] * cfg.max_iters, [0.02] * cfg.max_iters, [0.03] * cfg.max_iters]
+    x = np.stack([default_initial_point(problem, seed) for seed in seeds])
+    method = solvers._METHODS[algorithm]
+    clean = solvers._lockstep(problem, method, cfg, seeds, steps, x.copy())
+    hit = solvers._lockstep(
+        poisoned(problem, seeds[1], k, np.inf), method, cfg, seeds, steps, x.copy()
+    )
+    for row in (0, 2):
+        assert clean[row].termination == hit[row].termination == "max_iters"
+        assert np.array_equal(hit[row].final_x, clean[row].final_x)
+        assert trace_rows(hit[row].trace) == trace_rows(clean[row].trace)
+    err, x_k, at, trace = hit[1]
+    assert str(err) == f"{LABELS[algorithm]} step produced non-finite entries at iteration {k}"
+    assert at == k
+    row_cfg = replace(cfg, seed=seeds[1], schedule=StepSchedule(kind="constant", eta0=0.02))
+    assert np.array_equal(x_k, iterate_at(problem, row_cfg, algorithm, k))
+    assert trace_rows(trace) == [r for r in trace_rows(clean[1].trace) if r[0] <= k]

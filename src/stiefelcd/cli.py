@@ -358,7 +358,8 @@ def _summarize(problem, result, seconds: float) -> dict:
     projected = result.projected
     final_f = None if projected is None else problem.f_value(projected.matrix)
     stat = None if projected is None else stationarity_estimate(problem, projected)
-    feas = feasibility_violation(result.final_x) if np.isfinite(result.final_x).all() else None
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge iterate's Gram overflows
+        feas = feasibility_violation(result.final_x) if np.isfinite(result.final_x).all() else None
     return {
         "final_f": final_f,
         "final_feasibility": feas,

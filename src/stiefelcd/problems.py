@@ -6,13 +6,12 @@ Oracles are stateless: stochastic ones draw from the generator handed in
 by the caller, so a run's randomness is owned entirely by the solver;
 called with None instead, they draw nothing and return an exact element.
 
-Callables marked _stacks also map a (B, n, p) stack slice by slice, each
-slice bitwise as the 2-d call alone: an oracle returns the (B, n, p) stack
-of its subgradients, a value callable the B values.  The built-in
-quadratic's and L1-PCA's phi_subgrad and phi_value and the l1
-regularizer's subgrad and value are marked; f_values evaluates a stack in
-one call per callable where both value callables are marked, and slice by
-slice otherwise.
+Every value and subgradient callable of a problem also maps a (B, n, p)
+stack slice by slice, each slice bitwise as the 2-d call alone: an oracle
+returns the (B, n, p) stack of its subgradients, a value callable the B
+values.  The built-in ones are marked _stacks; any other callable is taken
+as a 2-d function, called once per slice, and a DivergenceError it raises
+for one slice is pinned to that slice, so it ends only that slice's run.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import apply_A, jacobian_apply, random_shell_point
+from .errors import DimensionError, DivergenceError
 
 SubgradOracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
@@ -34,9 +34,54 @@ def _stacks(fn):
     return fn
 
 
-def _marked(*fns) -> bool:
-    """Whether every callable given, None aside, is marked _stacks."""
-    return all(getattr(fn, "_stacks", False) for fn in fns if fn is not None)
+class _SliceErrors(DivergenceError):
+    """DivergenceErrors that slices of one stacked call raised; errors maps slice index to each."""
+
+    def __init__(self, errors: dict):
+        super().__init__("; ".join(f"slice {i}: {err}" for i, err in errors.items()))
+        self.errors = errors
+
+
+def _pinned(err: DivergenceError, slices: int) -> dict:
+    """The error of each slice that err ends: those it names, or all of them."""
+    return err.errors if isinstance(err, _SliceErrors) else dict.fromkeys(range(slices), err)
+
+
+def _shaped(w, shape) -> np.ndarray:
+    """w as a float array, which must have the given shape."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != shape:
+        raise DimensionError(f"oracle output shape {w.shape} != expected shape {shape}")
+    return w
+
+
+def _per_slice(fn, values: bool):
+    """fn if it is marked _stacks, else fn extended to call it once per slice of a stack.
+
+    A 2-d call passes straight through.  On a stack, an oracle's slice i gets
+    the i-th row generator (or None), and a value callable (values true) gives
+    one number per slice.  Every slice is called; the DivergenceErrors they
+    raise are then raised together as _SliceErrors.
+    """
+    if getattr(fn, "_stacks", False):
+        return fn
+
+    @_stacks
+    def per_slice(x, *rng):
+        if np.ndim(x) != 3:
+            return fn(x, *rng)
+        shape = () if values else x.shape[1:]
+        out, errors = np.empty((len(x), *shape)), {}
+        for i, args in enumerate(zip(x, *([None] * len(x) if g is None else g for g in rng))):
+            try:
+                out[i] = _shaped(fn(*args), shape)
+            except DivergenceError as err:
+                errors[i] = err
+        if errors:
+            raise _SliceErrors(errors)
+        return out
+
+    return per_slice
 
 
 @dataclass(frozen=True)
@@ -48,10 +93,11 @@ class Regularizer:
     weighted subdifferential, and lipschitz bounds the weighted term's
     Frobenius Lipschitz constant.
 
-    The solvers call prox once per iteration on their whole (B, n, p)
-    stack of iterates, with tau a float for a stack of one and a (B, 1, 1)
-    array of per-run steps otherwise; prox must map each n x p slice with
-    its own tau, as elementwise numpy code that broadcasts tau does.
+    value and subgrad map stacks as the module says.  The solvers call prox
+    once per iteration on their whole (B, n, p) stack of iterates, with tau
+    a float for a stack of one and a (B, 1, 1) array of per-run steps
+    otherwise; prox must map each n x p slice with its own tau, as
+    elementwise numpy code that broadcasts tau does.
     """
 
     value: Callable[[np.ndarray], float]
@@ -60,14 +106,18 @@ class Regularizer:
     lipschitz: float
     gamma: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", _per_slice(self.value, values=True))
+        object.__setattr__(self, "subgrad", _per_slice(self.subgrad, values=False))
+
 
 @dataclass(frozen=True)
 class ProblemDefinition:
     """Objective f(X) = phi(X) + reg.value(X) on n x p matrices.
 
     phi_subgrad(x, rng) draws any noise from rng; with rng None it is exact.
-    Marked _stacks, it also maps a (B, n, p) stack, given a one-pass iterable
-    of row rngs or None; a marked phi_value maps a stack to its B values.
+    On a (B, n, p) stack it gets a one-pass iterable of row rngs, or None.
+    A callable not marked _stacks is wrapped to be called once per slice.
     """
 
     n: int
@@ -83,6 +133,8 @@ class ProblemDefinition:
             raise ValueError(f"need n >= p >= 1, got ({self.n}, {self.p})")
         if self.lipschitz_est < 0:
             raise ValueError("lipschitz_est must be nonnegative")
+        object.__setattr__(self, "phi_value", _per_slice(self.phi_value, values=True))
+        object.__setattr__(self, "phi_subgrad", _per_slice(self.phi_subgrad, values=False))
 
     def f_value(self, x) -> float:
         val = float(self.phi_value(x))
@@ -92,12 +144,9 @@ class ProblemDefinition:
 
     def f_values(self, x) -> np.ndarray:
         """f of each slice of a (B, n, p) stack x, each bitwise f_value of the slice alone."""
-        reg_value = None if self.reg is None else self.reg.value
-        if len(x) < 2 or not _marked(self.phi_value, reg_value):
-            return np.array([self.f_value(s) for s in x], dtype=float)
         val = np.asarray(self.phi_value(x), dtype=float)
-        if reg_value is not None:
-            val = val + np.asarray(reg_value(x), dtype=float)
+        if self.reg is not None:
+            val = val + np.asarray(self.reg.value(x), dtype=float)
         return val
 
     def f_subgrad(self, x, rng: Optional[np.random.Generator] = None) -> np.ndarray:
@@ -293,19 +342,21 @@ def make_orthogonal_mlp(
     n_samples = xs.shape[0]
 
     def forward(x):
-        z = np.asarray(x, dtype=float).T @ xs.T + b1[:, None]  # hidden x N
+        z = np.asarray(x, dtype=float).swapaxes(-1, -2) @ xs.T + b1[:, None]  # (..., hidden, N)
         act = np.maximum(z, 0.0)
-        resid = w2 @ act + b2[:, None] - ys.T  # d_out x N
+        resid = w2 @ act + b2[:, None] - ys.T  # (..., d_out, N)
         return z, act, resid
 
+    @_stacks
     def phi_value(x):
         _, _, resid = forward(x)
-        return float(np.sum(resid * resid)) / n_samples
+        return np.sum(resid * resid, axis=(-2, -1)) / n_samples
 
+    @_stacks
     def phi_subgrad(x, rng):
         z, _, resid = forward(x)
         dz = (w2.T @ (2.0 * resid / n_samples)) * (z > 0.0)
-        return xs.T @ dz.T
+        return xs.T @ dz.swapaxes(-1, -2)
 
     return ProblemDefinition(
         n=d_in,
@@ -345,22 +396,25 @@ def attach_noise(problem: ProblemDefinition, model: NoiseModel) -> ProblemDefini
 
     sigma = 0 returns the problem unchanged.  The wrapped problem is no
     longer marked smooth because its oracle is stochastic; called with
-    rng None, it returns the base oracle's output without noise.  It maps
-    stacks if its base does, row i drawing from the i-th generator as alone.
+    rng None, it returns the base oracle's output without noise.  On a
+    stack, row i draws from the i-th generator as it would alone.
     """
     if model.sigma == 0.0:
         return problem
     base = problem.phi_subgrad
 
+    @_stacks
     def noisy(x, rng):
         stack = rng is not None and np.ndim(x) == 3
         rngs = list(rng) if stack else rng  # the base may read each row's generator too
         w = np.asarray(base(x, rngs), dtype=float)
         if not stack:
             return w if rng is None else w + model.draw(rng, w.shape)
-        return w + np.stack([model.draw(g, w.shape[1:]) for g in rngs])
+        out = np.empty(w.shape)
+        for i, g in enumerate(rngs):
+            np.add(w[i], model.draw(g, w.shape[1:]), out=out[i])
+        return out
 
-    noisy._stacks = getattr(base, "_stacks", False)
     return replace(problem, phi_subgrad=noisy, smooth=False)
 
 

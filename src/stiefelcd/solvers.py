@@ -25,11 +25,12 @@ resolved and the safeguards checked before the first iteration; x0 is
 validated once.  The driver then runs on core's unchecked kernels,
 sharing one state per iterate (Gram residual and map polynomial) between
 the guard, the trace and the update, and owns every run's trace and
-outcome; each algorithm is one step (_Method).  A grid calls an oracle
-marked problems._stacks once per iteration on its whole stack, and trace
-rows are evaluated per block of iterates, with stacked calls where marked.
-Oracle outputs are shape-checked; the trace's oracle outputs and every step's
-result are checked for finiteness, the latter by the next guard unless retracted.
+outcome; each algorithm is one step (_Method).  Each oracle site makes one
+call: the step's on the whole stack (2-d for a stack of one), the trace's
+per block of iterates.  A 2-d user callable is called once per slice, and a
+DivergenceError it raises ends only its own run.  Oracle outputs are
+shape-checked; the trace's oracle outputs and every step's result are
+checked for finiteness, the latter by the next guard unless retracted.
 """
 
 from __future__ import annotations
@@ -61,12 +62,11 @@ from .core import (
 )
 from .errors import (
     ConfigurationError,
-    DimensionError,
     DivergenceError,
     GridSearchError,
     SafeguardViolationError,
 )
-from .problems import ProblemDefinition, _marked
+from .problems import ProblemDefinition, _pinned, _shaped
 
 SCHEDULE_KINDS = ("harmonic_decay", "constant", "custom")
 
@@ -480,16 +480,25 @@ ALGORITHM_RUNNERS = {
 ALGORITHMS = tuple(_METHODS)
 
 
-def _direction(w, shape):
-    w = np.asarray(w, dtype=float)
-    if w.shape != shape:
-        raise DimensionError(f"direction shape {w.shape} != iterate shape {shape}")
-    return w
+def _keep(outcomes, rows: list, *stacks):
+    """rows and each stack (a list or an array; None passes) cut to the runs without an outcome."""
+    kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
+    return [[a[i] for i in kept] if isinstance(a, list) else a if a is None else a[kept]
+            for a in (rows, *stacks)]
 
 
-def _keep(kept, rows: list, *stacks):
-    """rows and each stack (None passes through) cut down to the rows indexed by kept."""
-    return [rows[i] for i in kept], *(None if a is None else a[kept] for a in stacks)
+def _serve(call, rows, ended: dict):
+    """(served, call(served)) for the rows not in ended; the output is () if none is left.
+
+    A row whose slice of the call raises a DivergenceError enters ended with
+    that error (one naming no slice is every row's), and the rest are served again.
+    """
+    while rows := [j for j in rows if j not in ended]:
+        try:
+            return rows, call(rows)
+        except DivergenceError as err:
+            ended.update((rows[j], e) for j, e in _pinned(err, len(rows)).items())
+    return rows, ()
 
 
 # queued trace rows hold at most this many matrix entries per point (iterate
@@ -502,13 +511,13 @@ class _TraceQueue:
 
     add() copies iterate k of a run, and its mapped point for a trace row,
     into the block; flush() evaluates it when it is full, at the stopping
-    rule and (through end()) before any run's outcome is set.  With the
-    problem's callables marked _stacks, a block takes one _polar, one exact
-    oracle call, one _tangent/_fro and one f_values call each for f and h,
-    bitwise the rows' 2-d calls, which serve otherwise.  The rows are then
+    rule and (through end()) before any run's outcome is set.  A block takes
+    one _polar, one exact oracle call, one _tangent/_fro and one f_values
+    call each for h and f, each row bitwise its 2-d calls.  The rows are then
     appended in order, and stat[run] keeps each run's last stationarity.  A
-    non-finite stationarity oracle output ends that run at its row's
-    iterate k, with the rows before k, and drops its later rows.
+    non-finite stationarity oracle output, or a DivergenceError of the row's
+    own slice, ends that run at its row's iterate k, with the rows before k,
+    and drops its later rows.
     """
 
     def __init__(self, problem, beta, shape, traces, outcomes):
@@ -517,8 +526,6 @@ class _TraceQueue:
         self.x, self.mapped = np.empty((block, *shape)), np.empty((block, *shape))
         self.rows = []  # (run, k, feas, seconds, traced) of each queued row
         self.stat = {}
-        reg = problem.reg
-        self.stacked = _marked(problem.phi_subgrad, None if reg is None else reg.subgrad)
 
     def add(self, run, k, x, mapped, feas, seconds):
         """Queue iterate k of run; a trace row if mapped is given, else the stopping rule's."""
@@ -541,63 +548,31 @@ class _TraceQueue:
         if not rows:
             return
         x, mapped = self.x[: len(rows)], self.mapped[: len(rows)]
-        proj = _polar(x)[0]
-        block = None
-        if self.stacked and len(rows) > 1:
-            try:
-                block = self._block(proj, mapped, rows)
-            except Exception:  # per-row calls pin any error on the row that raises it
-                pass
+        proj, ended, stat = _polar(x)[0], {}, {}  # ended: the error that ends a row's run there
+        live, w = _serve(lambda i: self.problem.f_subgrad(proj[i]), range(len(rows)), ended)
+        if live:
+            t = _tangent(proj[live], _shaped(w, (len(live), *x.shape[1:])))
+            norms = _fro(t)
+            for i in np.flatnonzero(norms == math.inf):
+                norms[i] = _norm(t[i])  # rescaled where the plain norm overflows
+            finite = np.isfinite(w).all(axis=(-2, -1))
+            stat = {j: value for j, value, ok in zip(live, norms.tolist(), finite) if ok}
+        traced = [j for j in stat if rows[j][4]]
+        h = dict(zip(*_serve(lambda i: self.problem.f_values(mapped[i]), traced, ended)))
+        f = dict(zip(*_serve(lambda i: self.problem.f_values(proj[i]), list(h), ended)))
         for j, (r, k, feas, seconds, traced) in enumerate(rows):
             if self.outcomes[r] is not None:
                 continue  # its run ended at an earlier row
-            try:
-                value = self._row(proj[j], mapped[j], feas, traced) if block is None else block[j]
-                if value is None:
-                    raise DivergenceError(
-                        f"stationarity oracle produced non-finite entries at iteration {k}"
-                    )
-            except DivergenceError as err:
+            if j in ended or j not in stat:
+                err = ended.get(j) or DivergenceError(
+                    f"stationarity oracle produced non-finite entries at iteration {k}"
+                )
                 self.outcomes[r] = (err, x[j].copy(), k, self.traces[r])
                 continue
-            stat, f, h = value
-            self.stat[r] = stat
+            self.stat[r] = stat[j]
             if traced:
-                self.traces[r].append(k, f, h, feas, stat, seconds)
-
-    def _row(self, q, mapped, feas, traced):
-        """(stat, f, h) of one row by 2-d calls, None where the oracle output is not finite.
-
-        f and h are None for a stopping-rule row.
-        """
-        w = self.problem.f_subgrad(q)
-        if w.shape != q.shape:
-            raise DimensionError(f"shape {w.shape} != base shape {q.shape}")
-        if not np.isfinite(w).all():
-            return None
-        stat = _norm(_tangent(q, w))
-        if not traced:
-            return stat, None, None
-        h = self.problem.f_value(mapped) + 0.25 * self.beta * feas * feas
-        return stat, self.problem.f_value(q), h
-
-    def _block(self, proj, mapped, rows):
-        """_row's value of every row, by stacked calls; f and h are NaN for a stopping-rule row."""
-        w = self.problem.f_subgrad(proj)
-        if w.shape != proj.shape:
-            raise DimensionError(f"shape {w.shape} != base shape {proj.shape}")
-        t = _tangent(proj, w)
-        stat = _fro(t)
-        for j in np.flatnonzero(stat == math.inf):
-            stat[j] = _norm(t[j])  # rescaled where the plain norm overflows
-        f, h = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
-        traced = [j for j, row in enumerate(rows) if row[4]]
-        if traced:
-            feas = np.array([rows[j][2] for j in traced])
-            f[traced] = self.problem.f_values(proj[traced])
-            h[traced] = self.problem.f_values(mapped[traced]) + 0.25 * self.beta * feas * feas
-        finite = np.isfinite(w).all(axis=(-2, -1))
-        return [value[1:] if value[0] else None for value in zip(finite, stat, f, h)]
+                h_k = h[j] + 0.25 * self.beta * feas * feas
+                self.traces[r].append(k, f[j], h_k, feas, stat[j], seconds)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the checks end a run on non-finite values
@@ -610,12 +585,14 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     that a guard, a non-finite trace oracle or a non-finite step ended at
     iterate k; any other error propagates, unless queued trace rows end
     every run at an earlier iterate.  Each iteration forms the Gram state
-    (G - I, M / 8), the map, the polar factor, the step and the proximal
-    map once for the whole stack, and the oracle too if every callable of
-    the direction is marked _stacks.  The guard goes row by row, and finds
-    a non-finite step without retraction by its Gram residual; trace and
-    stopping-rule rows go per block (_TraceQueue), each run ending where it
-    would if each row were evaluated at once.  A row leaves when its run ends.
+    (G - I, M / 8), the map, the polar factor, the oracle call, the step and
+    the proximal map once for the whole stack.  A DivergenceError of the
+    oracle ends the runs of the slices it names at iterate k, unless the
+    stopping rule or a queued row ended them first, and the oracle is called
+    again on the rest.  The guard goes row by row, and finds a non-finite
+    step without retraction by its Gram residual; trace and stopping-rule
+    rows go per block (_TraceQueue), each run ending where it would if each
+    row were evaluated at once.  A row leaves when its run ends.
     """
     shell = cfg.feas_shell_check
     limit = min(DIVERGENCE_FEAS_LIMIT, SHELL_RADIUS + 1e-12) if shell else DIVERGENCE_FEAS_LIMIT
@@ -624,12 +601,9 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     reg = problem.reg if method.proximal else None
     # the proximal method steps along the smooth part only; the others along f
     oracle = problem.phi_subgrad if method.proximal else problem.f_subgrad
-    smooth_only = method.proximal or problem.reg is None
-    stacked = _marked(problem.phi_subgrad, None if smooth_only else problem.reg.subgrad)
     noise = [_RunNoise(seed) for seed in seeds]
     rows = list(range(len(seeds)))  # the run of each row of the stack
     steps = np.asarray(steps, dtype=float)  # (B, max_iters), cut down with the stack
-    d = np.empty_like(x)  # the directions, likewise
     traces = [IterateTrace() for _ in seeds]
     outcomes = [None] * len(seeds)
     queue = _TraceQueue(problem, cfg.beta, x.shape[1:], traces, outcomes)
@@ -652,21 +626,14 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
                     else:  # step k - 1 was not finite (k > 0, as x0 is validated finite)
                         err = DivergenceError(non_finite.format(k - 1))
                         queue.end(r, (err, prev[i], k - 1, traces[r]))
-                kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
-                feas = [feas[i] for i in kept]
-                rows, x, resid, poly, d, steps = _keep(kept, rows, x, resid, poly, d, steps)
+                rows, feas, x, resid, poly, steps = _keep(
+                    outcomes, rows, feas, x, resid, poly, steps
+                )
             if not rows or k == cfg.max_iters:
                 break
             traced = k % cfg.trace_stride == 0
             stopping = stop_on and k % 10 == 0
             mapped = _map(x, poly) if traced or method.at_map or method.proximal else None
-            at = mapped if method.at_map else x
-            batched = stacked and len(rows) > 1  # a stack of one keeps its 2-d call
-            if batched:
-                try:
-                    d = _direction(oracle(at, (noise[r].at(k) for r in rows)), x.shape)
-                except DivergenceError:
-                    batched = False  # per-row calls pin the error on the rows that raise it
             if traced or stopping:
                 seconds = time.perf_counter() - t0
                 for i, r in enumerate(rows):
@@ -678,19 +645,25 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
                         outcomes[r] = SolverResult(
                             x[i], project_stiefel(x[i]), traces[r], "tol_met", k
                         )
-            for i, r in enumerate([] if batched else rows):
-                if outcomes[r] is None:
-                    try:
-                        d[i] = _direction(oracle(at[i], noise[r].at(k)), x.shape[1:])
-                    except DivergenceError as err:
-                        queue.end(r, (err, x[i], k, traces[r]))
-            if outcomes.count(None) < len(rows):  # a flush or a per-row call ended runs
-                kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
-                rows, x, resid, poly, mapped, d, steps = _keep(
-                    kept, rows, x, resid, poly, mapped, d, steps
-                )
-                if not rows:
-                    break
+            d = None
+            while d is None:  # the direction, called again without the runs it ended
+                if outcomes.count(None) < len(rows):  # the stopping rule, a flush or the oracle
+                    rows, x, resid, poly, mapped, steps = _keep(
+                        outcomes, rows, x, resid, poly, mapped, steps
+                    )
+                    if not rows:
+                        break
+                at = mapped if method.at_map else x
+                try:
+                    if len(rows) == 1:  # a single run's oracle gets a 2-d iterate and one generator
+                        d = _shaped(oracle(at[0], noise[rows[0]].at(k)), x.shape[1:])[None]
+                    else:
+                        d = _shaped(oracle(at, (noise[r].at(k) for r in rows)), x.shape)
+                except DivergenceError as err:
+                    for i, e in _pinned(err, len(rows)).items():
+                        queue.end(rows[i], (e, x[i], k, traces[rows[i]]))
+            if not rows:
+                break
             # a stack of one steps by a float: bitwise the same, and cheaper than a (1, 1, 1) array
             eta = float(steps[0, k]) if len(rows) == 1 else steps[:, k, None, None]
             y = method.step(x, mapped, d, eta, cfg.beta, resid, poly)
@@ -701,8 +674,7 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
                 for i in np.flatnonzero(~np.isfinite(y).all(axis=(-2, -1))):
                     err = DivergenceError(non_finite.format(k))
                     queue.end(rows[i], (err, x[i], k, traces[rows[i]]))
-                kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
-                rows, y, d, steps = _keep(kept, rows, y, d, steps)
+                rows, y, steps = _keep(outcomes, rows, y, steps)
                 if not rows:
                     break
             prev, x = x, y if method.retract is None else method.retract(y)

@@ -261,6 +261,31 @@ def test_run_overflowing_divergence_prints_only_its_error_line(tmp_path, capsys)
     assert capsys.readouterr().err == expected
 
 
+def test_run_diverged_to_a_huge_iterate_prints_only_its_error_line(tmp_path):
+    # the run ends at a finite iterate whose Gram matrix overflows; the summary's
+    # feasibility of it is null, and no numpy warning reaches stderr in a fresh process
+    import os
+    import subprocess
+    import sys
+
+    cfg = minimal_config(tmp_path, algorithm="ncdf_proxsgd", max_iters=20)
+    cfg["problem"] = {
+        "kind": "sparse_pca", "n": 10, "p": 2, "seed": 1, "gamma": 0.5,
+        "top_eigenvalues": [1e150, 5],
+    }
+    cfg["solver"]["schedule"] = {"kind": "constant", "eta0": 1e100}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "stiefelcd.cli", "run", write_config(tmp_path, cfg)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 2
+    expected = "run diverged: Gram residual inf exceeded the divergence guard at iteration 1\n"
+    assert done.stderr == expected
+    assert json.loads(done.stdout)["final_feasibility"] is None
+
+
 def test_run_summary_writes_non_finite_values_as_null(tmp_path, capsys):
     from dataclasses import replace
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stiefelcd import core
@@ -459,8 +459,11 @@ def test_scalar_root_solver_failure_is_detectable():
 # private kernels on stacked iterates
 # ---------------------------------------------------------------------------
 
-# stacks of up to 4 rows, as the step-size grid makes, and of 64, as a block of trace rows
+# stacks of up to 4 rows, as the step-size grid makes, and of 64, as a block of trace rows;
+# a stack of one, as a single run's block of one trace row, is always among the examples
 @settings(max_examples=20, deadline=None, database=None)
+@example(shape=(1, 2, 1), scale=1.0, seed=0)
+@example(shape=(1, 9, 3), scale=1e3, seed=1)
 @given(
     shape=st.tuples(
         st.one_of(st.integers(1, 4), st.just(64)), st.integers(1, 9), st.integers(1, 9)

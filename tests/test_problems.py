@@ -409,10 +409,59 @@ def test_stack_mark_follows_the_callable():
     assert marked(problems.attach_noise(noisy, model).phi_subgrad)
     # functools.wraps copies the mark, so a wrapping tracer keeps the stacked path
     assert marked(functools.wraps(noisy.phi_subgrad)(lambda x, rng: None))
-    # replacing the callable drops the mark, and noise over an unmarked oracle has none
-    plain = replace(l1, phi_subgrad=lambda x, rng: l1.phi_subgrad(x, rng))
-    assert not marked(plain.phi_subgrad)
-    assert not marked(problems.attach_noise(plain, model).phi_subgrad)
-    # the MLP oracle transposes its 2-d iterate, so it is called per row
+    # a replaced callable is wrapped in the per-slice adapter, which is marked;
+    # the user's function itself only ever sees 2-d input, noise over it too
+    seen = []
+
+    def user_oracle(x, rng):
+        seen.append(np.ndim(x))
+        return l1.phi_subgrad(x, rng)
+
+    def user_value(x):
+        seen.append(np.ndim(x))
+        return l1.phi_value(x)
+
+    plain = replace(l1, phi_subgrad=user_oracle, phi_value=user_value)
+    noisy_plain = problems.attach_noise(plain, model)
+    for fn in (plain.phi_subgrad, plain.phi_value, noisy_plain.phi_subgrad):
+        assert marked(fn)
+    x = np.random.default_rng(0).standard_normal((3, 6, 2))
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    assert np.array_equal(plain.phi_subgrad(x, None), l1.phi_subgrad(x, None))
+    assert np.array_equal(plain.phi_value(x), l1.phi_value(x))
+    assert noisy_plain.phi_subgrad(x, iter(rngs)).shape == x.shape
+    assert plain.phi_subgrad(x[0], None).shape == (6, 2)
+    assert seen == [2] * 10
+    # the MLP's callables map a stack themselves
     mlp = problems.make_orthogonal_mlp(problems.synthetic_mlp_dataset(5, (4, 2, 1), 0), (4, 2, 1))
-    assert not marked(mlp.phi_subgrad)
+    assert marked(mlp.phi_subgrad) and marked(mlp.phi_value)
+
+
+def test_per_slice_adapter_pins_divergence_errors_and_checks_shapes():
+    from stiefelcd.errors import DimensionError, DivergenceError
+
+    calls = []
+
+    def oracle(x, rng):
+        calls.append(float(x[0, 0]))
+        if x[0, 0] < 0:
+            raise DivergenceError(f"refused {x[0, 0]:g}")
+        return 2.0 * x
+
+    problem = problems.ProblemDefinition(3, 1, lambda x: float(np.sum(x)), oracle)
+    x = np.zeros((4, 3, 1))
+    x[:, 0, 0] = [1.0, -1.0, 2.0, -3.0]
+    with pytest.raises(DivergenceError) as excinfo:
+        problem.phi_subgrad(x, None)
+    # every slice is called; each raising slice keeps its own error
+    assert calls == [1.0, -1.0, 2.0, -3.0]
+    errors = excinfo.value.errors
+    assert sorted(errors) == [1, 3]
+    assert [str(errors[i]) for i in (1, 3)] == ["refused -1", "refused -3"]
+    assert np.array_equal(problem.phi_subgrad(x[[0, 2]], None), 2.0 * x[[0, 2]])
+    assert np.array_equal(problem.f_values(x), [1.0, -1.0, 2.0, -3.0])
+    # a wrong output shape is a DimensionError, not numpy's broadcasting or stacking error
+    for out in (np.ones((3, 2)), np.ones((1, 1))):
+        wide = problems.ProblemDefinition(3, 1, lambda x: 0.0, lambda x, rng, out=out: out)
+        with pytest.raises(DimensionError, match=r"shape \(\d, \d\) != expected shape \(3, 1\)"):
+            wide.phi_subgrad(x, None)

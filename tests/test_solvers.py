@@ -34,9 +34,11 @@ from stiefelcd.problems import (
     gaussian_matrix,
     l1_regularizer,
     make_l1_pca,
+    make_orthogonal_mlp,
     make_quadratic_trace,
     make_sparse_pca,
     spiked_covariance,
+    synthetic_mlp_dataset,
 )
 from stiefelcd.solvers import (
     ALGORITHM_RUNNERS,
@@ -1375,15 +1377,17 @@ def test_loop_validates_only_at_the_boundary(monkeypatch, algorithm):
 STACK_SHAPES = [(6, 2, 1), (30, 12, 3), (100, 100, 5)]
 
 
-@pytest.mark.parametrize("batch", [2, 10, 64])
+@pytest.mark.parametrize("batch", [1, 2, 10, 64])
 @pytest.mark.parametrize("rows, n, p", STACK_SHAPES)
 def test_stacked_builtin_oracles_match_their_per_row_calls_bitwise(rows, n, p, batch):
     data = gaussian_matrix(rows, n, seed=rows)
     reg = l1_regularizer(0.1, n * p)
+    mlp = make_orthogonal_mlp(synthetic_mlp_dataset(rows, (n, p, 2), rows), (n, p, 2))
     callables = [
         make_quadratic_trace(data.T @ data / rows, p).phi_subgrad,
         make_l1_pca(data, p).phi_subgrad,
         lambda x, rng: reg.subgrad(x),
+        mlp.phi_subgrad,
     ]
     x = np.random.default_rng(batch).standard_normal((batch, n, p))
     for fn in callables:
@@ -1401,7 +1405,7 @@ def test_stacked_builtin_oracles_match_their_per_row_calls_bitwise(rows, n, p, b
         assert not np.array_equal(stacked, fn(x, None))
     # the marked value callables map the stack to one value per slice
     spca = make_sparse_pca(data.T @ data / rows, p, 0.1)
-    for fn in (make_l1_pca(data, p).phi_value, spca.phi_value, spca.reg.value):
+    for fn in (make_l1_pca(data, p).phi_value, spca.phi_value, spca.reg.value, mlp.phi_value):
         assert fn._stacks
         assert np.array_equal(fn(x), [fn(x[i]) for i in range(batch)])
     assert np.array_equal(spca.f_values(x), [spca.f_value(x[i]) for i in range(batch)])
@@ -1452,16 +1456,45 @@ def test_builtin_grid_makes_one_oracle_call_per_iteration(algorithm, noisy):
 
 @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
 def test_unmarked_regularizer_subgrad_keeps_per_row_calls_unless_proximal(algorithm):
+    # the adapter calls the 2-d subgrad once per row; the oracle still gets the whole stack
     problem = small_sparse_pca()
-    subgrad = problem.reg.subgrad
-    problem = replace(problem, reg=replace(problem.reg, subgrad=lambda x: subgrad(x)))
+    subgrad, seen = problem.reg.subgrad, []
+
+    def user_subgrad(x):
+        seen.append(np.ndim(x))
+        return subgrad(x)
+
+    problem = replace(problem, reg=replace(problem.reg, subgrad=user_subgrad))
     calls = []
     rows = run_step_grid(counted(problem, calls), stack_grid_config(), 20, algorithm)
+    assert calls == [3] * 21
     if algorithm == "ncdf_proxsgd":  # steps along phi alone
-        assert sorted(calls) == [2] * 10 + [3] * 20
+        assert set(seen) == {2} and len(seen) == 10  # the trace rows at iteration 0
     else:
-        assert set(calls) == {2}
+        assert set(seen) == {2} and len(seen) > 10
     assert rows == run_step_grid(small_sparse_pca(), stack_grid_config(), 20, algorithm)
+
+
+def refusing(problem, refusals, nan_at=None):
+    """problem with a 2-d user oracle raising DivergenceError("refused {seed} at {k}") in
+    the step of iteration k of the run seeded seed, for each (seed, k) in refusals.
+
+    With nan_at, its exact (stationarity) output is nan at that point.
+    """
+    marks = {solvers._keyed_rng(s, k).random(): f"refused {s} at {k}" for s, k in refusals}
+    base = problem.phi_subgrad
+
+    def oracle(x, rng):
+        assert x.ndim == 2
+        message = None if rng is None else marks.get(rng.random())
+        if message is not None:
+            raise DivergenceError(message)
+        w = base(x, None)  # the base draws nothing
+        if rng is None and nan_at is not None and np.allclose(x, nan_at, rtol=0.0, atol=1e-12):
+            w = np.full(x.shape, np.nan)
+        return w
+
+    return replace(problem, phi_subgrad=oracle)
 
 
 @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
@@ -1476,33 +1509,11 @@ def test_replaced_per_row_oracle_runs_a_full_grid(algorithm):
     cfg = stack_grid_config()
     rows = run_step_grid(replace(problem, phi_subgrad=per_row), cfg, 20, algorithm)
     assert rows == run_step_grid(problem, cfg, 20, algorithm)
-
-
-@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
-def test_stacked_divergence_error_falls_back_to_per_row_calls(algorithm):
-    # a marked oracle that refuses to serve candidate 1's step at k = 1: the
-    # stacked call of that iteration raises, so it calls the rows one by one,
-    # and only candidate 1's own call raises, so only candidate 1 scores inf
-    problem = small_sparse_pca()
-    base = problem.phi_subgrad
-    cfg = replace(stack_grid_config(), trace_stride=20)
+    # a 2-d oracle that refuses to serve candidate 1's step at k = 1 ends that
+    # candidate's run alone: only candidate 1 scores inf, every other row is the clean grid's
     seed = int(np.random.SeedSequence([cfg.seed, 1001]).generate_state(1)[0])
-    mark = solvers._keyed_rng(seed, 1).random()  # see poisoned
-    calls = []
-
-    @functools.wraps(base)
-    def oracle(x, rng):
-        calls.append(np.ndim(x))
-        served = [] if rng is None else [rng] if np.ndim(x) == 2 else list(rng)
-        if any(g.random() == mark for g in served):
-            raise DivergenceError("refused")
-        return base(x, None)  # the base draws nothing
-
-    rows = run_step_grid(replace(problem, phi_subgrad=oracle), cfg, 20, algorithm)
-    clean = run_step_grid(problem, cfg, 20, algorithm)
-    # 20 stacked step calls, one stacked call for the trace rows at k = 0, and
-    # the ten per-row calls of k = 1
-    assert sorted(calls) == [2] * 10 + [3] * 21
+    clean = run_step_grid(small_sparse_pca(), cfg, 20, algorithm)
+    rows = run_step_grid(refusing(small_sparse_pca(), [(seed, 1)]), cfg, 20, algorithm)
     assert rows[1][1] == float("inf") and clean[1][1] < float("inf")
     assert rows[:1] + rows[2:] == clean[:1] + clean[2:]
 
@@ -1736,3 +1747,73 @@ def test_overflowing_step_of_one_stacked_row_leaves_the_others_running(algorithm
     row_cfg = replace(cfg, seed=seeds[1], schedule=StepSchedule(kind="constant", eta0=0.02))
     assert np.array_equal(x_k, iterate_at(problem, row_cfg, algorithm, k))
     assert trace_rows(trace) == [r for r in trace_rows(clean[1].trace) if r[0] <= k]
+
+
+# ---------------------------------------------------------------------------
+# a DivergenceError of one slice ends that slice's run alone
+
+
+def three_rows(problem, cfg, etas=(0.01, 0.02, 0.03)):
+    seeds = [3, 8, 21]
+    steps = [[eta] * cfg.max_iters for eta in etas]
+    x = np.stack([default_initial_point(problem, seed) for seed in seeds])
+    return seeds, steps, x
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_divergence_of_one_slice_ends_only_its_own_run(algorithm):
+    problem = small_sparse_pca()
+    cfg = SolverConfig(
+        beta=1.0, schedule=StepSchedule(kind="constant"), max_iters=20, trace_stride=3
+    )
+    seeds, steps, x = three_rows(problem, cfg)
+    method = solvers._METHODS[algorithm]
+    clean = solvers._lockstep(problem, method, cfg, seeds, steps, x.copy())
+    hit = solvers._lockstep(
+        refusing(problem, [(3, 4), (21, 7)]), method, cfg, seeds, steps, x.copy()
+    )
+    assert clean[1].termination == hit[1].termination == "max_iters"
+    assert np.array_equal(hit[1].final_x, clean[1].final_x)
+    assert trace_rows(hit[1].trace) == trace_rows(clean[1].trace)
+    for row, k in ((0, 4), (2, 7)):
+        err, x_k, at, trace = hit[row]
+        assert type(err) is DivergenceError  # the user's own error, not a wrapper
+        assert (str(err), at) == (f"refused {seeds[row]} at {k}", k)
+        eta = StepSchedule(kind="constant", eta0=steps[row][0])
+        row_cfg = replace(cfg, seed=seeds[row], schedule=eta)
+        assert np.array_equal(x_k, iterate_at(problem, row_cfg, algorithm, k))
+        assert trace_rows(trace) == [r for r in trace_rows(clean[row].trace) if r[0] <= k]
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_stopping_rule_and_queued_rows_end_runs_before_the_oracle_error(algorithm):
+    # row 0 meets the stopping rule at k = 0, where its step oracle would refuse;
+    # row 1's stationarity is nan at iterate 5, where its step oracle refuses too;
+    # row 2 is refused at k = 5 and ends with that error
+    problem = make_quadratic_trace(np.diag(np.arange(6.0, 0.0, -1.0)), 2)
+    cfg = SolverConfig(
+        beta=1.0,
+        schedule=StepSchedule(kind="constant"),
+        max_iters=20,
+        trace_stride=1,
+        stop_tol_stationarity=3.0,
+        stop_tol_feasibility=1e-2,
+    )
+    seeds, steps, x = three_rows(problem, cfg, (0.01, 0.01, 0.005))
+    method = solvers._METHODS[algorithm]
+    clean = solvers._lockstep(problem, method, cfg, seeds, steps, x.copy())
+    assert (clean[0].termination, clean[0].iterations) == ("tol_met", 0)
+    assert clean[1].termination == clean[2].termination == "max_iters"
+    row_cfg = SolverConfig(beta=1.0, schedule=StepSchedule(kind="constant", eta0=0.01), seed=8)
+    x5 = iterate_at(problem, row_cfg, algorithm, 5)
+    poisoned = refusing(problem, [(3, 0), (8, 5), (21, 5)], nan_at=project_stiefel(x5).matrix)
+    hit = solvers._lockstep(poisoned, method, cfg, seeds, steps, x.copy())
+    assert (hit[0].termination, hit[0].iterations) == ("tol_met", 0)
+    assert np.array_equal(hit[0].final_x, clean[0].final_x)
+    for row, message in (
+        (1, "stationarity oracle produced non-finite entries at iteration 5"),
+        (2, "refused 21 at 5"),
+    ):
+        err, x_k, at, trace = hit[row]
+        assert (str(err), at) == (message, 5)
+        assert trace_rows(trace) == trace_rows(clean[row].trace)[: 5 if row == 1 else 6]

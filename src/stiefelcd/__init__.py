@@ -30,7 +30,6 @@ from .errors import (
     ConfigurationError,
     DimensionError,
     DivergenceError,
-    GridSearchError,
     NumericalError,
     SafeguardViolationError,
 )
@@ -67,7 +66,6 @@ from .solvers import (
     best_grid_step,
     default_initial_point,
     grid_candidates,
-    grid_search_eta0,
     prox_subgradient_step,
     run_prox_subgradient,
     run_riemannian_baseline,

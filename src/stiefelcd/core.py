@@ -139,7 +139,7 @@ def _polar(x):
 
 @dataclass(frozen=True, eq=False)
 class StiefelPoint:
-    """A matrix certified to have orthonormal columns up to feas_tol.
+    """A matrix certified to have orthonormal columns: ||X'X - I||_F <= 1e-12.
 
     rank_deficient flags projections of inputs whose smallest singular
     value was below 1e-12; the projected matrix is still orthonormal but
@@ -147,19 +147,14 @@ class StiefelPoint:
     """
 
     matrix: np.ndarray
-    feas_tol: float = 1e-12
     rank_deficient: bool = False
 
     def __post_init__(self):
         m = validate_matrix(self.matrix, "stiefel point")
         object.__setattr__(self, "matrix", m.copy())
-        if not self.feas_tol > 0:
-            raise ValueError(f"feas_tol must be positive, got {self.feas_tol}")
         v = feasibility_violation(self.matrix)
-        if v > self.feas_tol:
-            raise ValueError(
-                f"point is not feasible: ||X'X - I||_F = {v:.3e} > {self.feas_tol:.3e}"
-            )
+        if v > 1e-12:
+            raise ValueError(f"point is not feasible: ||X'X - I||_F = {v:.3e} > 1.000e-12")
 
     @property
     def shape(self):

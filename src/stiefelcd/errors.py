@@ -19,7 +19,3 @@ class SafeguardViolationError(RuntimeError):
 
 class ConfigurationError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
-
-
-class GridSearchError(RuntimeError):
-    """Every step-size candidate failed, so no selection can be made."""

@@ -86,12 +86,11 @@ def _per_slice(fn, values: bool):
 
 @dataclass(frozen=True)
 class Regularizer:
-    """Weighted convex regularization term gamma * r(X).
+    """Convex regularization term r(X), any weight built into its callables.
 
-    value returns the weighted term, prox(X, tau) is the proximal map of
-    tau * gamma * r, subgrad returns the minimum-norm element of the
-    weighted subdifferential, and lipschitz bounds the weighted term's
-    Frobenius Lipschitz constant.
+    value returns r(X), prox(X, tau) is the proximal map of tau * r,
+    subgrad returns the minimum-norm element of the subdifferential, and
+    lipschitz bounds r's Frobenius Lipschitz constant.
 
     value and subgrad map stacks as the module says.  The solvers call prox
     once per iteration on their whole (B, n, p) stack of iterates, with tau
@@ -104,7 +103,6 @@ class Regularizer:
     prox: Optional[Callable[[np.ndarray, float], np.ndarray]]
     subgrad: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
-    gamma: float
 
     def __post_init__(self):
         object.__setattr__(self, "value", _per_slice(self.value, values=True))
@@ -137,13 +135,10 @@ class ProblemDefinition:
         object.__setattr__(self, "phi_subgrad", _per_slice(self.phi_subgrad, values=False))
 
     def f_value(self, x) -> float:
-        val = float(self.phi_value(x))
-        if self.reg is not None:
-            val += float(self.reg.value(x))
-        return val
+        return float(self.f_values(x))
 
     def f_values(self, x) -> np.ndarray:
-        """f of each slice of a (B, n, p) stack x, each bitwise f_value of the slice alone."""
+        """f of x, or of each slice of a (B, n, p) stack x, each bitwise as the slice alone."""
         val = np.asarray(self.phi_value(x), dtype=float)
         if self.reg is not None:
             val = val + np.asarray(self.reg.value(x), dtype=float)
@@ -181,7 +176,6 @@ def l1_regularizer(gamma: float, n_entries: int) -> Regularizer:
         prox=prox,
         subgrad=subgrad,
         lipschitz=gamma * float(np.sqrt(n_entries)),
-        gamma=gamma,
     )
 
 
@@ -304,16 +298,15 @@ def make_orthogonal_mlp(
     widths,
     second_layer=None,
     hidden_bias=None,
-    output_bias=None,
     seed: int = 0,
 ) -> ProblemDefinition:
     """Two-layer ReLU regression with the first layer on the Stiefel manifold.
 
     The optimization variable is the tall matrix X of shape (d_in, hidden)
     holding the transposed first-layer weight; the network computes
-    W2 relu(X' x + b1) + b2 per sample and the objective is the mean
-    squared error.  Second-layer parameters default to a seeded Gaussian
-    and zero biases.  The ReLU derivative uses the zero branch at the
+    W2 relu(X' x + b1) per sample and the objective is the mean squared
+    error.  The second layer defaults to a seeded Gaussian and the hidden
+    bias b1 to zero.  The ReLU derivative uses the zero branch at the
     kink, so the subgradient at zero preactivations is zero.
     """
     d_in, hidden, d_out = _mlp_widths(widths)
@@ -336,15 +329,14 @@ def make_orthogonal_mlp(
     if w2.shape != (d_out, hidden):
         raise ValueError(f"second layer must be {(d_out, hidden)}, got {w2.shape}")
     b1 = np.zeros(hidden) if hidden_bias is None else np.asarray(hidden_bias, dtype=float)
-    b2 = np.zeros(d_out) if output_bias is None else np.asarray(output_bias, dtype=float)
-    if b1.shape != (hidden,) or b2.shape != (d_out,):
-        raise ValueError("bias shapes do not match the widths")
+    if b1.shape != (hidden,):
+        raise ValueError(f"hidden bias must be {(hidden,)}, got {b1.shape}")
     n_samples = xs.shape[0]
 
     def forward(x):
         z = np.asarray(x, dtype=float).swapaxes(-1, -2) @ xs.T + b1[:, None]  # (..., hidden, N)
         act = np.maximum(z, 0.0)
-        resid = w2 @ act + b2[:, None] - ys.T  # (..., d_out, N)
+        resid = w2 @ act - ys.T  # (..., d_out, N)
         return z, act, resid
 
     @_stacks
@@ -458,10 +450,10 @@ def gaussian_matrix(rows: int, cols: int, seed: int, scale: float = 1.0) -> np.n
     return scale * rng.standard_normal((rows, cols))
 
 
-def spiked_covariance(n: int, top_eigenvalues, seed: int, bulk_scale: float = 1.0) -> np.ndarray:
+def spiked_covariance(n: int, top_eigenvalues, seed: int) -> np.ndarray:
     """Seeded PSD matrix with prescribed leading eigenvalues.
 
-    The remaining spectrum is uniform on (0, bulk_scale); eigenvectors
+    The remaining spectrum is uniform on [0, 1); eigenvectors
     come from the QR factor of a seeded Gaussian matrix.
     """
     top = np.asarray(top_eigenvalues, dtype=float)
@@ -471,7 +463,7 @@ def spiked_covariance(n: int, top_eigenvalues, seed: int, bulk_scale: float = 1.
         raise ValueError("eigenvalues must be nonnegative")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    evals = np.concatenate([top, bulk_scale * rng.random(n - top.size)])
+    evals = np.concatenate([top, rng.random(n - top.size)])
     s = (q * evals) @ q.T
     return 0.5 * (s + s.T)
 

@@ -60,12 +60,7 @@ from .core import (
     random_stiefel,
     validate_matrix,
 )
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    GridSearchError,
-    SafeguardViolationError,
-)
+from .errors import ConfigurationError, DivergenceError, SafeguardViolationError
 from .problems import ProblemDefinition, _pinned, _shaped
 
 SCHEDULE_KINDS = ("harmonic_decay", "constant", "custom")
@@ -124,6 +119,12 @@ def _keyed_rng(seed: int, k: int) -> np.random.Generator:
     return _RunNoise(seed).at(k)._generator()
 
 
+def _finite(name: str, value) -> None:
+    """Raise ConfigurationError naming the field unless value, a number or a tuple, is finite."""
+    if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Step-size rule eta_k.
@@ -141,10 +142,12 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ConfigurationError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
+        _finite("eta0", self.eta0)
         if self.kind == "custom":
             if not self.values:
                 raise ConfigurationError("values must be a nonempty sequence for a custom schedule")
             vals = tuple(float(v) for v in self.values)
+            _finite("values", vals)
             if any(v <= 0 for v in vals):
                 raise ConfigurationError("values must be positive for a custom schedule")
             object.__setattr__(self, "values", vals)
@@ -200,13 +203,16 @@ class SolverConfig:
             raise ConfigurationError(
                 f"feas_shell_check: expected true or false, got {self.feas_shell_check!r}"
             )
+        for name in ("beta", "stop_tol_stationarity", "stop_tol_feasibility"):
+            _finite(name, getattr(self, name))
         if not self.beta > 0:
             raise ConfigurationError(f"beta must be positive, got {self.beta}")
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.trace_stride < 1:
             raise ConfigurationError(f"trace_stride must be >= 1, got {self.trace_stride}")
-        if len(self.safeguards) != 3 or any(s < 0 for s in self.safeguards):
+        # nan fails >= 0; an inf estimate passes, and the shell check rejects every finite beta
+        if len(self.safeguards) != 3 or not all(s >= 0 for s in self.safeguards):
             raise ConfigurationError("safeguards must be three nonnegative estimates")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
@@ -218,10 +224,6 @@ class SolverConfig:
             raise ConfigurationError(
                 "stop_tol_stationarity and stop_tol_feasibility stop a run only together"
             )
-
-    @property
-    def eta0(self) -> float:
-        return self.schedule.eta0
 
 
 @dataclass
@@ -752,16 +754,3 @@ def best_grid_step(rows) -> Optional[float]:
         if val < best_val:
             best_eta, best_val = eta, val
     return best_eta
-
-
-def grid_search_eta0(
-    problem: ProblemDefinition,
-    cfg: SolverConfig,
-    budget_epochs: int,
-    algorithm: str = "ncdf_sgd",
-) -> float:
-    """Grid candidate with the best final objective; ties go to the smaller step."""
-    best = best_grid_step(run_step_grid(problem, cfg, budget_epochs, algorithm))
-    if best is None:
-        raise GridSearchError("every step-size candidate diverged or was rejected")
-    return best

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stiefelcd import core, solvers
+from stiefelcd import cli, core, solvers
 from stiefelcd.core import (
     apply_A,
     feasibility_violation,
@@ -23,7 +23,6 @@ from stiefelcd.errors import (
     ConfigurationError,
     DimensionError,
     DivergenceError,
-    GridSearchError,
     SafeguardViolationError,
 )
 from stiefelcd.problems import (
@@ -45,9 +44,9 @@ from stiefelcd.solvers import (
     IterateTrace,
     SolverConfig,
     StepSchedule,
+    best_grid_step,
     default_initial_point,
     grid_candidates,
-    grid_search_eta0,
     prox_subgradient_step,
     run_prox_subgradient,
     run_riemannian_baseline,
@@ -162,7 +161,39 @@ def test_solver_config_validation():
     with pytest.raises(ConfigurationError, match="only together"):
         SolverConfig(stop_tol_feasibility=1e-3)
     cfg = SolverConfig(schedule=StepSchedule(kind="constant", eta0=0.02))
-    assert cfg.eta0 == 0.02
+    assert cfg.schedule.eta0 == 0.02
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        # nan made the shell check's bound max(16 * nan, ...) nan, and beta < nan is false,
+        # so this config ran to max_iters where safeguards (1, 0, 0) are rejected
+        pytest.param(
+            lambda: SolverConfig(beta=0.1, safeguards=(NAN, 0.0, 0.0), feas_shell_check=True),
+            "safeguards",
+            id="nan-safeguard",
+        ),
+        # nan tolerances silently turned the stopping rule off
+        pytest.param(
+            lambda: SolverConfig(stop_tol_stationarity=NAN, stop_tol_feasibility=NAN),
+            "stop_tol_stationarity",
+            id="nan-stop-tolerances",
+        ),
+        pytest.param(lambda: SolverConfig(beta=INF), "beta", id="inf-beta"),
+        pytest.param(lambda: StepSchedule(kind="constant", eta0=INF), "eta0", id="inf-eta0"),
+        pytest.param(
+            lambda: StepSchedule(kind="custom", values=(0.1, NAN)), "values", id="nan-value"
+        ),
+        pytest.param(lambda: StepSchedule(kind="custom", values=(INF,)), "values", id="inf-value"),
+    ],
+)
+def test_non_finite_config_numbers_are_rejected_naming_their_field(build, name):
+    with pytest.raises(ConfigurationError, match=f"^{name} must"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +266,7 @@ def test_prox_step_identity_without_regularizer():
 def test_prox_step_requires_prox():
     reg = l1_regularizer(0.5, 4)
     stripped = reg.__class__(
-        value=reg.value, prox=None, subgrad=reg.subgrad, lipschitz=reg.lipschitz,
-        gamma=reg.gamma,
+        value=reg.value, prox=None, subgrad=reg.subgrad, lipschitz=reg.lipschitz
     )
     with pytest.raises(ConfigurationError):
         prox_subgradient_step(np.eye(4, 1), np.eye(4, 1), 0.1, stripped)
@@ -531,7 +561,7 @@ def test_grid_search_tie_prefers_smaller_step():
         smooth=True,
     )
     cfg = SolverConfig(max_iters=10, seed=0)
-    assert grid_search_eta0(problem, cfg, budget_epochs=5) == 0.01
+    assert best_grid_step(run_step_grid(problem, cfg, budget_epochs=5)) == 0.01
 
 
 def test_grid_search_picks_working_step():
@@ -545,12 +575,12 @@ def test_grid_search_picks_working_step():
     )
     rows = run_step_grid(problem, cfg, budget_epochs=300)
     by_eta = dict(rows)
-    best = grid_search_eta0(problem, cfg, budget_epochs=300)
+    best = best_grid_step(rows)
     assert by_eta[best] == min(by_eta.values())
     assert by_eta[best] < -10.0
 
 
-def test_grid_search_all_divergent_raises():
+def test_grid_search_all_divergent_selects_no_step():
     problem = ProblemDefinition(
         n=3,
         p=1,
@@ -561,8 +591,7 @@ def test_grid_search_all_divergent_raises():
     cfg = SolverConfig(
         beta=0.1, schedule=StepSchedule(kind="constant"), max_iters=400, seed=0
     )
-    with pytest.raises(GridSearchError):
-        grid_search_eta0(problem, cfg, budget_epochs=1)
+    assert best_grid_step(run_step_grid(problem, cfg, budget_epochs=1)) is None
 
 
 def test_grid_search_validation():
@@ -1422,6 +1451,32 @@ def test_f_values_calls_unmarked_value_callables_per_slice():
     x = np.random.default_rng(0).standard_normal((5, 6, 2))
     assert np.array_equal(problem.f_values(x), [problem.f_value(x[i]) for i in range(5)])
     assert set(seen) == {2}
+
+
+@pytest.mark.parametrize(
+    "conf",
+    [
+        {"kind": "quadratic_trace", "n": 6, "p": 2, "seed": 1},
+        {"kind": "sparse_pca", "n": 8, "p": 3, "gamma": 0.1, "seed": 2},
+        {"kind": "l1_pca", "rows": 12, "n": 5, "p": 2, "seed": 3},
+        {"kind": "l1_pca", "rows": 12, "n": 5, "p": 2, "noise": {"sigma": 0.05, "bound": 0.1}},
+        {"kind": "orthogonal_mlp", "widths": [6, 3, 2], "n_samples": 20, "seed": 4},
+    ],
+    ids=["quadratic_trace", "sparse_pca", "l1_pca", "noisy_l1_pca", "orthogonal_mlp"],
+)
+def test_f_value_matches_the_frozen_formula_bitwise(conf):
+    # f_value is float(f_values(x)); before, it summed phi and the regularizer as floats
+    problem = cli.build_problem(conf)
+    user = replace(problem, phi_value=lambda x: float(np.sum(np.sin(x))))  # a 2-d user callable
+    rng = np.random.default_rng(9)
+    for prob in (problem, user):
+        for scale in (1e-3, 1.0, 1e3):
+            x = scale * rng.standard_normal((prob.n, prob.p))
+            expected = float(prob.phi_value(x))
+            if prob.reg is not None:
+                expected += float(prob.reg.value(x))
+            value = prob.f_value(x)
+            assert type(value) is float and repr(value) == repr(expected)
 
 
 def counted(problem, calls):

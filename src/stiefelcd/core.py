@@ -18,15 +18,17 @@ C-contiguous X is exactly symmetric, so no Gram matrix needs symmetrizing.
 
 The public kernels validate their inputs at the boundary and then call
 private, unchecked helpers (_gram, _terms, _state, _fro, _map,
-_jacobian, _tangent, _polar).  The solver loop calls the same helpers
-directly on one per-iterate state: the Gram residual G - I and the map
-polynomial stored divided by 8, M / 8 = 1.875 I - 1.25 G + 0.375 G^2
-(exact away from overflow and subnormals), formed once per iterate and
-reused for the feasibility guard, A(X) = X (M / 8), the Jacobian and
-the penalty gradient X (G - I).  The private helpers transpose only the
-last two axes, so they also accept a stack of iterates of shape (B, n, p)
-and act on each slice exactly as on the 2-d matrix alone; the solver
-driver advances every run that way, a single run as a stack of one.
+_jacobian, _tangent, _polar, _h, _h_grad, _shell_points).  The solver
+loop calls the same helpers directly on one per-iterate state: the Gram
+residual G - I and the map polynomial stored divided by 8,
+M / 8 = 1.875 I - 1.25 G + 0.375 G^2 (exact away from overflow and
+subnormals), formed once per iterate and reused for the feasibility
+guard, A(X) = X (M / 8), the Jacobian and the penalty gradient X (G - I).
+The private helpers transpose only the last two axes, so they also accept
+a stack of iterates of shape (B, n, p) and act on each slice exactly as
+on the 2-d matrix alone; the solver driver advances every run that way, a
+single run as a stack of one, and the diagnostics evaluate their
+fixed-shape samples that way.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def validate_matrix(x, name: str = "matrix") -> np.ndarray:
     n, p = arr.shape
     if p < 1 or n < p:
         raise DimensionError(f"{name} must be tall or square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr)
 
@@ -73,7 +75,7 @@ def sym(m) -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"sym expects a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("sym input contains non-finite entries")
     return 0.5 * (arr + arr.T)
 
@@ -337,12 +339,30 @@ def inverse_A(y, tol: float = 1e-14) -> np.ndarray:
     return np.asarray((ul * t) @ vl, dtype=float)
 
 
+def _h(f_values, x, beta):
+    """h of an unchecked x, or of each slice of a stack x; f_values(A(x)) gives f at the map."""
+    resid, poly = _state(x)
+    v = _fro(resid)
+    return np.asarray(f_values(_map(x, poly)), dtype=float) + 0.25 * beta * v * v
+
+
+def _h_grad(f_subgrad, x, beta):
+    """J(X)[W] + beta X (X'X - I) of an unchecked x, or of each slice of a stack x.
+
+    W = f_subgrad(A(X)) must have x's shape and finite entries.
+    """
+    resid, poly = _state(x)
+    w = np.asarray(f_subgrad(_map(x, poly)), dtype=float)
+    if w.shape != x.shape:
+        raise DimensionError(f"subgradient shape {w.shape} != point shape {x.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("subgradient contains non-finite entries")
+    return _jacobian(x, np.ascontiguousarray(w), resid, poly) + beta * (x @ resid)
+
+
 def ncdf_value(f_value, x, penalty: PenaltyConfig) -> float:
     """Dissolved objective h(X) = f(A(X)) + (beta/4) ||X'X - I||_F^2."""
-    x = validate_matrix(x)
-    resid, poly = _state(x)
-    v = float(np.linalg.norm(resid))
-    return float(f_value(_map(x, poly))) + 0.25 * penalty.beta * v * v
+    return float(_h(f_value, validate_matrix(x), penalty.beta))
 
 
 def ncdf_subgradient(f_subgrad, x, penalty: PenaltyConfig) -> np.ndarray:
@@ -352,21 +372,53 @@ def ncdf_subgradient(f_subgrad, x, penalty: PenaltyConfig) -> np.ndarray:
     J(X)[W] + beta X (X'X - I) with W drawn from the subdifferential of f
     at A(X).  On the manifold this equals the projected subgradient of f.
     """
-    x = validate_matrix(x)
-    resid, poly = _state(x)
-    w = validate_matrix(np.asarray(f_subgrad(_map(x, poly)), dtype=float), "subgradient")
-    if w.shape != x.shape:
-        raise DimensionError(f"subgradient shape {w.shape} != point shape {x.shape}")
-    return _jacobian(x, w, resid, poly) + penalty.beta * (x @ resid)
+    return _h_grad(f_subgrad, validate_matrix(x), penalty.beta)
 
 
 def random_stiefel(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
     """Haar-ish random feasible point: polar factor of a Gaussian matrix."""
     if n < p or p < 1:
         raise DimensionError(f"need n >= p >= 1, got ({n}, {p})")
-    g = rng.standard_normal((n, p))
-    u, _, vt = np.linalg.svd(g, full_matrices=False)
-    return u @ vt
+    return _polar(rng.standard_normal((n, p)))[0]
+
+
+def _shell_points(rng, n: int, p: int, radius_of, samples: int) -> np.ndarray:
+    """(samples, n, p) stack of random points, slice i with Gram residual radius_of(rng).
+
+    Each sample draws, in this order, its radius, the (n, p) Gaussian of
+    its feasible factor and, unless the radius is 0, the (p, p) Gaussian
+    of its symmetric direction; so the draws, and every slice bitwise,
+    are those of samples successive random_shell_point calls.  The SVD,
+    eigh, root and products then run once on the whole stack.
+    """
+    if n < p or p < 1:
+        raise DimensionError(f"need n >= p >= 1, got ({n}, {p})")
+    radii, zero = [], []
+    g = np.empty((samples, n, p))
+    s = np.empty((samples, p, p))
+    for i in range(samples):
+        radius = radius_of(rng)
+        if radius < 0:
+            raise ValueError(f"radius must be nonnegative, got {radius}")
+        radii.append(radius)
+        rng.standard_normal(out=g[i])
+        if radius == 0:
+            s[i] = 0.0
+            zero.append(i)
+        else:
+            rng.standard_normal(out=s[i])
+    q = _polar(g)[0]
+    s = 0.5 * (s + s.swapaxes(-1, -2))
+    fro = _fro(s)[:, None, None]
+    if not fro.all():  # a zero direction, as for radius 0, is replaced by the identity
+        flat = fro == 0
+        s = np.where(flat, _eye(p, 3), s)
+        fro = np.where(flat, np.sqrt(p), fro)
+    w, v = np.linalg.eigh(_eye(p, 3) + (np.array(radii, dtype=float)[:, None, None] / fro) * s)
+    x = q @ ((v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.swapaxes(-1, -2))
+    if zero:
+        x[zero] = q[zero]
+    return x
 
 
 def random_shell_point(rng: np.random.Generator, n: int, p: int, radius: float) -> np.ndarray:
@@ -375,20 +427,7 @@ def random_shell_point(rng: np.random.Generator, n: int, p: int, radius: float) 
     Construction: X = Q (I + Delta)^{1/2} for a feasible Q and a random
     symmetric Delta scaled to Frobenius norm radius, so that
     X'X - I = Delta exactly.  Requires radius < 1 in spectral norm for the
-    square root to exist; radius <= 1 in Frobenius norm suffices.
+    square root to exist; radius <= 1 in Frobenius norm suffices.  This is
+    the stack of one of _shell_points, which builds many at once.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    q = random_stiefel(rng, n, p)
-    if radius == 0:
-        return q
-    s = rng.standard_normal((p, p))
-    s = 0.5 * (s + s.T)
-    fro = np.linalg.norm(s)
-    if fro == 0:
-        s = np.eye(p)
-        fro = np.sqrt(p)
-    delta = (radius / fro) * s
-    w, v = np.linalg.eigh(np.eye(p) + delta)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return q @ root
+    return _shell_points(rng, n, p, lambda _: radius, 1)[0]

@@ -1,11 +1,15 @@
 """Executable verification suite for the map identities and solver bounds.
 
-Every invariant promised by the core module is bound to a named check: a
-per-sample violation on seeded random inputs, reduced by one sampler
-(_sampled) to its worst value against a pinned tolerance.  A nan sample
-makes that worst value nan, so the check fails.  Reports are plain
-records (one JSON line each) so a build can be vetted from the command
-line, and the whole suite is deterministic given (seed, samples).
+Every invariant promised by the core module is bound to a named check: its
+violations on seeded random inputs, reduced by one function (_worst) to
+their worst value against a pinned tolerance.  A nan sample makes that
+worst value nan, so the check fails.  Checks on random shapes draw and
+evaluate one sample at a time (_sampled); the stationarity and descent
+checks, whose samples all share their problem's shape, draw every point
+first and evaluate h and its gradient once on the stack, slice by slice
+bitwise as on each point alone.  Reports are plain records (one JSON line
+each) so a build can be vetted from the command line, and the whole
+suite is deterministic given (seed, samples).
 """
 
 from __future__ import annotations
@@ -18,14 +22,20 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    PenaltyConfig,
+    StiefelPoint,
+    _eye,
+    _fro,
+    _gram,
+    _h,
+    _h_grad,
+    _polar,
+    _shell_points,
+    _state,
     apply_A,
     ata_residual_identity,
     feasibility_violation,
     inverse_A,
     jacobian_apply,
-    ncdf_subgradient,
-    ncdf_value,
     project_stiefel,
     random_shell_point,
     random_stiefel,
@@ -92,22 +102,23 @@ def _jacobian_scale(x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the sampler and the per-sample violations it reduces
+# the reduction, the sampler and the per-sample violations it reduces
+
+
+def _worst(violations):
+    """Largest of the violations; unlike max(), a nan among them is kept, so it fails its check."""
+    worst = -math.inf
+    for v in violations:
+        if v > worst or v != v:
+            worst = v
+    return worst
 
 
 def _sampled(tolerance, violation):
-    """The check (rng, samples, scale) -> (worst violation(rng), tolerance * scale).
-
-    Unlike max(), the running maximum keeps a nan, so a nan sample fails the check.
-    """
+    """The check (rng, samples, scale) -> (worst of samples violation(rng) calls, tolerance * scale)."""
 
     def check(rng, samples, scale):
-        worst = -math.inf
-        for _ in range(samples):
-            v = violation(rng)
-            if v > worst or v != v:
-                worst = v
-        return worst, tolerance * scale
+        return _worst(violation(rng) for _ in range(samples)), tolerance * scale
 
     return check
 
@@ -208,43 +219,53 @@ def _internal_smooth_problem(rng):
     return make_quadratic_trace(m + m.T, 3)
 
 
-def _stationarity_gap(problem, beta, m1):
-    """Per-sample violation of ||grad h|| >= (beta/4) feas inside the safeguarded shell."""
-    penalty = PenaltyConfig(beta=beta)
+# entries per (B, n, p) array of the stacked checks: a whole suite of small
+# points in one stack, and a few MiB at a time for large ones
+STACK_ENTRIES = 1 << 19
+
+
+def _stacked(gaps, problem, beta, m1, rng, samples):
+    """Worst of the violations gaps(problem, beta, m1, rng, B) returns for stacks of B points.
+
+    The stacks take samples points in order, at most STACK_ENTRIES entries
+    each, so the draws are those of one stack of all of them.
+    """
+    chunk = max(1, STACK_ENTRIES // (problem.n * problem.p))
+    sizes = (min(chunk, samples - lo) for lo in range(0, samples, chunk))
+    return _worst(v for b in sizes for v in gaps(problem, beta, m1, rng, b).tolist())
+
+
+def _stationarity_gaps(problem, beta, m1, rng, samples):
+    """Violations of ||grad h|| >= (beta/4) feas at samples points inside the safeguarded shell."""
     r = 0.9 * beta / (2.0 * beta + 8.0 * m1)
-
-    def violation(rng):
-        x = random_shell_point(rng, problem.n, problem.p, r * (1.0 - rng.random()))
-        grad = ncdf_subgradient(problem.f_subgrad, x, penalty)
-        return 0.25 * beta * feasibility_violation(x) - float(np.linalg.norm(grad))
-
-    return violation
+    x = _shell_points(rng, problem.n, problem.p, lambda g: r * (1.0 - g.random()), samples)
+    grad = _h_grad(problem.f_subgrad, x, beta)
+    return 0.25 * beta * _fro(_state(x)[0]) - _fro(grad)
 
 
-def _descent_gap(problem, beta, m1):
-    """Per-sample increase of h under projection onto the manifold."""
-    penalty = PenaltyConfig(beta=beta)
+def _descent_gaps(problem, beta, m1, rng, samples):
+    """Increase of h under projection onto the manifold at samples points of the shell."""
     cap = min(0.5, 0.999 * beta / (16.0 * m1))
-
-    def violation(rng):
-        x = random_shell_point(rng, problem.n, problem.p, cap * (1.0 - rng.random()))
-        h_x = ncdf_value(problem.f_value, x, penalty)
-        return ncdf_value(problem.f_value, project_stiefel(x).matrix, penalty) - h_x
-
-    return violation
+    x = _shell_points(rng, problem.n, problem.p, lambda g: cap * (1.0 - g.random()), samples)
+    q = _polar(x)[0]
+    feas = _fro(_gram(q) - _eye(problem.p, 3))
+    rejected = np.flatnonzero(~(feas <= 1e-12))
+    if rejected.size:  # project_stiefel's certificate, bitwise per slice: raise its error
+        StiefelPoint(q[rejected[0]])
+    return _h(problem.f_values, q, beta) - _h(problem.f_values, x, beta)
 
 
 def _check_stationarity_bound(rng, samples, scale):
     problem = _internal_smooth_problem(rng)
     m1, mt, mh = estimate_constants(problem, seed=int(rng.integers(2**31)))
     beta = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
-    return _sampled(0.0, _stationarity_gap(problem, beta, m1))(rng, samples, scale)
+    return _stacked(_stationarity_gaps, problem, beta, m1, rng, samples), 0.0 * scale
 
 
 def _check_projection_descent(rng, samples, scale):
     problem = _internal_smooth_problem(rng)
     m1, _, _ = estimate_constants(problem, seed=int(rng.integers(2**31)))
-    return _sampled(1e-10, _descent_gap(problem, 16.0 * m1, m1))(rng, samples, scale)
+    return _stacked(_descent_gaps, problem, 16.0 * m1, m1, rng, samples), 1e-10 * scale
 
 
 # registry in report order; the index doubles as the per-check RNG stream
@@ -315,13 +336,14 @@ def run_stationarity_suite(problem: ProblemDefinition, beta: float, seed=0, samp
 def _stationarity_reports(problem, beta, m1, seed, samples):
     """run_stationarity_suite on checked arguments, given the safeguard constant m1."""
     suite = (
-        ("stationarity_lower_bound", _sampled(0.0, _stationarity_gap(problem, beta, m1))),
-        ("projection_descent", _sampled(1e-10, _descent_gap(problem, beta, m1))),
+        ("stationarity_lower_bound", 0.0, _stationarity_gaps),
+        ("projection_descent", 1e-10, _descent_gaps),
     )
     reports = []
-    for index, (name, check) in enumerate(suite):
+    for index, (name, tolerance, gaps) in enumerate(suite):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 8, index]))
-        reports.append(_report(name, samples, *check(rng, samples, 1.0), seed))
+        worst = _stacked(gaps, problem, beta, m1, rng, samples)
+        reports.append(_report(name, samples, worst, tolerance, seed))
     return sorted(reports, key=lambda r: r.name)
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import apply_A, jacobian_apply, random_shell_point
+from .core import _jacobian, _map, _state, random_shell_point
 from .errors import DimensionError, DivergenceError
 
 SubgradOracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
@@ -425,18 +425,18 @@ def estimate_constants(problem: ProblemDefinition, samples: int = 200, seed: int
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     m1 = mt = mh = 0.0
-    for _ in range(samples):
-        radius = 1.0 - rng.random()  # uniform on (0, 1]
-        x = random_shell_point(rng, problem.n, problem.p, radius)
-        y = apply_A(x)
-        w_img = problem.f_subgrad(y, rng)
+    for _ in range(samples):  # serial: a noisy oracle draws from rng between the samples
+        x = random_shell_point(rng, problem.n, problem.p, 1.0 - rng.random())  # radius in (0, 1]
+        resid, poly = _state(x)
+        w_img = problem.f_subgrad(_map(x, poly), rng)
         img = float(np.linalg.norm(w_img))
         raw = float(np.linalg.norm(problem.f_subgrad(x, rng)))
         if not math.isfinite(img + raw):  # max() would drop a nan and leave a zero bound
             raise ValueError("subgradient oracle returned non-finite entries at a sampled point")
         m1, mh = max(m1, img), max(mh, raw)
         if img > 0:
-            mt = max(mt, float(np.linalg.norm(jacobian_apply(x, w_img))))
+            w_img = np.ascontiguousarray(_shaped(w_img, x.shape))
+            mt = max(mt, float(np.linalg.norm(_jacobian(x, w_img, resid, poly))))
     return 1.5 * m1, 1.5 * mt, 1.5 * mh
 
 

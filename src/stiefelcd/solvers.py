@@ -125,6 +125,12 @@ def _finite(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
+def _integer(name: str, value) -> None:
+    """Raise ConfigurationError naming the field unless value is an int or a numpy integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Step-size rule eta_k.
@@ -153,6 +159,7 @@ class StepSchedule:
             object.__setattr__(self, "values", vals)
         elif not self.eta0 > 0:
             raise ConfigurationError(f"eta0 must be positive, got {self.eta0}")
+        _integer("epoch_len", self.epoch_len)
         if self.epoch_len < 1:
             raise ConfigurationError(f"epoch_len must be >= 1, got {self.epoch_len}")
 
@@ -205,6 +212,8 @@ class SolverConfig:
             )
         for name in ("beta", "stop_tol_stationarity", "stop_tol_feasibility"):
             _finite(name, getattr(self, name))
+        for name in ("max_iters", "trace_stride", "seed"):
+            _integer(name, getattr(self, name))
         if not self.beta > 0:
             raise ConfigurationError(f"beta must be positive, got {self.beta}")
         if self.max_iters < 1:
@@ -714,6 +723,7 @@ def run_step_grid(
     """
     if algorithm not in _METHODS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+    _integer("budget_epochs", budget_epochs)
     if budget_epochs < 1:
         raise ConfigurationError(f"budget_epochs must be >= 1, got {budget_epochs}")
     if cfg.schedule.kind == "custom":

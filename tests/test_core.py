@@ -433,6 +433,38 @@ def test_ncdf_subgradient_zero_objective():
     assert out[0, 0] == pytest.approx(12.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1.5, 1e3])
+def test_ncdf_value_and_subgradient_match_the_frozen_formulas_bitwise(scale):
+    # h and its gradient written out term by term, in the order the public
+    # kernels evaluated them before they shared the stacked helpers
+    rng = np.random.default_rng(17)
+    m = rng.standard_normal((9, 9))
+    a = m + m.T
+    beta = 0.7
+
+    def f_value(y):
+        return float(-np.sum(y * (a @ y)))
+
+    def f_subgrad(y):
+        return -2.0 * (a @ y)
+
+    cfg = core.PenaltyConfig(beta=beta)
+    for _ in range(5):
+        x = scale * rng.standard_normal((9, 3))
+        g = x.T @ x
+        resid = g - np.eye(3)
+        poly = 1.875 * np.eye(3) + -1.25 * g + 0.375 * (g @ g)
+        y = x @ poly
+        v = float(np.linalg.norm(resid))
+        assert repr(core.ncdf_value(f_value, x, cfg)) == repr(f_value(y) + 0.25 * beta * v * v)
+        w = f_subgrad(y)
+        sym_xw = 0.5 * (x.T @ w + w.T @ x)
+        mix = sym_xw @ resid
+        jac = w @ poly - x @ sym_xw + 1.5 * (x @ (0.5 * (mix + mix.T)))
+        want = jac + beta * (x @ resid)
+        assert np.array_equal(core.ncdf_subgradient(f_subgrad, x, cfg), want)
+
+
 def test_ncdf_matches_projected_subgradient_on_manifold():
     rng = np.random.default_rng(43)
     cfg = core.PenaltyConfig(beta=0.7)
@@ -537,3 +569,105 @@ def test_public_kernels_hand_gram_a_c_contiguous_operand(monkeypatch):
     assert len(grams) == 2
     for g in grams:
         assert np.array_equal(g, g.T)
+
+
+# ---------------------------------------------------------------------------
+# stacked LAPACK and stacked shell points
+# ---------------------------------------------------------------------------
+
+# the shapes of test_private_kernels_on_a_stack_match_each_slice_bitwise
+@settings(max_examples=20, deadline=None, database=None)
+@example(shape=(1, 2, 1), scale=1.0, seed=0)
+@example(shape=(64, 9, 3), scale=1.0, seed=1)
+@given(
+    shape=st.tuples(
+        st.one_of(st.integers(1, 4), st.just(64)), st.integers(1, 9), st.integers(1, 9)
+    ).filter(lambda s: s[1] >= s[2]),
+    scale=st.sampled_from([1e-3, 1.0, 1.5, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_svd_and_eigh_match_each_slice_bitwise(shape, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal(shape)
+    s = scale * rng.standard_normal((shape[0], shape[2], shape[2]))
+    s = s + s.swapaxes(-1, -2)
+    stacked = (*np.linalg.svd(x, full_matrices=False), *np.linalg.eigh(s))
+    for b in range(shape[0]):
+        single = (*np.linalg.svd(x[b], full_matrices=False), *np.linalg.eigh(s[b]))
+        for name, got, want in zip(("u", "s", "vt", "w", "v"), stacked, single, strict=True):
+            assert np.array_equal(got[b], want), name
+
+
+def frozen_shell_point(rng, n, p, radius):
+    # the 2-d construction random_shell_point ran before it became a stack of one
+    u, _, vt = np.linalg.svd(rng.standard_normal((n, p)), full_matrices=False)
+    q = u @ vt
+    if radius == 0:
+        return q
+    s = rng.standard_normal((p, p))
+    s = 0.5 * (s + s.T)
+    fro = np.linalg.norm(s)
+    if fro == 0:
+        s = np.eye(p)
+        fro = np.sqrt(p)
+    w, v = np.linalg.eigh(np.eye(p) + (radius / fro) * s)
+    return q @ ((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
+
+
+class ZeroDirections:
+    """A generator whose square draws are all zero, so every direction takes the identity."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self):
+        return self.rng.random()
+
+    def standard_normal(self, size=None, out=None):
+        draw = self.rng.standard_normal(size if out is None else out.shape)
+        if draw.shape[0] == draw.shape[1]:
+            draw[...] = 0.0
+        if out is None:
+            return draw
+        out[...] = draw
+        return out
+
+
+# radius factors f: sample i has radius f * (1 - rng.random()), drawn first as in the diagnostics
+@pytest.mark.parametrize(
+    "factors",
+    [[0.5], [0.0], [0.3, 0.0, 1.0, 1e-9, 0.0, 0.7, 0.2], [1.0] * 200],
+    ids=["one", "zero", "mixed", "200"],
+)
+@pytest.mark.parametrize(
+    "generator, n, p",
+    [
+        (np.random.default_rng, 2, 1),
+        (np.random.default_rng, 10, 3),
+        (np.random.default_rng, 7, 7),
+        (ZeroDirections, 2, 1),  # tall shapes only: a square (n, p) draw would be zeroed too
+        (ZeroDirections, 10, 3),
+    ],
+    ids=["2x1", "10x3", "7x7", "2x1-zero-directions", "10x3-zero-directions"],
+)
+def test_shell_points_match_serial_random_shell_point_calls_bitwise(generator, n, p, factors):
+    stacked, serial, frozen = (generator(11) for _ in range(3))
+    draws = iter(factors)
+    x = core._shell_points(stacked, n, p, lambda g: next(draws) * (1.0 - g.random()), len(factors))
+    assert x.shape == (len(factors), n, p)
+    for b, factor in enumerate(factors):
+        one = core.random_shell_point(serial, n, p, factor * (1.0 - serial.random()))
+        assert np.array_equal(x[b], one)
+        assert np.array_equal(x[b], frozen_shell_point(frozen, n, p, factor * (1.0 - frozen.random())))
+    assert stacked.random() == serial.random() == frozen.random()
+
+
+def test_shell_points_reject_a_negative_radius_and_a_wide_shape():
+    rng = np.random.default_rng(0)
+    radii = iter([0.5, -0.25])
+    with pytest.raises(ValueError, match="radius must be nonnegative, got -0.25"):
+        core._shell_points(rng, 5, 2, lambda g: next(radii), 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        core.random_shell_point(rng, 5, 2, -1.0)
+    with pytest.raises(DimensionError):
+        core.random_shell_point(rng, 2, 5, 0.5)

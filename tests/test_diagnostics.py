@@ -9,6 +9,14 @@ import pytest
 
 import stiefelcd.core as core
 import stiefelcd.diagnostics as diagnostics
+from stiefelcd.core import (
+    PenaltyConfig,
+    feasibility_violation,
+    ncdf_subgradient,
+    ncdf_value,
+    project_stiefel,
+    random_shell_point,
+)
 from stiefelcd.diagnostics import (
     IDENTITY_CHECKS,
     CheckReport,
@@ -233,6 +241,143 @@ def test_stationarity_suite_deterministic():
     a = run_stationarity_suite(problem, beta=50.0, seed=5, samples=60)
     b = run_stationarity_suite(problem, beta=50.0, seed=5, samples=60)
     assert a == b
+
+
+def user_quad_problem(seed=0, subgrad=None):
+    # the quadratic trace objective through unmarked 2-d callables, called once per slice
+    m = np.random.default_rng(seed).standard_normal((10, 10))
+    a = m + m.T
+    return ProblemDefinition(
+        n=10,
+        p=3,
+        phi_value=lambda x: float(-np.sum(x * (a @ x))),
+        phi_subgrad=subgrad or (lambda x, rng=None: -2.0 * (a @ x)),
+        smooth=True,
+    )
+
+
+def per_sample_gaps(problem, beta, m1, seed, samples):
+    # the violations one sample at a time through the public kernels, on the
+    # suite's streams: stationarity on stream 0, descent on stream 1
+    penalty = PenaltyConfig(beta=beta)
+    r = 0.9 * beta / (2.0 * beta + 8.0 * m1)
+    cap = min(0.5, 0.999 * beta / (16.0 * m1))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 8, 0]))
+    stationarity = []
+    for _ in range(samples):
+        x = random_shell_point(rng, problem.n, problem.p, r * (1.0 - rng.random()))
+        grad = ncdf_subgradient(problem.f_subgrad, x, penalty)
+        stationarity.append(0.25 * beta * feasibility_violation(x) - float(np.linalg.norm(grad)))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 8, 1]))
+    descent = []
+    for _ in range(samples):
+        x = random_shell_point(rng, problem.n, problem.p, cap * (1.0 - rng.random()))
+        h_x = ncdf_value(problem.f_value, x, penalty)
+        descent.append(ncdf_value(problem.f_value, project_stiefel(x).matrix, penalty) - h_x)
+    return stationarity, descent
+
+
+# 30 entries make stacks of one 10 x 3 point, and 90 stacks of three with a remainder
+@pytest.mark.parametrize(
+    "stack_entries", [diagnostics.STACK_ENTRIES, 30, 90], ids=["one-stack", "stacks-of-1", "stacks-of-3"]
+)
+@pytest.mark.parametrize("samples", [1, 7, 200])
+@pytest.mark.parametrize("make", [quad_problem, user_quad_problem], ids=["internal", "user-2d"])
+def test_stacked_gaps_equal_the_per_sample_public_kernels(monkeypatch, make, samples, stack_entries):
+    monkeypatch.setattr(diagnostics, "STACK_ENTRIES", stack_entries)
+    problem = make(seed=2)
+    m1, mt, mh = estimate_constants(problem, seed=2)
+    for beta in (max(16 * m1, 60 * mt, 16 * mh), 16 * m1 / 100):
+        stationarity, descent = per_sample_gaps(problem, beta, m1, 2, samples)
+        for index, (gaps, want) in enumerate(
+            ((diagnostics._stationarity_gaps, stationarity), (diagnostics._descent_gaps, descent))
+        ):
+            rng = np.random.default_rng(np.random.SeedSequence([2, 8, index]))
+            assert repr(gaps(problem, beta, m1, rng, samples).tolist()) == repr(want)
+        reports = {r.name: r for r in run_stationarity_suite(problem, beta, seed=2, samples=samples)}
+        assert repr(reports["stationarity_lower_bound"].max_violation) == repr(max(stationarity))
+        assert repr(reports["projection_descent"].max_violation) == repr(max(descent))
+
+
+def faulty_subgrad(bad_call, fault):
+    # the quadratic oracle, but its bad_call-th call returns fault(w) instead of w
+    m = np.random.default_rng(0).standard_normal((10, 10))
+    neg2a = -2.0 * (m + m.T)
+    calls = iter(range(1, 10**9))
+
+    def subgrad(x, rng=None):
+        w = neg2a @ x
+        return fault(w) if next(calls) == bad_call else w
+
+    return subgrad
+
+
+# estimate_constants makes 400 oracle calls at its 200 samples; call 403 is the
+# stacked stationarity check's third sample, in the identity suite and in the
+# stationarity suite alike
+@pytest.mark.parametrize(
+    "fault, kind, message",
+    [
+        (lambda w: np.where(w > 0, np.nan, w), ValueError, "subgradient contains non-finite entries"),
+        (lambda w: w[:, :2], DimensionError, "oracle output shape (10, 2) != expected shape (10, 3)"),
+    ],
+    ids=["nan", "wrong-shape"],
+)
+def test_a_faulty_sample_of_a_user_oracle_fails_its_report_with_the_error(
+    monkeypatch, fault, kind, message
+):
+    monkeypatch.setattr(
+        diagnostics,
+        "_internal_smooth_problem",
+        lambda rng: user_quad_problem(subgrad=faulty_subgrad(403, fault)),
+    )
+    reports = {r.name: r for r in run_identity_suite(seed=0, samples=7)}
+    failed = reports.pop("stationarity_lower_bound")
+    assert (failed.passed, failed.max_violation) == (False, math.inf)
+    assert failed.error == f"{kind.__name__}: {message}"
+    assert reports["projection_descent"].passed and reports["projection_descent"].error is None
+    problem = user_quad_problem(subgrad=faulty_subgrad(403, fault))
+    with pytest.raises(kind) as err:
+        run_stationarity_suite(problem, beta=100.0, seed=0, samples=7)
+    assert str(err.value) == message
+
+
+def test_a_nan_value_sample_fails_the_descent_report_without_an_error(monkeypatch):
+    base = quad_problem()
+    calls = iter(range(1, 10**9))
+
+    def phi_value(x):
+        value = float(base.phi_value(x))
+        return math.nan if next(calls) == 5 else value
+
+    problem = ProblemDefinition(
+        n=10, p=3, phi_value=phi_value, phi_subgrad=lambda x, rng=None: base.phi_subgrad(x, rng),
+        smooth=True,
+    )
+    monkeypatch.setattr(diagnostics, "_internal_smooth_problem", lambda rng: problem)
+    report = {r.name: r for r in run_identity_suite(seed=0, samples=7)}["projection_descent"]
+    assert not report.passed and math.isnan(report.max_violation) and report.error is None
+
+
+def test_the_projection_certificate_is_checked_for_every_slice(monkeypatch):
+    # nudge one slice's polar factor off the manifold: the descent check raises
+    # project_stiefel's error for that slice, though the others are feasible
+    polar, nudged = diagnostics._polar, []
+
+    def off_manifold(x):
+        q, smallest = polar(x)
+        q[min(3, len(q) - 1)] *= 1.0 + 1e-9
+        nudged.append(q[min(3, len(q) - 1)])
+        return q, smallest
+
+    monkeypatch.setattr(diagnostics, "_polar", off_manifold)
+    reports = {r.name: r for r in run_identity_suite(seed=0, samples=7)}
+    with pytest.raises(ValueError) as err:
+        core.StiefelPoint(nudged[0])
+    failed = reports["projection_descent"]
+    assert (failed.passed, failed.max_violation) == (False, math.inf)
+    assert failed.error == f"ValueError: {err.value}"
+    assert str(err.value).startswith("point is not feasible")
 
 
 # ---------------------------------------------------------------------------

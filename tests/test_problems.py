@@ -3,6 +3,7 @@ import pytest
 
 from stiefelcd import problems
 from stiefelcd.core import random_stiefel
+from stiefelcd.errors import DimensionError
 
 
 def fd_gradient(f, x, t=1e-6):
@@ -342,6 +343,57 @@ def test_estimate_constants_rejects_non_finite_oracle(bad):
     )
     with pytest.raises(ValueError, match="non-finite"):
         problems.estimate_constants(prob, samples=20, seed=0)
+
+
+def frozen_estimate_constants(problem, samples=200, seed=0):
+    # the serial loop through the public kernels, as estimate_constants ran it
+    # before it shared one Gram state between the map and the Jacobian
+    from stiefelcd.core import apply_A, jacobian_apply, random_shell_point
+
+    rng = np.random.default_rng(seed)
+    m1 = mt = mh = 0.0
+    for _ in range(samples):
+        radius = 1.0 - rng.random()
+        x = random_shell_point(rng, problem.n, problem.p, radius)
+        w_img = problem.f_subgrad(apply_A(x), rng)
+        img = float(np.linalg.norm(w_img))
+        raw = float(np.linalg.norm(problem.f_subgrad(x, rng)))
+        m1, mh = max(m1, img), max(mh, raw)
+        if img > 0:
+            mt = max(mt, float(np.linalg.norm(jacobian_apply(x, w_img))))
+    return 1.5 * m1, 1.5 * mt, 1.5 * mh
+
+
+CLI_PROBLEMS = {
+    "quadratic_trace": {"kind": "quadratic_trace", "n": 8, "p": 3, "seed": 1},
+    "sparse_pca": {"kind": "sparse_pca", "n": 20, "p": 3, "seed": 2, "gamma": 0.1},
+    "l1_pca": {"kind": "l1_pca", "rows": 30, "n": 12, "p": 3, "seed": 3},
+    "orthogonal_mlp": {"kind": "orthogonal_mlp", "widths": [8, 3, 2], "n_samples": 40, "seed": 5},
+}
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["plain", "noisy"])
+@pytest.mark.parametrize("kind", sorted(CLI_PROBLEMS))
+def test_estimate_constants_match_the_frozen_serial_loop(kind, noisy):
+    from stiefelcd.cli import build_problem
+
+    conf = dict(CLI_PROBLEMS[kind], **({"noise": {"sigma": 0.05, "bound": 0.1}} if noisy else {}))
+    problem = build_problem(conf)
+    for samples, seed in ((200, 0), (30, 7)):
+        got = problems.estimate_constants(problem, samples=samples, seed=seed)
+        assert repr(got) == repr(frozen_estimate_constants(problem, samples, seed))
+
+
+@pytest.mark.parametrize(
+    "output", [lambda w: w[:, :1], lambda w: w.ravel()], ids=["narrow", "flat"]
+)
+def test_estimate_constants_rejects_a_wrong_shaped_oracle_output(output):
+    prob = problems.make_quadratic_trace(np.diag([4.0, 2.0, 1.0]), p=2)
+    bad = problems.ProblemDefinition(
+        n=3, p=2, phi_value=prob.phi_value, phi_subgrad=lambda x, rng: output(prob.phi_subgrad(x, rng))
+    )
+    with pytest.raises(DimensionError, match=r"oracle output shape \(\d"):
+        problems.estimate_constants(bad, samples=5, seed=0)
 
 
 def test_estimate_constants_validates_samples():

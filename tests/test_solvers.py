@@ -196,6 +196,37 @@ def test_non_finite_config_numbers_are_rejected_naming_their_field(build, name):
         build()
 
 
+# max_iters = 5.5 or inf failed with a bare TypeError inside StepSchedule.steps,
+# seed = 1.5 and trace_stride = 2.5 ran silently, and epoch_len = 2.5 decayed at
+# fractional epochs
+INTEGER_FIELDS = {
+    "max_iters": lambda value: SolverConfig(max_iters=value),
+    "seed": lambda value: SolverConfig(seed=value),
+    "trace_stride": lambda value: SolverConfig(trace_stride=value),
+    "epoch_len": lambda value: StepSchedule(epoch_len=value),
+}
+
+
+@pytest.mark.parametrize("name", list(INTEGER_FIELDS))
+def test_integer_config_fields_reject_non_integers_naming_their_field(name):
+    build = INTEGER_FIELDS[name]
+    for bad in (5.5, 2.0, INF, NAN, True, "3", np.float64(4.0)):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got "):
+            build(bad)
+    for good in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        assert getattr(build(good), name) == 3
+
+
+def test_grid_budget_epochs_rejects_non_integers_naming_it():
+    # a float budget made max_iters a float, which failed with a bare TypeError
+    problem = make_quadratic_trace(np.diag([3.0, 2.0, 1.0]), 1)
+    cfg = SolverConfig(beta=1.0, schedule=StepSchedule(kind="constant", eta0=0.1))
+    for bad in (2.0, 2.5):
+        with pytest.raises(ConfigurationError, match="^budget_epochs must be an integer, got "):
+            run_step_grid(problem, cfg, bad, "ncdf_sgd")
+    assert len(run_step_grid(problem, cfg, np.int64(2), "ncdf_sgd")) == len(grid_candidates())
+
+
 # ---------------------------------------------------------------------------
 # single steps, frozen scalar values
 

@@ -16,7 +16,9 @@ noise at iteration k is reproducible bitwise and independent of the run's
 history.  The generator is built on the first draw, so deterministic
 oracles skip its set-up.  Stationarity (the trace's stat column, the
 stopping rule and stationarity_estimate) calls the oracle without a
-generator, which the oracle contract makes exact.
+generator, which the oracle contract makes exact; one routine,
+_stationarity, takes its norm.  A non-finite output ends a run, and
+stationarity_estimate returns nan for it.
 
 One driver, _lockstep, advances a stacked (B, n, p) iterate: a single
 run is a stack of one, and the step-size grid stacks its candidates, so
@@ -56,7 +58,6 @@ from .core import (
     apply_A,
     feasibility_violation,
     project_stiefel,
-    project_tangent,
     random_stiefel,
     validate_matrix,
 )
@@ -67,11 +68,6 @@ SCHEDULE_KINDS = ("harmonic_decay", "constant", "custom")
 
 # iterates whose Gram residual passes this are treated as runaways
 DIVERGENCE_FEAS_LIMIT = 10.0
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    """Generator seeded by SeedSequence([seed, *key]); default_initial_point draws from it."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -268,8 +264,9 @@ class SolverResult:
 
 
 def default_initial_point(problem: ProblemDefinition, seed: int) -> np.ndarray:
-    """Seeded Gaussian matrix pushed onto the manifold by polar projection."""
-    return random_stiefel(_rng(seed, 1), problem.n, problem.p)
+    """Gaussian matrix from SeedSequence([seed, 1]) pushed onto the manifold by polar projection."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
+    return random_stiefel(rng, problem.n, problem.p)
 
 
 def subgradient_step(x, d, eta: float, beta: float) -> np.ndarray:
@@ -313,7 +310,7 @@ def stationarity_estimate(problem: ProblemDefinition, point) -> float:
 
     Uses the single exact element that the problem's oracle returns when
     called without a generator, so for composite objectives this is an
-    upper estimate tied to that selection.
+    upper estimate tied to that selection; nan if that element is not finite.
     """
     if isinstance(point, StiefelPoint):
         x = point.matrix
@@ -321,18 +318,24 @@ def stationarity_estimate(problem: ProblemDefinition, point) -> float:
         x = validate_matrix(point, "point")
         if feasibility_violation(x) > 1e-8:
             raise ValueError("stationarity estimate requires a feasible point")
-    w = problem.f_subgrad(x)
-    with np.errstate(over="ignore"):  # _norm rescales; _lockstep silences it once per run
-        return _norm(project_tangent(x, w))
+    w = np.ascontiguousarray(_shaped(problem.f_subgrad(x), x.shape))  # F order rounds otherwise
+    norm, finite = _stationarity(x[None], w[None])
+    return float(norm[0]) if finite[0] else math.nan
 
 
-def _norm(w) -> float:
-    """Frobenius norm of w; rescaled by max |w_ij| only where the plain norm overflows."""
-    nrm = float(np.linalg.norm(w))
-    if nrm == math.inf and np.isfinite(w).all():
-        m = float(np.max(np.abs(w)))
-        nrm = m * float(np.linalg.norm(w / m))
-    return nrm
+def _stationarity(x, w):
+    """(||W - X sym(X'W)||_F of each slice of a stack, whether each slice of w is finite).
+
+    Each norm is bitwise its slice's 2-d _tangent and _fro, rescaled by its largest
+    entry only where the tangent slice is finite and its plain norm overflows.
+    """
+    t = _tangent(x, w)
+    norms = _fro(t)
+    for i in np.flatnonzero(norms == math.inf):
+        if np.isfinite(t[i]).all():
+            m = np.max(np.abs(t[i]))
+            norms[i] = m * _fro(t[i] / m)
+    return norms, np.isfinite(w).all(axis=(-2, -1))
 
 
 def _check_algorithm1_safeguards(problem: ProblemDefinition, cfg: SolverConfig, biggest: float):
@@ -523,7 +526,7 @@ class _TraceQueue:
     add() copies iterate k of a run, and its mapped point for a trace row,
     into the block; flush() evaluates it when it is full, at the stopping
     rule and (through end()) before any run's outcome is set.  A block takes
-    one _polar, one exact oracle call, one _tangent/_fro and one f_values
+    one _polar, one exact oracle call, one _stationarity and one f_values
     call each for h and f, each row bitwise its 2-d calls.  The rows are then
     appended in order, and stat[run] keeps each run's last stationarity.  A
     non-finite stationarity oracle output, or a DivergenceError of the row's
@@ -562,11 +565,7 @@ class _TraceQueue:
         proj, ended, stat = _polar(x)[0], {}, {}  # ended: the error that ends a row's run there
         live, w = _serve(lambda i: self.problem.f_subgrad(proj[i]), range(len(rows)), ended)
         if live:
-            t = _tangent(proj[live], _shaped(w, (len(live), *x.shape[1:])))
-            norms = _fro(t)
-            for i in np.flatnonzero(norms == math.inf):
-                norms[i] = _norm(t[i])  # rescaled where the plain norm overflows
-            finite = np.isfinite(w).all(axis=(-2, -1))
+            norms, finite = _stationarity(proj[live], _shaped(w, (len(live), *x.shape[1:])))
             stat = {j: value for j, value, ok in zip(live, norms.tolist(), finite) if ok}
         traced = [j for j in stat if rows[j][4]]
         h = dict(zip(*_serve(lambda i: self.problem.f_values(mapped[i]), traced, ended)))

@@ -286,6 +286,34 @@ def test_run_diverged_to_a_huge_iterate_prints_only_its_error_line(tmp_path):
     assert json.loads(done.stdout)["final_feasibility"] is None
 
 
+def test_run_with_an_overflowing_exact_subgradient_exits_2_with_a_null_stationarity(tmp_path):
+    # every entry of the L1-PCA data is 1e308, so the exact subgradient at iterate 0
+    # overflows: the trace's stationarity ends the run, the summary writes the shared
+    # routine's nan as null, and stderr holds the error line alone in a fresh process
+    import os
+    import subprocess
+    import sys
+
+    data = tmp_path / "huge.csv"
+    data.write_text("\n".join(",".join(["1e308"] * 3) for _ in range(4)) + "\n")
+    cfg = {
+        "problem": {"kind": "l1_pca", "data_path": str(data), "p": 1},
+        "solver": {"algorithm": "ncdf_sgd", "max_iters": 5},
+    }
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "stiefelcd.cli", "run", write_config(tmp_path, cfg)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 2
+    expected = "run diverged: stationarity oracle produced non-finite entries at iteration 0\n"
+    assert done.stderr == expected
+    summary = json.loads(done.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert summary["stationarity"] is None
+    assert (summary["termination"], summary["iterations"]) == ("divergence_guard", 0)
+
+
 def test_run_summary_writes_non_finite_values_as_null(tmp_path, capsys):
     from dataclasses import replace
 

@@ -1,6 +1,7 @@
 """Solver loop tests: frozen single-step values, determinism, guards, grids."""
 
 import functools
+import math
 import re
 from dataclasses import replace
 from unittest import mock
@@ -256,6 +257,15 @@ def test_subgradient_step_validation():
         subgradient_step(x, x, -0.1, 1.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_public_steps_raise_divergence():
+    x, d = np.eye(4, 2), np.full((4, 2), 1e300)
+    with pytest.raises(DivergenceError, match="^subgradient step produced non-finite entries$"):
+        subgradient_step(x, d, 1e300, 1.0)
+    with pytest.raises(DivergenceError, match="^proximal step produced non-finite entries$"):
+        prox_subgradient_step(x, d, 1e300)
+
+
 def test_subgradient_step_zero_step_is_identity():
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.5, 1.5, size=(5, 3))
@@ -328,6 +338,50 @@ def test_stationarity_estimate_rejects_infeasible():
     problem = quadratic_problem()
     with pytest.raises(ValueError):
         stationarity_estimate(problem, np.full((8, 3), 0.9))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stationarity_estimate_is_nan_where_the_exact_subgradient_is_not_finite(bad):
+    x = np.eye(4, 2)
+    w = 2.0 * x
+    w[1, 0] = bad
+    problem = problem_with_oracle(lambda x, rng: w)
+    assert np.isnan(stationarity_estimate(problem, x))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stationarity_estimate_equals_the_trace_stat_bitwise_across_a_stack():
+    # one slice's exact output is ~1e200, so its plain sum of squares overflows and is
+    # rescaled; one slice's is nan, which ends its run and makes the estimate nan
+    cfg = SolverConfig(schedule=StepSchedule(kind="constant", eta0=0.01), max_iters=1)
+    seeds = [3, 8, 21]
+    points = [
+        project_stiefel(default_initial_point(problem_with_oracle(None), s)).matrix
+        for s in seeds
+    ]
+
+    def oracle(x, rng):
+        if rng is None and np.allclose(x, points[0], rtol=0.0, atol=1e-12):
+            return 1e200 * (x + 1.0)
+        if rng is None and np.allclose(x, points[2], rtol=0.0, atol=1e-12):
+            return np.full(x.shape, np.nan)
+        return 2.0 * x + 1.0
+
+    problem = problem_with_oracle(oracle)
+    x = np.stack([default_initial_point(problem, s) for s in seeds])
+    steps = [[0.01], [0.01], [0.01]]
+    big, clean, ended = solvers._lockstep(
+        problem, solvers._METHODS["ncdf_sgd"], cfg, seeds, steps, x
+    )
+    assert 1e199 < big.trace.stat[0] < math.inf
+    assert big.trace.stat[0] == stationarity_estimate(problem, points[0])
+    assert clean.trace.stat[0] == stationarity_estimate(problem, points[1])
+    err, _, k, trace = ended
+    assert (str(err), k, len(trace)) == (
+        "stationarity oracle produced non-finite entries at iteration 0", 0, 0
+    )
+    assert np.isnan(stationarity_estimate(problem, points[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +813,32 @@ def test_grid_propagates_oracle_dimension_error(algorithm):
 
     with pytest.raises(DimensionError, match="shape"):
         run_step_grid(problem_with_oracle(oracle), cfg, budget_epochs=5, algorithm=algorithm)
+
+
+@pytest.mark.parametrize("algorithm", ["ncdf_sgd", "ncdf_proxsgd", "rsgd_baseline"])
+def test_grid_divergence_at_one_candidates_stationarity_point_scores_only_it_inf(algorithm):
+    cfg = SolverConfig(schedule=StepSchedule(kind="constant"), max_iters=5, trace_stride=5)
+    # the fourth candidate's starting point, as run_step_grid seeds it
+    seed = int(np.random.SeedSequence([cfg.seed, 1003]).generate_state(1)[0])
+    x3 = default_initial_point(problem_with_oracle(None), seed)
+
+    def oracle(x, rng):
+        # only the fourth candidate's trace estimate at k = 0, at the polar factor of x3
+        if rng is None and np.allclose(x, x3, rtol=0.0, atol=1e-12):
+            raise DivergenceError("refused the stationarity point")
+        assert x.ndim == 2
+        return 2.0 * x
+
+    clean = run_step_grid(problem_with_oracle(lambda x, rng: 2.0 * x), cfg, 5, algorithm)
+    rows = run_step_grid(problem_with_oracle(oracle), cfg, 5, algorithm)
+    assert rows[3][1] == float("inf")
+    assert rows[:3] + rows[4:] == clean[:3] + clean[4:]
+    assert all(math.isfinite(value) for _, value in clean)
+    single = replace(cfg, seed=seed, schedule=StepSchedule(kind="constant", eta0=rows[3][0]))
+    with pytest.raises(DivergenceError, match="^refused the stationarity point$") as excinfo:
+        RUNNERS[algorithm](problem_with_oracle(oracle), single)
+    assert excinfo.value.result.iterations == 0
+    assert len(excinfo.value.result.trace) == 0
 
 
 def test_grid_traces_only_iteration_0():
@@ -1289,6 +1369,27 @@ def test_non_finite_step_names_its_iteration(algorithm, label):
     with pytest.raises(DivergenceError, match=message) as excinfo:
         RUNNERS[algorithm](poisoned(small_sparse_pca(), cfg.seed, 13, np.nan), cfg)
     assert excinfo.value.result.iterations == 13
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_other_step_oracle_error_propagates_as_raised_after_the_queued_rows(algorithm):
+    # the trace rows of iterations 0 and 2 are queued, and clean, when step 3's oracle raises
+    cfg = SolverConfig(
+        schedule=StepSchedule(kind="constant", eta0=0.01), max_iters=10, trace_stride=2, seed=5
+    )
+    mark = solvers._keyed_rng(cfg.seed, 3).random()
+    raised = []
+
+    def oracle(x, rng):
+        if rng is not None and rng.random() == mark:
+            raised.append(KeyError("step 3"))
+            raise raised[-1]
+        return 2.0 * x
+
+    with pytest.raises(KeyError) as excinfo:
+        RUNNERS[algorithm](problem_with_oracle(oracle), cfg, x0=np.eye(4, 2))
+    assert excinfo.value is raised[0]
+    assert excinfo.value.__context__ is None
 
 
 @pytest.mark.parametrize("algorithm", sorted(RUNNERS))

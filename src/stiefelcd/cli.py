@@ -38,11 +38,8 @@ from functools import partial
 
 import numpy as np
 
-# cmd_verify calls _stationarity_reports to reuse its m1; run_stationarity_suite
-# stays importable here because bench/tracing.py wraps cli.run_stationarity_suite
-from .diagnostics import (  # noqa: F401
+from .diagnostics import (
     _internal_smooth_problem,
-    _stationarity_reports,
     format_reports,
     run_identity_suite,
     run_stationarity_suite,
@@ -417,9 +414,7 @@ def cmd_verify(args) -> int:
     problem = _internal_smooth_problem(np.random.default_rng(args.seed))
     m1, mt, mh = estimate_constants(problem, seed=args.seed)
     beta = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
-    # run_identity_suite has checked samples and the internal problem is smooth, so
-    # skip run_stationarity_suite's checks and its second estimate of the same m1
-    reports += _stationarity_reports(problem, beta, m1, args.seed, min(args.samples, 500))
+    reports += run_stationarity_suite(problem, beta, seed=args.seed, samples=min(args.samples, 500))
     print(format_reports(reports))
     failing = [r.name for r in reports if not r.passed]
     if failing:

@@ -42,7 +42,13 @@ from .core import (
     sym,
 )
 from .errors import ConfigurationError, DimensionError
-from .problems import ProblemDefinition, estimate_constants, make_quadratic_trace
+from .problems import (
+    STACK_ENTRIES,
+    ProblemDefinition,
+    _integer,
+    estimate_constants,
+    make_quadratic_trace,
+)
 
 
 @dataclass(frozen=True)
@@ -219,11 +225,6 @@ def _internal_smooth_problem(rng):
     return make_quadratic_trace(m + m.T, 3)
 
 
-# entries per (B, n, p) array of the stacked checks: a whole suite of small
-# points in one stack, and a few MiB at a time for large ones
-STACK_ENTRIES = 1 << 19
-
-
 def _stacked(gaps, problem, beta, m1, rng, samples):
     """Worst of the violations gaps(problem, beta, m1, rng, B) returns for stacks of B points.
 
@@ -294,8 +295,8 @@ def run_identity_suite(seed=0, samples=1000, tol_scale=1.0):
     tolerance (for reduced-precision builds); reports come back in name
     order.
     """
-    if samples < 1:
-        raise ConfigurationError(f"samples must be >= 1, got {samples}")
+    _integer("samples", samples, 1)
+    _integer("seed", seed, 0)
     if not 0 < tol_scale < math.inf:
         raise ConfigurationError(f"tol_scale must be positive and finite, got {tol_scale}")
     reports = []
@@ -325,16 +326,11 @@ def run_stationarity_suite(problem: ProblemDefinition, beta: float, seed=0, samp
             "stationarity suite needs a smooth problem; the bound is not "
             "checkable through one element of a subdifferential"
         )
-    if samples < 1:
-        raise ConfigurationError(f"samples must be >= 1, got {samples}")
+    _integer("samples", samples, 1)
+    _integer("seed", seed, 0)
     if not beta > 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
     m1 = estimate_constants(problem, seed=seed)[0]
-    return _stationarity_reports(problem, beta, m1, seed, samples)
-
-
-def _stationarity_reports(problem, beta, m1, seed, samples):
-    """run_stationarity_suite on checked arguments, given the safeguard constant m1."""
     suite = (
         ("stationarity_lower_bound", 0.0, _stationarity_gaps),
         ("projection_descent", 1e-10, _descent_gaps),

@@ -22,10 +22,22 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import _jacobian, _map, _state, random_shell_point
-from .errors import DimensionError, DivergenceError
+from .core import _fro, _jacobian, _map, _shell_points, _state, random_shell_point
+from .errors import ConfigurationError, DimensionError, DivergenceError
 
 SubgradOracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
+
+# entries per (B, n, p) array of a stacked sample: a whole sample of small
+# points in one stack, and a few MiB at a time for large ones
+STACK_ENTRIES = 1 << 19
+
+
+def _integer(name: str, value, least=None) -> None:
+    """Raise ConfigurationError naming the field unless value is a non-bool integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigurationError(f"{name} must be >= {least}, got {value}")
 
 
 def _stacks(fn):
@@ -116,6 +128,8 @@ class ProblemDefinition:
     phi_subgrad(x, rng) draws any noise from rng; with rng None it is exact.
     On a (B, n, p) stack it gets a one-pass iterable of row rngs, or None.
     A callable not marked _stacks is wrapped to be called once per slice.
+    smooth promises a differentiable f whose oracle is exact: it draws
+    nothing from rng, so its output does not depend on the generator.
     """
 
     n: int
@@ -419,12 +433,33 @@ def estimate_constants(problem: ProblemDefinition, samples: int = 200, seed: int
     subgradient norms at X itself.  Sampled maxima are lower bounds of
     the true suprema and are inflated by 1.5 before being returned.
     A noisy problem is sampled with its noise, because the bounds cover
-    the directions that the solvers actually step along.
+    the directions that the solvers actually step along, one point at a
+    time.  A smooth problem's exact oracle draws nothing from the generator,
+    so its points are drawn and evaluated in stacks of at most STACK_ENTRIES
+    entries, each maximum bitwise that of the one-at-a-time loop.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    _integer("samples", samples, 1)
+    _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     m1 = mt = mh = 0.0
+    if problem.smooth:
+        chunk = max(1, STACK_ENTRIES // (problem.n * problem.p))
+        for lo in range(0, samples, chunk):
+            size = min(chunk, samples - lo)
+            x = _shell_points(rng, problem.n, problem.p, lambda g: 1.0 - g.random(), size)
+            resid, poly = _state(x)
+            try:
+                w_img = _shaped(problem.f_subgrad(_map(x, poly)), x.shape)
+                img, raw = _fro(w_img), _fro(_shaped(problem.f_subgrad(x), x.shape))
+            except _SliceErrors as err:  # the loop would raise the first failing slice's error
+                raise next(iter(err.errors.values())) from None
+            if not np.isfinite(img + raw).all():
+                raise ValueError(
+                    "subgradient oracle returned non-finite entries at a sampled point"
+                )
+            jac = _fro(_jacobian(x, np.ascontiguousarray(w_img), resid, poly))[img > 0]
+            m1, mh, mt = max(m1, *img.tolist()), max(mh, *raw.tolist()), max([mt, *jac.tolist()])
+        return 1.5 * m1, 1.5 * mt, 1.5 * mh
     for _ in range(samples):  # serial: a noisy oracle draws from rng between the samples
         x = random_shell_point(rng, problem.n, problem.p, 1.0 - rng.random())  # radius in (0, 1]
         resid, poly = _state(x)

@@ -62,7 +62,7 @@ from .core import (
     validate_matrix,
 )
 from .errors import ConfigurationError, DivergenceError, SafeguardViolationError
-from .problems import ProblemDefinition, _pinned, _shaped
+from .problems import ProblemDefinition, _integer, _pinned, _shaped
 
 SCHEDULE_KINDS = ("harmonic_decay", "constant", "custom")
 
@@ -119,12 +119,6 @@ def _finite(name: str, value) -> None:
     """Raise ConfigurationError naming the field unless value, a number or a tuple, is finite."""
     if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
         raise ConfigurationError(f"{name} must be finite, got {value}")
-
-
-def _integer(name: str, value) -> None:
-    """Raise ConfigurationError naming the field unless value is an int or a numpy integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -497,6 +497,11 @@ def test_verify_rejects_bad_samples(capsys):
     assert main(["verify", "--samples", "0"]) == 3
 
 
+def test_verify_rejects_a_negative_seed_naming_it(capsys):
+    assert main(["verify", "--seed", "-1", "--samples", "1"]) == 3
+    assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -1\n"
+
+
 def test_verify_rejects_non_finite_tol_scale(capsys):
     assert main(["verify", "--samples", "1", "--tol-scale", "inf"]) == 3
     assert "tol_scale must be positive and finite" in capsys.readouterr().err

@@ -90,6 +90,42 @@ def test_identity_suite_validation():
         run_identity_suite(samples=10, tol_scale=0.0)
 
 
+# a float count used to be truncated (2.5 ran 2 samples, True ran 1) or to raise a
+# bare TypeError, and a negative seed raised numpy's error naming no argument
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda **kw: run_identity_suite(**kw),
+        lambda **kw: run_stationarity_suite(quad_problem(), beta=50.0, **kw),
+        lambda **kw: estimate_constants(quad_problem(), **kw),
+    ],
+    ids=["identity", "stationarity", "estimate"],
+)
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        ({"samples": 2.5}, "samples must be an integer, got 2.5"),
+        ({"samples": True}, "samples must be an integer, got True"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+        ({"seed": False}, "seed must be an integer, got False"),
+    ],
+    ids=["float-samples", "bool-samples", "negative-seed", "float-seed", "bool-seed"],
+)
+def test_diagnostics_reject_a_bad_sample_count_or_seed_naming_it(run, given, message):
+    with pytest.raises(ConfigurationError) as err:
+        run(**given)
+    assert str(err.value) == message
+
+
+def test_diagnostics_take_numpy_integer_counts_and_seeds():
+    problem = quad_problem()
+    assert estimate_constants(problem, samples=np.int64(9), seed=np.uint32(4)) == estimate_constants(
+        problem, samples=9, seed=4
+    )
+    assert run_identity_suite(seed=np.int16(2), samples=np.int64(2)) == run_identity_suite(seed=2, samples=2)
+
+
 @pytest.mark.parametrize("tol_scale", [math.nan, math.inf])
 def test_identity_suite_rejects_non_finite_tol_scale(tol_scale):
     # a nan scale failed every check and an infinite one passed every check

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelcd import problems
 from stiefelcd.core import random_stiefel
-from stiefelcd.errors import DimensionError
+from stiefelcd.errors import DimensionError, DivergenceError
 
 
 def fd_gradient(f, x, t=1e-6):
@@ -335,11 +339,20 @@ def test_estimate_constants_are_inflated_lower_bounds():
     assert (m1, mt, mh) == problems.estimate_constants(prob, samples=100, seed=1)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_estimate_constants_rejects_non_finite_oracle(bad):
+# a smooth problem's points are sampled on stacks, any other one point at a time
+@pytest.mark.parametrize(
+    "bad, smooth",
+    [
+        pytest.param(bad, smooth, id=name + ("-stacked" if smooth else ""))
+        for smooth in (False, True)
+        for name, bad in (("nan", np.nan), ("inf", np.inf))
+    ],
+)
+def test_estimate_constants_rejects_non_finite_oracle(bad, smooth):
     # max() drops nan, so an all-nan oracle used to give zero bounds
     prob = problems.ProblemDefinition(
-        n=4, p=2, phi_value=lambda x: 0.0, phi_subgrad=lambda x, rng: np.full((4, 2), bad)
+        n=4, p=2, phi_value=lambda x: 0.0, phi_subgrad=lambda x, rng: np.full((4, 2), bad),
+        smooth=smooth,
     )
     with pytest.raises(ValueError, match="non-finite"):
         problems.estimate_constants(prob, samples=20, seed=0)
@@ -385,15 +398,107 @@ def test_estimate_constants_match_the_frozen_serial_loop(kind, noisy):
 
 
 @pytest.mark.parametrize(
-    "output", [lambda w: w[:, :1], lambda w: w.ravel()], ids=["narrow", "flat"]
+    "output, smooth",
+    [
+        pytest.param(output, smooth, id=name + ("-stacked" if smooth else ""))
+        for smooth in (False, True)
+        for name, output in (("narrow", lambda w: w[:, :1]), ("flat", lambda w: w.ravel()))
+    ],
 )
-def test_estimate_constants_rejects_a_wrong_shaped_oracle_output(output):
+def test_estimate_constants_rejects_a_wrong_shaped_oracle_output(output, smooth):
     prob = problems.make_quadratic_trace(np.diag([4.0, 2.0, 1.0]), p=2)
     bad = problems.ProblemDefinition(
-        n=3, p=2, phi_value=prob.phi_value, phi_subgrad=lambda x, rng: output(prob.phi_subgrad(x, rng))
+        n=3, p=2, phi_value=prob.phi_value, phi_subgrad=lambda x, rng: output(prob.phi_subgrad(x, rng)),
+        smooth=smooth,
     )
     with pytest.raises(DimensionError, match=r"oracle output shape \(\d"):
         problems.estimate_constants(bad, samples=5, seed=0)
+
+
+def user_quadratic(a, p):
+    # the quadratic trace objective through unmarked 2-d callables with C-ordered output
+    return problems.ProblemDefinition(
+        n=a.shape[0], p=p, phi_value=lambda x: float(-np.sum(x * (a @ x))),
+        phi_subgrad=lambda x, rng: -2.0 * (a @ x), smooth=True,
+    )
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    dims=st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    data_seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    user=st.booleans(),
+    stack_entries=st.sampled_from([problems.STACK_ENTRIES, 1, 7, 60]),
+)
+def test_smooth_estimates_on_stacks_match_the_frozen_serial_loop(
+    dims, data_seed, samples, seed, user, stack_entries
+):
+    # a small STACK_ENTRIES spreads the samples over many stacks, down to stacks of one
+    n, p = dims
+    m = np.random.default_rng(data_seed).standard_normal((n, n))
+    problem = user_quadratic(m + m.T, p) if user else problems.make_quadratic_trace(m + m.T, p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(problems, "STACK_ENTRIES", stack_entries)
+        got = problems.estimate_constants(problem, samples=samples, seed=seed)
+    assert repr(got) == repr(frozen_estimate_constants(problem, samples, seed))
+
+
+def counted(subgrad, calls):
+    # subgrad marked as stacking, recording each call's leading shape and generator
+    @problems._stacks
+    def oracle(x, rng):
+        calls.append((np.shape(x)[:-2], rng))
+        return subgrad(x, rng)
+
+    return oracle
+
+
+def test_a_smooth_estimate_calls_its_oracle_twice_per_stack_and_a_noisy_one_per_point():
+    base = problems.make_quadratic_trace(np.diag([4.0, 2.0, 1.0, 0.5]), p=2)
+    smooth_calls, noisy_calls = [], []
+    smooth = replace(base, phi_subgrad=counted(base.phi_subgrad, smooth_calls))
+    noisy = problems.attach_noise(
+        replace(base, phi_subgrad=counted(base.phi_subgrad, noisy_calls)),
+        problems.NoiseModel(sigma=0.05),
+    )
+    assert smooth.smooth and not noisy.smooth
+    problems.estimate_constants(smooth, samples=200, seed=1)
+    problems.estimate_constants(noisy, samples=200, seed=1)
+    assert smooth_calls == [((200,), None)] * 2
+    assert len(noisy_calls) == 400
+    assert all(shape == () and isinstance(rng, np.random.Generator) for shape, rng in noisy_calls)
+
+
+@pytest.mark.parametrize("error", [DivergenceError, ValueError, DimensionError])
+@pytest.mark.parametrize("call", [0, 1, 20, 61], ids=["map-0", "raw-0", "map-10", "raw-30"])
+def test_a_smooth_oracle_failing_at_one_sample_raises_the_serial_loops_error(call, error):
+    # the failing call is keyed by its point, so the stacks meet it at the same
+    # sample as the serial loop; a DivergenceError must not arrive as _SliceErrors
+    a = np.diag([3.0, 2.0, 1.0, 0.5, 0.25])
+    points = []
+    recording = problems.ProblemDefinition(
+        n=5, p=2, phi_value=lambda x: 0.0,
+        phi_subgrad=lambda x, rng: points.append(x.copy()) or -2.0 * (a @ x),
+    )
+    problems.estimate_constants(recording, samples=40, seed=3)
+    bad = points[call]
+
+    def subgrad(x, rng):
+        if np.array_equal(x, bad):
+            raise error(f"oracle failed at call {call}")
+        return -2.0 * (a @ x)
+
+    raised = []
+    for smooth in (False, True):
+        problem = problems.ProblemDefinition(
+            n=5, p=2, phi_value=lambda x: 0.0, phi_subgrad=subgrad, smooth=smooth
+        )
+        with pytest.raises(error) as err:
+            problems.estimate_constants(problem, samples=40, seed=3)
+        raised.append((type(err.value), str(err.value)))
+    assert raised[0] == raised[1] == (error, f"oracle failed at call {call}")
 
 
 def test_estimate_constants_validates_samples():

@@ -58,7 +58,7 @@ from .problems import (
     spiked_covariance,
     synthetic_mlp_dataset,
 )
-from .core import feasibility_violation
+from .core import feasibility_violation, sym
 from .solvers import (
     ALGORITHM_RUNNERS,
     SolverConfig,
@@ -185,10 +185,6 @@ def _get_num_list(sec, key, path, default=None, length=None, missing=None, **num
     return [_get_num(entries, i, f"{path}.{key}", required=True, **num) for i in entries]
 
 
-def _symmetric_part(m):
-    return 0.5 * (m + m.T)
-
-
 _COUNT = partial(_get_num, required=True, minimum=1, integer=True)
 _SEED = partial(_get_num, default=0, minimum=0, integer=True)
 _TOP = partial(_get_num_list, default=(10.0, 8.0, 6.0, 4.0, 2.0), minimum=0.0)
@@ -202,7 +198,7 @@ _KINDS = {
     "quadratic_trace": (
         {"p": _COUNT},
         {"n": _COUNT, "seed": _SEED, "scale": partial(_get_num, default=1.0)},
-        lambda k: _symmetric_part(gaussian_matrix(k["n"], k["n"], k["seed"], k["scale"])),
+        lambda k: sym(gaussian_matrix(k["n"], k["n"], k["seed"], k["scale"])),
         lambda data, k: make_quadratic_trace(data, k["p"]),
     ),
     "sparse_pca": (
@@ -337,18 +333,6 @@ def write_trace_csv(path, trace):
         rows.append(",".join([str(k), *(_fmt(col[i]) for col in columns)]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
-
-
-def read_trace_csv(path):
-    """Trace CSV back as a dict of numpy arrays keyed by column name."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ConfigurationError(f"{path}: unexpected trace header {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        data = data.reshape(0, 6)
-    return {name: data[:, j] for j, name in enumerate(TRACE_HEADER.split(","))}
 
 
 def _summarize(problem, result, seconds: float) -> dict:

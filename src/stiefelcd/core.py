@@ -33,6 +33,7 @@ fixed-shape samples that way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -394,8 +395,7 @@ def _shell_points(rng, n: int, p: int, radius_of, samples: int) -> np.ndarray:
     if n < p or p < 1:
         raise DimensionError(f"need n >= p >= 1, got ({n}, {p})")
     radii, zero = [], []
-    g = np.empty((samples, n, p))
-    s = np.empty((samples, p, p))
+    g, s = np.empty((samples, n, p)), np.zeros((samples, p, p))
     for i in range(samples):
         radius = radius_of(rng)
         if radius < 0:
@@ -403,7 +403,6 @@ def _shell_points(rng, n: int, p: int, radius_of, samples: int) -> np.ndarray:
         radii.append(radius)
         rng.standard_normal(out=g[i])
         if radius == 0:
-            s[i] = 0.0
             zero.append(i)
         else:
             rng.standard_normal(out=s[i])
@@ -427,7 +426,19 @@ def random_shell_point(rng: np.random.Generator, n: int, p: int, radius: float) 
     Construction: X = Q (I + Delta)^{1/2} for a feasible Q and a random
     symmetric Delta scaled to Frobenius norm radius, so that
     X'X - I = Delta exactly.  Requires radius < 1 in spectral norm for the
-    square root to exist; radius <= 1 in Frobenius norm suffices.  This is
-    the stack of one of _shell_points, which builds many at once.
+    square root to exist; radius <= 1 in Frobenius norm suffices.  Its
+    draws and result are bitwise those of _shell_points, which builds many
+    at once.
     """
-    return _shell_points(rng, n, p, lambda _: radius, 1)[0]
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
+    q = random_stiefel(rng, n, p)
+    if radius == 0:
+        return q
+    s = rng.standard_normal((p, p))
+    s = 0.5 * (s + s.T)
+    fro = math.sqrt(s.ravel().dot(s.ravel()))  # bitwise np.linalg.norm(s), without its wrapper
+    if fro == 0:
+        s, fro = _eye(p, 2), math.sqrt(p)
+    w, v = np.linalg.eigh(_eye(p, 2) + (radius / fro) * s)
+    return q @ ((v * np.sqrt(np.maximum(w, 0.0))) @ v.T)

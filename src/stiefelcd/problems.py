@@ -391,7 +391,7 @@ class NoiseModel:
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         g = rng.normal(0.0, self.sigma, shape)
-        nrm = np.linalg.norm(g)
+        nrm = math.sqrt(g.ravel().dot(g.ravel()))  # bitwise np.linalg.norm(g), without its wrapper
         if nrm > self.bound:
             g *= self.bound / nrm
         return g
@@ -411,11 +411,11 @@ def attach_noise(problem: ProblemDefinition, model: NoiseModel) -> ProblemDefini
 
     @_stacks
     def noisy(x, rng):
-        stack = rng is not None and np.ndim(x) == 3
-        rngs = list(rng) if stack else rng  # the base may read each row's generator too
-        w = np.asarray(base(x, rngs), dtype=float)
-        if not stack:
+        if rng is None or np.ndim(x) != 3:  # exact, or one 2-d point with its generator
+            w = np.asarray(base(x, rng), dtype=float)
             return w if rng is None else w + model.draw(rng, w.shape)
+        rngs = list(rng)  # the base may read each row's generator too
+        w = np.asarray(base(x, rngs), dtype=float)
         out = np.empty(w.shape)
         for i, g in enumerate(rngs):
             np.add(w[i], model.draw(g, w.shape[1:]), out=out[i])

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,8 +84,8 @@ class _RunNoise:
     (rng.normal, rng.standard_normal, ...) moves the run's Philox to
     counter (0, 0, k, 0) with nothing buffered, and its later accesses
     continue from there.  So the draws of iteration k depend on (seed, k)
-    only.  The Philox is built on the first draw: an
-    oracle that never draws costs no set-up.
+    only.  The Philox is built on the first draw, so an oracle that never
+    draws costs no set-up.
     """
 
     __slots__ = ("_seed", "_gen", "_state", "_at")
@@ -96,23 +97,17 @@ class _RunNoise:
         self._at = (0, 0, k, 0)
         return self
 
-    def _generator(self) -> np.random.Generator:
+    def __getattr__(self, name):
         if self._at is not None:
             if self._gen is None:
                 self._gen = _philox(self._seed)
-                self._state = self._gen.bit_generator.state  # counter 0, empty buffer
+                state = self._gen.bit_generator.state  # counter 0, empty buffer
+                key = tuple(state["state"]["key"].tolist())  # the setter reads tuples faster
+                self._state = dict(state, state={"key": key}, buffer=tuple(state["buffer"]))
             self._state["state"]["counter"] = self._at
             self._gen.bit_generator.state = self._state
             self._at = None
-        return self._gen
-
-    def __getattr__(self, name):
-        return getattr(self._generator(), name)
-
-
-def _keyed_rng(seed: int, k: int) -> np.random.Generator:
-    """A fresh generator, placed where the step of the run seeded seed draws at iteration k."""
-    return _RunNoise(seed).at(k)._generator()
+        return getattr(self._gen, name)
 
 
 def _finite(name: str, value) -> None:
@@ -235,14 +230,6 @@ class IterateTrace:
     feas: list = field(default_factory=list)
     stat: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
-
-    def append(self, k, f, h, feas, stat, seconds):
-        self.iters.append(int(k))
-        self.f.append(float(f))
-        self.h.append(float(h))
-        self.feas.append(float(feas))
-        self.stat.append(float(stat))
-        self.seconds.append(float(seconds))
 
     def __len__(self):
         return len(self.iters)
@@ -509,6 +496,11 @@ def _serve(call, rows, ended: dict):
     return rows, ()
 
 
+def _index(rows: list, n: int):
+    """Sorted distinct rows below n as an index: a slice, which copies nothing, if they are all."""
+    return slice(None) if len(rows) == n else rows
+
+
 # queued trace rows hold at most this many matrix entries per point (iterate
 # and mapped point), and never less than one row
 TRACE_QUEUE_ENTRIES = 8192
@@ -521,22 +513,23 @@ class _TraceQueue:
     into the block; flush() evaluates it when it is full, at the stopping
     rule and (through end()) before any run's outcome is set.  A block takes
     one _polar, one exact oracle call, one _stationarity and one f_values
-    call each for h and f, each row bitwise its 2-d calls.  The rows are then
-    appended in order, and stat[run] keeps each run's last stationarity.  A
-    non-finite stationarity oracle output, or a DivergenceError of the row's
-    own slice, ends that run at its row's iterate k, with the rows before k,
-    and drops its later rows.
+    call each for h and f, each row bitwise its 2-d calls, and each run's
+    rows are appended to its trace as columns; stat[run] keeps the run's
+    last stationarity.  A non-finite stationarity output, or a
+    DivergenceError of the row's own slice, ends that run at its row's
+    iterate k, with the rows before k, and drops its later rows.
     """
 
     def __init__(self, problem, beta, shape, traces, outcomes):
         self.problem, self.beta, self.traces, self.outcomes = problem, beta, traces, outcomes
         block = max(1, TRACE_QUEUE_ENTRIES // (shape[0] * shape[1]))
         self.x, self.mapped = np.empty((block, *shape)), np.empty((block, *shape))
-        self.rows = []  # (run, k, feas, seconds, traced) of each queued row
-        self.stat = {}
+        self.rows, self.stat = [], {}  # rows: (run, k, feas, seconds, traced) of each queued row
 
     def add(self, run, k, x, mapped, feas, seconds):
         """Queue iterate k of run; a trace row if mapped is given, else the stopping rule's."""
+        if self.outcomes[run] is not None:  # a row flushed earlier in iteration k ended it
+            return
         j = len(self.rows)
         self.x[j] = x
         if mapped is not None:
@@ -553,30 +546,42 @@ class _TraceQueue:
 
     def flush(self):
         rows, self.rows = self.rows, []
-        if not rows:
+        if not (n := len(rows)):
             return
-        x, mapped = self.x[: len(rows)], self.mapped[: len(rows)]
-        proj, ended, stat = _polar(x)[0], {}, {}  # ended: the error that ends a row's run there
-        live, w = _serve(lambda i: self.problem.f_subgrad(proj[i]), range(len(rows)), ended)
+        runs, iters, feas, seconds, traced = zip(*rows)
+        x, mapped = self.x[:n], self.mapped[:n]
+        proj, ended = _polar(x)[0], {}  # ended: the error that ends a row's run there
+        values = np.zeros((3, n))  # each row's stat, f at its mapped point and f
+        live, w = _serve(lambda i: self.problem.f_subgrad(proj[_index(i, n)]), range(n), ended)
         if live:
-            norms, finite = _stationarity(proj[live], _shaped(w, (len(live), *x.shape[1:])))
-            stat = {j: value for j, value, ok in zip(live, norms.tolist(), finite) if ok}
-        traced = [j for j in stat if rows[j][4]]
-        h = dict(zip(*_serve(lambda i: self.problem.f_values(mapped[i]), traced, ended)))
-        f = dict(zip(*_serve(lambda i: self.problem.f_values(proj[i]), list(h), ended)))
-        for j, (r, k, feas, seconds, traced) in enumerate(rows):
-            if self.outcomes[r] is not None:
-                continue  # its run ended at an earlier row
-            if j in ended or j not in stat:
-                err = ended.get(j) or DivergenceError(
-                    f"stationarity oracle produced non-finite entries at iteration {k}"
+            w = _shaped(w, (len(live), *x.shape[1:]))
+            values[0, _index(live, n)], finite = _stationarity(proj[_index(live, n)], w)
+            for j in compress(live, (~finite).tolist()):
+                ended[j] = DivergenceError(
+                    f"stationarity oracle produced non-finite entries at iteration {iters[j]}"
                 )
-                self.outcomes[r] = (err, x[j].copy(), k, self.traces[r])
-                continue
-            self.stat[r] = stat[j]
-            if traced:
-                h_k = h[j] + 0.25 * self.beta * feas * feas
-                self.traces[r].append(k, f[j], h_k, feas, stat[j], seconds)
+        self.stat.update(zip(runs, values[0].tolist()))  # read only for runs no row ended
+        at = [j for j in live if traced[j]]
+        for i, points in ((1, mapped), (2, proj)):  # f at the mapped points, then at proj
+            at, values[i, _index(at, n)] = _serve(
+                lambda rows: self.problem.f_values(points[_index(rows, n)]), at, ended
+            )
+        end = {}  # the row that ends each run ending in this block
+        for j in sorted(ended):
+            if self.outcomes[run := runs[j]] is None:
+                end[run] = j
+                self.outcomes[run] = (ended[j], x[j].copy(), iters[j], self.traces[run])
+        at = [j for j in at if j < end.get(runs[j], n)] if end else at  # rows before each end
+        stat, h, f = values[:, _index(at, n)]
+        feas_at = np.array([feas[j] for j in at])
+        h += 0.25 * self.beta * feas_at * feas_at
+        cols = ([iters[j] for j in at], f.tolist(), h.tolist(), feas_at.tolist(), stat.tolist(),
+                [seconds[j] for j in at])
+        of_run = [runs[j] for j in at]
+        for run in dict.fromkeys(of_run):
+            t, kept = self.traces[run], [r == run for r in of_run]
+            for column, col in zip((t.iters, t.f, t.h, t.feas, t.stat, t.seconds), cols):
+                column.extend(compress(col, kept))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the checks end a run on non-finite values

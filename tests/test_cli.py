@@ -13,9 +13,21 @@ from hypothesis import strategies as st
 
 import stiefelcd.cli as cli
 import stiefelcd.core as core
-from stiefelcd.cli import main, read_trace_csv, write_trace_csv
+from stiefelcd.cli import TRACE_HEADER, main, write_trace_csv
 from stiefelcd.errors import ConfigurationError
 from stiefelcd.solvers import IterateTrace, SolverConfig, StepSchedule
+
+
+def read_trace_csv(path):
+    """Trace CSV back as a dict of numpy arrays keyed by column name."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != TRACE_HEADER:
+            raise ConfigurationError(f"{path}: unexpected trace header {header!r}")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.size == 0:
+        data = data.reshape(0, 6)
+    return {name: data[:, j] for j, name in enumerate(TRACE_HEADER.split(","))}
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -609,11 +621,10 @@ def test_help_exits_zero(capsys):
 
 
 def test_trace_csv_write_read_exact(tmp_path):
-    trace = IterateTrace()
     rng = np.random.default_rng(0)
-    for k in range(7):
-        trace.append(k, rng.random(), rng.random() * 1e-7, rng.random() * 1e3,
-                     rng.random(), rng.random())
+    f, h, feas, stat, seconds = (rng.random(7) * scale for scale in (1.0, 1e-7, 1e3, 1.0, 1.0))
+    columns = (f.tolist(), h.tolist(), feas.tolist(), stat.tolist(), seconds.tolist())
+    trace = IterateTrace(list(range(7)), *columns)
     path = tmp_path / "t.csv"
     write_trace_csv(path, trace)
     cols = read_trace_csv(path)

@@ -42,7 +42,6 @@ from stiefelcd.problems import (
 )
 from stiefelcd.solvers import (
     ALGORITHM_RUNNERS,
-    IterateTrace,
     SolverConfig,
     StepSchedule,
     best_grid_step,
@@ -56,6 +55,16 @@ from stiefelcd.solvers import (
     stationarity_estimate,
     subgradient_step,
 )
+
+
+def keyed_rng(seed, k):
+    """A fresh generator, placed where the step of the run seeded seed draws at iteration k.
+
+    The run's Philox is keyed by SeedSequence([seed]); the step at iteration k
+    starts its draws at counter (0, 0, k, 0) with nothing buffered.
+    """
+    key = np.random.SeedSequence([seed]).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=(0, 0, k, 0)))
 
 
 def quadratic_problem(n=8, p=3, seed=0):
@@ -895,13 +904,6 @@ def test_merit_monotone_on_smooth_constant_small_step():
     assert all(b <= a + 1e-10 for a, b in zip(h, h[1:]))
 
 
-def test_trace_append_and_len():
-    trace = IterateTrace()
-    trace.append(0, 1.0, 2.0, 0.1, 0.5, 0.01)
-    trace.append(1, 0.5, 1.5, 0.05, 0.4, 0.02)
-    assert len(trace) == 2
-
-
 # ---------------------------------------------------------------------------
 # the fused loop against a step-by-step run on the public kernels
 
@@ -913,7 +915,7 @@ def reference_outcome(problem, cfg, algorithm, x0):
     that ended the run, iterations).  Like the driver, it keeps the
     divergence guard (not the shell check) and the stopping rule.  Oracle
     noise comes from a generator built afresh for every step by
-    solvers._keyed_rng, and stat from the oracle called without one.
+    keyed_rng, and stat from the oracle called without one.
     """
     x = x0.copy()
     rows = []
@@ -940,7 +942,7 @@ def reference_outcome(problem, cfg, algorithm, x0):
         if stopping and stat <= cfg.stop_tol_stationarity and feas <= cfg.stop_tol_feasibility:
             return x, rows, "tol_met", k
         eta = cfg.schedule.step(k)
-        rng = solvers._keyed_rng(cfg.seed, k)
+        rng = keyed_rng(cfg.seed, k)
         if algorithm == "ncdf_sgd":
             w = problem.f_subgrad(apply_A(x), rng)
             x = subgradient_step(x, jacobian_apply(x, w), eta, cfg.beta)
@@ -1022,7 +1024,7 @@ def stat_poisoned(problem, q, seed, raise_from=None):
     ValueError from iteration raise_from on; see poisoned.
     """
     base = problem.phi_subgrad
-    marks = {solvers._keyed_rng(seed, k).random(): k for k in range(100)}
+    marks = {keyed_rng(seed, k).random(): k for k in range(100)}
 
     @functools.wraps(base)  # keeps the mark, so blocks still make stacked calls
     def oracle(x, rng):
@@ -1152,7 +1154,7 @@ def test_oracle_draws_continue_within_one_call():
     assert len(draws) == 4
     for k, (first, second) in enumerate(draws):
         assert not np.array_equal(first, second)
-        rng = solvers._keyed_rng(cfg.seed, k)
+        rng = keyed_rng(cfg.seed, k)
         assert np.array_equal(first, rng.standard_normal((4, 2)))
         assert np.array_equal(second, rng.standard_normal((4, 2)))
 
@@ -1202,7 +1204,7 @@ def test_self_drawing_oracle_gets_no_generator_for_stationarity():
     steps = [call for i, call in enumerate(calls) if i not in exact]
     assert len(steps) == cfg.max_iters
     for k, draw in enumerate(steps):
-        assert np.array_equal(draw, solvers._keyed_rng(cfg.seed, k).standard_normal((4, 2)))
+        assert np.array_equal(draw, keyed_rng(cfg.seed, k).standard_normal((4, 2)))
 
 
 @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
@@ -1256,7 +1258,7 @@ def test_oracle_output_shape_checked_in_loop(algorithm, error):
 def test_non_finite_oracle_output_aborts_as_divergence(algorithm):
     cfg = SolverConfig(max_iters=10, trace_stride=10, seed=1)
     # one draw from the step's generator tells the oracle its iteration; see poisoned
-    marks = {solvers._keyed_rng(cfg.seed, k).random(): k for k in range(cfg.max_iters)}
+    marks = {keyed_rng(cfg.seed, k).random(): k for k in range(cfg.max_iters)}
 
     def oracle(x, rng):
         # exact (trace) calls stay finite; the steps from iteration 2 on are nan
@@ -1277,7 +1279,7 @@ def poisoned(problem, seed, k, bad):
     one draw from it tells the oracle which iteration it is serving.
     Stationarity calls get no generator and pass through to the clean oracle.
     """
-    mark = solvers._keyed_rng(seed, k).random()
+    mark = keyed_rng(seed, k).random()
     base = problem.phi_subgrad
 
     def oracle(x, rng):
@@ -1377,7 +1379,7 @@ def test_other_step_oracle_error_propagates_as_raised_after_the_queued_rows(algo
     cfg = SolverConfig(
         schedule=StepSchedule(kind="constant", eta0=0.01), max_iters=10, trace_stride=2, seed=5
     )
-    mark = solvers._keyed_rng(cfg.seed, 3).random()
+    mark = keyed_rng(cfg.seed, 3).random()
     raised = []
 
     def oracle(x, rng):
@@ -1668,7 +1670,7 @@ def refusing(problem, refusals, nan_at=None):
 
     With nan_at, its exact (stationarity) output is nan at that point.
     """
-    marks = {solvers._keyed_rng(s, k).random(): f"refused {s} at {k}" for s, k in refusals}
+    marks = {keyed_rng(s, k).random(): f"refused {s} at {k}" for s, k in refusals}
     base = problem.phi_subgrad
 
     def oracle(x, rng):
@@ -1756,7 +1758,7 @@ def frozen_outcome(oracle, value, prox, cfg, algorithm, x0, eta0=None, shell=Fal
             h = value(mapped) + 0.25 * cfg.beta * feas * feas
             rows.append((k, value(q), h, feas, stat))
         eta = schedule.step(k)
-        rng = solvers._keyed_rng(cfg.seed, k)
+        rng = keyed_rng(cfg.seed, k)
         if algorithm == "ncdf_sgd":
             w = oracle(mapped, rng)
             s = 0.5 * (x.T @ w + w.T @ x)
@@ -2004,3 +2006,100 @@ def test_stopping_rule_and_queued_rows_end_runs_before_the_oracle_error(algorith
         err, x_k, at, trace = hit[row]
         assert (str(err), at) == (message, 5)
         assert trace_rows(trace) == trace_rows(clean[row].trace)[: 5 if row == 1 else 6]
+
+
+# how runs of a stack end mid-block: plain (none does), guard (a large step
+# diverges), stop (the stopping rule, at k = 10 or 20), nan_stat (the exact oracle
+# is nan at the victim's iterate k0), refused_stat and refused_step (a 2-d user
+# oracle raises DivergenceError for the victim's slice of the stationarity call at
+# iterate k0, or of the step's call at iteration k0)
+LOCKSTEP_SCENARIOS = ("plain", "guard", "stop", "nan_stat", "refused_stat", "refused_step")
+
+
+def outcome_record(outcome):
+    """(ending, k, final x, trace rows without seconds) of one _lockstep outcome."""
+    if isinstance(outcome, solvers.SolverResult):
+        return outcome.termination, outcome.iterations, outcome.final_x, trace_rows(outcome.trace)
+    err, x, k, trace = outcome
+    return f"{type(err).__name__}: {err}", k, x, trace_rows(trace)
+
+
+def refused_at(problem, q):
+    """problem with a 2-d user oracle raising DivergenceError on its exact call at the point q."""
+    base = problem.phi_subgrad
+
+    def oracle(x, rng):
+        assert x.ndim == 2
+        if rng is None and np.allclose(x, q, rtol=0.0, atol=1e-12):
+            raise DivergenceError("refused the stationarity point")
+        return base(x, rng)
+
+    return replace(problem, phi_subgrad=oracle)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None, database=None)
+@example(algorithm="ncdf_sgd", scenario="guard", seeds=[1, 2, 3], etas=[0.002, 0.3, 0.09],
+         block=4, max_iters=12, victim=0, k0=0)
+@example(algorithm="ncdf_proxsgd", scenario="nan_stat", seeds=[4, 5], etas=[0.002, 0.004],
+         block=3, max_iters=9, victim=1, k0=4)
+@example(algorithm="rsgd_baseline", scenario="refused_stat", seeds=[6, 7, 8, 9],
+         etas=[0.001] * 4, block=6, max_iters=8, victim=2, k0=3)
+@example(algorithm="ncdf_sgd", scenario="refused_step", seeds=[10, 11, 12, 13, 14],
+         etas=[0.002] * 5, block=2, max_iters=7, victim=0, k0=5)
+@example(algorithm="ncdf_proxsgd", scenario="stop", seeds=[15, 16], etas=[0.001, 0.004],
+         block=5, max_iters=24, victim=0, k0=0)
+@given(
+    algorithm=st.sampled_from(sorted(RUNNERS)),
+    scenario=st.sampled_from(LOCKSTEP_SCENARIOS),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=5, unique=True),
+    etas=st.lists(st.sampled_from([0.001, 0.002, 0.004, 0.09, 0.3]), min_size=5, max_size=5),
+    block=st.integers(1, 6),
+    max_iters=st.integers(1, 24),
+    victim=st.integers(0, 4),
+    k0=st.integers(0, 23),
+)
+def test_stride_1_stacks_of_seeds_match_each_seeds_single_run(
+    algorithm, scenario, seeds, etas, block, max_iters, victim, k0
+):
+    # blocks of 1-6 rows hold rows of several runs and several iterations
+    victim, k0 = victim % len(seeds), k0 % max_iters
+    stop = scenario == "stop"
+    cfg = SolverConfig(
+        beta=1.0,
+        schedule=StepSchedule(kind="constant"),
+        max_iters=max_iters,
+        trace_stride=1,
+        stop_tol_stationarity=5.0 if stop else 0.0,  # stops the L1-PCA runs at k = 10 or 20
+        stop_tol_feasibility=0.2 if stop else 0.0,
+    )
+    if scenario == "guard":  # some of the steps diverge on this quadratic
+        problem = make_quadratic_trace(np.diag(np.arange(6.0, 0.0, -1.0)), 2)
+    else:  # small steps, which the guard never ends
+        etas = [min(eta, 0.004) for eta in etas]
+        problem = l1_pca_problem(noisy=scenario != "refused_step")
+    steps = [[eta] * max_iters for eta in etas[: len(seeds)]]
+    x = np.stack([default_initial_point(problem, seed) for seed in seeds])
+    method = solvers._METHODS[algorithm]
+
+    def single(problem, i, cfg=cfg):
+        row = [steps[i][: cfg.max_iters]]
+        return solvers._lockstep(problem, method, cfg, seeds[i : i + 1], row, x[i : i + 1].copy())[0]
+
+    if scenario in ("nan_stat", "refused_stat"):
+        xk = x[victim] if k0 == 0 else single(problem, victim, replace(cfg, max_iters=k0)).final_x
+        q = project_stiefel(xk).matrix
+        problem = stat_poisoned(problem, q, 0) if scenario == "nan_stat" else refused_at(problem, q)
+    elif scenario == "refused_step":
+        problem = refusing(problem, [(seeds[victim], k0)])
+    with mock.patch.object(solvers, "TRACE_QUEUE_ENTRIES", block * problem.n * problem.p):
+        stacked = solvers._lockstep(problem, method, cfg, seeds, steps, x.copy())
+    if scenario not in ("plain", "guard", "stop"):  # the victim ends at k0, the others do not
+        assert [outcome_record(o)[1] == k0 and isinstance(o, tuple) for o in stacked] == [
+            i == victim for i in range(len(seeds))
+        ]
+    for i, outcome in enumerate(stacked):
+        ending, k, final_x, rows = outcome_record(outcome)
+        expected = outcome_record(single(problem, i))
+        assert (ending, k, rows) == (expected[0], expected[1], expected[3])
+        assert np.array_equal(final_x, expected[2])

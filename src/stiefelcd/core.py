@@ -16,14 +16,17 @@ All matrices are dense float64 arrays with at least as many rows as
 columns.  validate_matrix returns them C-contiguous, and numpy's X'X of a
 C-contiguous X is exactly symmetric, so no Gram matrix needs symmetrizing.
 
-The public kernels validate their inputs at the boundary and then call
-private, unchecked helpers (_gram, _terms, _state, _fro, _map,
-_jacobian, _tangent, _polar, _h, _h_grad, _shell_points).  The solver
-loop calls the same helpers directly on one per-iterate state: the Gram
-residual G - I and the map polynomial stored divided by 8,
-M / 8 = 1.875 I - 1.25 G + 0.375 G^2 (exact away from overflow and
-subnormals), formed once per iterate and reused for the feasibility
-guard, A(X) = X (M / 8), the Jacobian and the penalty gradient X (G - I).
+The public kernels validate each input once, at the boundary, and then
+call only private, unchecked helpers (_gram, _terms, _state, _fro,
+_violation, _map, _jacobian, _tangent, _polar, _scalar_map_inverse, _h,
+_h_grad, _shell_points), never another public kernel that would validate
+it again: StiefelPoint certifies the matrix it has just validated through
+_violation, not feasibility_violation.  The solver loop calls the same
+helpers directly on one per-iterate state: the Gram residual G - I and
+the map polynomial stored divided by 8, M / 8 = 1.875 I - 1.25 G +
+0.375 G^2 (exact away from overflow and subnormals), formed once per
+iterate and reused for the feasibility guard, A(X) = X (M / 8), the
+Jacobian and the penalty gradient X (G - I).
 The private helpers transpose only the last two axes, so they also accept
 a stack of iterates of shape (B, n, p) and act on each slice exactly as
 on the 2-d matrix alone; the solver driver advances every run that way, a
@@ -39,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError
+from .errors import ConfigurationError, DimensionError, NumericalError
 
 # Coefficients of the degree-five map, lowest Gram power first.  This is
 # the unique choice that both fixes the manifold to second order and keeps
@@ -117,6 +120,12 @@ def _fro(m: np.ndarray) -> np.ndarray:
     return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
 
 
+def _violation(x) -> float:
+    """feasibility_violation of an unchecked 2-d C-contiguous x."""
+    r = (_gram(x) - _eye(x.shape[1], 2)).ravel()
+    return math.sqrt(r.dot(r))  # bitwise np.linalg.norm(r), without its wrapper
+
+
 def _map(x: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """A(X) = X (M / 8) for the map polynomial M of x, given divided by 8."""
     return x @ poly
@@ -155,7 +164,7 @@ class StiefelPoint:
     def __post_init__(self):
         m = validate_matrix(self.matrix, "stiefel point")
         object.__setattr__(self, "matrix", m.copy())
-        v = feasibility_violation(self.matrix)
+        v = _violation(m)
         if v > 1e-12:
             raise ValueError(f"point is not feasible: ||X'X - I||_F = {v:.3e} > 1.000e-12")
 
@@ -183,8 +192,7 @@ def apply_A(x) -> np.ndarray:
 
 def feasibility_violation(x) -> float:
     """Gram residual ||X'X - I_p||_F; zero exactly on the manifold."""
-    x = validate_matrix(x)
-    return float(np.linalg.norm(_gram(x) - _terms(x.shape[1], 2)[0]))
+    return _violation(validate_matrix(x))
 
 
 def ata_residual_identity(x):
@@ -252,15 +260,23 @@ def project_stiefel(x) -> StiefelPoint:
 
 def scalar_map(t):
     """Polynomial t (15 - 10 t^2 + 3 t^4) / 8 applied to each singular value."""
-    t = np.asarray(t)
+    return _scalar_map(np.asarray(t))
+
+
+def scalar_map_deriv(t):
+    """Derivative (15/8) (t^2 - 1)^2 of scalar_map; vanishes only at |t| = 1."""
+    return _scalar_map_deriv(np.asarray(t))
+
+
+# scalar_map and scalar_map_deriv of an array, or of a numpy scalar, which they
+# take as it is: the root solve spares a 0-d array per operation that way
+def _scalar_map(t):
     c0, c1, c2 = _A_COEFFS
     t2 = t * t
     return t * (c0 + c1 * t2 + c2 * t2 * t2) / 8.0
 
 
-def scalar_map_deriv(t):
-    """Derivative (15/8) (t^2 - 1)^2 of scalar_map; vanishes only at |t| = 1."""
-    t = np.asarray(t)
+def _scalar_map_deriv(t):
     q = t * t - 1.0
     return 1.875 * q * q
 
@@ -286,33 +302,48 @@ def _scalar_map_inverse(sigma, tol):
     to within a few ulps of 1; below sigma = 1/2 (t < 0.29, where the map's
     slope is at least 1.6) one Newton step on the map itself cuts that
     error to about 1e-38.  sigma = 0 maps to t = 0 exactly.
+
+    The entries are solved one by one as np.longdouble scalars, which costs
+    a fraction of a numpy call per operation where an array of a few
+    singular values costs a whole one.  They share one stop rule: every
+    entry takes the same number of Newton steps, until the step of each
+    entry is within the few ulps, so every root is the one a single array
+    of all the entries would give.
     """
     ld = np.longdouble
     sigma = np.asarray(sigma, dtype=ld)
-    one = ld(1)
-    c = ld(8) * (sigma - one)
-    lo = -(one + sigma)
-    hi = one + np.maximum(sigma, one)
-    t = one + np.minimum(np.cbrt(c / ld(20)), np.abs(c / ld(3)) ** ld(0.2))
+    one, three, six, eight, nine = ld(1), ld(3), ld(6), ld(8), ld(9)
+    entries = sigma.ravel().tolist()  # np.longdouble scalars
+    c = [eight * (s - one) for s in entries]
+    bracket = [(-(one + s), one + (s if s > one else one)) for s in entries]
+    t = [one + min(np.cbrt(ci / ld(20)), abs(ci / three) ** ld(0.2)) for ci in c]
     ulps = ld(4) * np.finfo(ld).eps
     for _ in range(32):
-        q = (ld(3) * t + ld(9)) * t + ld(8)
-        r = np.cbrt(c / q)
-        step = ((t - one) - r) / (one + r * (ld(6) * t + ld(9)) / (ld(3) * q))
-        t = np.clip(t - step, lo, hi)
-        if np.all(np.abs(step) <= ulps * np.maximum(np.abs(t), one)):
+        done = True
+        for i, (ti, ci, (lo, hi)) in enumerate(zip(t, c, bracket)):
+            q = (three * ti + nine) * ti + eight
+            r = np.cbrt(ci / q)
+            step = ((ti - one) - r) / (one + r * (six * ti + nine) / (three * q))
+            ti = ti - step
+            ti = lo if ti < lo else hi if ti > hi else ti  # a nan stays nan, as in np.clip
+            t[i] = ti
+            done = done and abs(step) <= ulps * max(abs(ti), one)
+        if done:
             break
-    small = sigma < ld(0.5)
-    polish = (scalar_map(t) - sigma) / scalar_map_deriv(np.where(small, t, ld(0)))
-    t = np.where(sigma == 0, ld(0), np.where(small, t - polish, t))
-    resid = np.abs(scalar_map(t) - sigma)
-    bound = ld(tol) * np.maximum(one, sigma)
-    if not np.all(resid <= bound):
-        worst = float(np.max(resid / np.maximum(bound, ld(1e-300))))
+    for i, (ti, s) in enumerate(zip(t, entries)):
+        if s == 0:
+            t[i] = ld(0)
+        elif s < ld(0.5):
+            t[i] = ti - (_scalar_map(ti) - s) / _scalar_map_deriv(ti)
+    rel = ld(tol)
+    t_all = np.array(t, dtype=ld).reshape(sigma.shape)
+    if not all(abs(_scalar_map(ti) - s) <= rel * max(s, one) for ti, s in zip(t, entries)):
+        resid = np.abs(scalar_map(t_all) - sigma)
+        worst = float(np.max(resid / np.maximum(rel * np.maximum(one, sigma), ld(1e-300))))
         raise NumericalError(
             f"scalar root solve missed its target by {worst:.2e}x the tolerance"
         )
-    return t
+    return t_all
 
 
 def inverse_A(y, tol: float = 1e-14) -> np.ndarray:
@@ -325,8 +356,11 @@ def inverse_A(y, tol: float = 1e-14) -> np.ndarray:
     accuracy would be amplified there.  The root solve itself runs on the
     exact factorization scalar_map(t) - 1 = (t - 1)^3 (3 t^2 + 9 t + 8) / 8,
     taking the cube root of s - 1 explicitly, so it adds no error of its
-    own at s = 1 (see _scalar_map_inverse).
+    own at s = 1 (see _scalar_map_inverse).  tol, the residual allowed per
+    singular value relative to max(1, s), must be finite and positive.
     """
+    if not 0 < tol < math.inf:  # nan fails both comparisons
+        raise ConfigurationError(f"tol must be finite and positive, got {tol}")
     y = validate_matrix(y)
     u, _, vt = np.linalg.svd(y, full_matrices=False)
     ld = np.longdouble
@@ -383,6 +417,11 @@ def random_stiefel(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
     return _polar(rng.standard_normal((n, p)))[0]
 
 
+def _check_radius(radius):
+    if not 0 <= radius < math.inf:  # nan fails both comparisons
+        raise ValueError(f"radius must be {'nonnegative' if radius < 0 else 'finite'}, got {radius}")
+
+
 def _shell_points(rng, n: int, p: int, radius_of, samples: int) -> np.ndarray:
     """(samples, n, p) stack of random points, slice i with Gram residual radius_of(rng).
 
@@ -398,8 +437,7 @@ def _shell_points(rng, n: int, p: int, radius_of, samples: int) -> np.ndarray:
     g, s = np.empty((samples, n, p)), np.zeros((samples, p, p))
     for i in range(samples):
         radius = radius_of(rng)
-        if radius < 0:
-            raise ValueError(f"radius must be nonnegative, got {radius}")
+        _check_radius(radius)
         radii.append(radius)
         rng.standard_normal(out=g[i])
         if radius == 0:
@@ -430,8 +468,7 @@ def random_shell_point(rng: np.random.Generator, n: int, p: int, radius: float) 
     draws and result are bitwise those of _shell_points, which builds many
     at once.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+    _check_radius(radius)
     q = random_stiefel(rng, n, p)
     if radius == 0:
         return q

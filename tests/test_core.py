@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stiefelcd import core
-from stiefelcd.errors import DimensionError, NumericalError
+from stiefelcd.errors import ConfigurationError, DimensionError, NumericalError
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +309,17 @@ def test_stiefel_point_validates_feasibility():
     assert pt.shape == (5, 2)
 
 
+@pytest.mark.parametrize("scale", [1.0 + 1e-12, 1.0 + 1e-9, 1.0 - 3e-12])
+def test_stiefel_point_rejects_a_slightly_infeasible_matrix_with_its_norm(scale):
+    q = random_orthonormal(np.random.default_rng(42), 6, 3)
+    x = scale * q
+    v = np.linalg.norm(x.T @ x - np.eye(3))
+    assert v > 1e-12
+    message = f"point is not feasible: ||X'X - I||_F = {v:.3e} > 1.000e-12"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        core.StiefelPoint(matrix=x)
+
+
 # ---------------------------------------------------------------------------
 # inverse map
 # ---------------------------------------------------------------------------
@@ -401,6 +413,12 @@ def test_inverse_respects_tolerance_argument():
     assert np.linalg.norm(core.apply_A(x) - y) <= 1e-14 * max(1.0, np.linalg.norm(y)) * 10
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf"), -float("inf")])
+def test_inverse_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ConfigurationError, match=f"tol must be finite and positive, got {tol}"):
+        core.inverse_A([[5.75]], tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # dissolved objective
 # ---------------------------------------------------------------------------
@@ -485,6 +503,70 @@ def test_penalty_config_requires_positive_beta():
 def test_scalar_root_solver_failure_is_detectable():
     with pytest.raises(NumericalError):
         core._scalar_map_inverse(np.array([2.0]), tol=1e-25)
+
+
+def frozen_scalar_map_inverse(sigma, tol):
+    # the root solve as it ran on a whole array of singular values at once, before
+    # it solved them entry by entry
+    ld = np.longdouble
+    sigma = np.asarray(sigma, dtype=ld)
+    one = ld(1)
+    c = ld(8) * (sigma - one)
+    lo = -(one + sigma)
+    hi = one + np.maximum(sigma, one)
+    t = one + np.minimum(np.cbrt(c / ld(20)), np.abs(c / ld(3)) ** ld(0.2))
+    ulps = ld(4) * np.finfo(ld).eps
+    for _ in range(32):
+        q = (ld(3) * t + ld(9)) * t + ld(8)
+        r = np.cbrt(c / q)
+        step = ((t - one) - r) / (one + r * (ld(6) * t + ld(9)) / (ld(3) * q))
+        t = np.clip(t - step, lo, hi)
+        if np.all(np.abs(step) <= ulps * np.maximum(np.abs(t), one)):
+            break
+    small = sigma < ld(0.5)
+    polish = (core.scalar_map(t) - sigma) / core.scalar_map_deriv(np.where(small, t, ld(0)))
+    t = np.where(sigma == 0, ld(0), np.where(small, t - polish, t))
+    resid = np.abs(core.scalar_map(t) - sigma)
+    bound = ld(tol) * np.maximum(one, sigma)
+    if not np.all(resid <= bound):
+        worst = float(np.max(resid / np.maximum(bound, ld(1e-300))))
+        raise NumericalError(
+            f"scalar root solve missed its target by {worst:.2e}x the tolerance"
+        )
+    return t
+
+
+def outcome(solve, sigma, tol):
+    try:
+        return solve(sigma, tol), None
+    except NumericalError as err:
+        return None, str(err)
+
+
+# one singular value: uniform on the inverse_roundtrip check's range, within
+# 1e-16..1e-1 of 1 on either side, log-uniform over 1e-12..1e8, exactly 0, 1/2 or
+# 1, or nan; tol 1e-25 makes every solve miss its target
+singular_values = st.one_of(
+    st.floats(0.0, 3.0),
+    st.builds(lambda sign, e: 1.0 + sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-16.0, -1.0)),
+    st.builds(lambda e: 10.0**e, st.floats(-12.0, 8.0)),
+    st.sampled_from([0.0, 0.5, 1.0, float("nan")]),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@example(sigma=[1.0, 1.0 + 1e-16, 1.0 - 1e-16], tol=1e-14)
+@example(sigma=[0.0, 0.5, 1e8, 1e-12], tol=1e-14)
+@example(sigma=[2.0, float("nan")], tol=1e-14)
+@example(sigma=[2.0], tol=1e-25)
+@given(sigma=st.lists(singular_values, min_size=1, max_size=6), tol=st.sampled_from([1e-14, 1e-25]))
+def test_scalar_root_solve_matches_the_array_solve_bitwise(sigma, tol):
+    got, got_error = outcome(core._scalar_map_inverse, np.array(sigma), tol)
+    want, want_error = outcome(frozen_scalar_map_inverse, np.array(sigma), tol)
+    assert got_error == want_error
+    if want is not None:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +742,18 @@ def test_shell_points_match_serial_random_shell_point_calls_bitwise(generator, n
         assert np.array_equal(x[b], one)
         assert np.array_equal(x[b], frozen_shell_point(frozen, n, p, factor * (1.0 - frozen.random())))
     assert stacked.random() == serial.random() == frozen.random()
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), -float("inf")])
+def test_shell_points_reject_a_radius_that_is_not_finite(radius):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"radius must be .*, got {radius}"):
+        core.random_shell_point(rng, 5, 2, radius)
+    assert rng.bit_generator.state == before  # rejected before any draw
+    radii = iter([0.5, radius])
+    with pytest.raises(ValueError, match=f"radius must be .*, got {radius}"):
+        core._shell_points(rng, 5, 2, lambda g: next(radii), 2)
 
 
 def test_shell_points_reject_a_negative_radius_and_a_wide_shape():

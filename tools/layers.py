@@ -13,14 +13,23 @@ round.  A process times:
   kernel layer     microseconds per call of core's private kernels on a
                    (1, 100, 5) stack, as the solver loop calls them, the
                    sparse-PCA quadratic oracle and its l1 proximal map;
-                   the best of 5 repeats of a timed batch of calls
+                   and of the kernels that stiefelcd verify calls, at
+                   verify's shapes: inverse_A at 12x4, its root solve
+                   _scalar_map_inverse on four fixed singular values,
+                   random_shell_point at 10x3 and project_stiefel at 20x5,
+                   in batches a tenth as long; the best of 5 repeats of a
+                   timed batch of calls
   iteration layer  microseconds per iteration of each algorithm on 100x5
                    sparse PCA (gamma 0.1, constant step 1e-3), with the
                    trace off (trace_stride = max_iters) and at stride 1;
                    the best of 3 runs
 
 The JSON gives, per metric and tree, the median and the quartiles over the
-rounds, and with --against the ratio of the medians, ./src over REV.
+rounds, and with --against the ratio of the medians, ./src over REV, and
+the median and quartiles of the per-round ratios, ./src over REV within
+each round.  The two trees of a round run back to back, so a slow spell
+of a shared host moves both sides of a per-round ratio alike; a move that
+the ratio of medians leaves unresolved can show in the paired one.
 """
 
 import argparse
@@ -36,6 +45,8 @@ import time
 import timeit
 
 KERNEL_SHAPE = (1, 100, 5)
+VERIFY_SPECTRUM = (0.2, 0.9, 1.4, 2.5)  # inverse_A's 12x4 input is A of a matrix with these
+VERIFY_BATCH_DIVISOR = 10  # the verify kernels cost tens of microseconds: batches a tenth as long
 DATA_SEED, X_SEED, RUN_SEED = 3, 0, 1
 TOP_EIGENVALUES = (10.0, 8.0, 6.0, 4.0, 2.0)
 ALGORITHMS = ("ncdf_sgd", "ncdf_proxsgd", "rsgd_baseline")
@@ -68,10 +79,22 @@ def measure(src, calls, iters):
         "quadratic_oracle": lambda: problem.phi_subgrad(x, None),
         "l1_prox": lambda: problem.reg.prox(x, 1e-3),
     }
+    u = np.linalg.qr(rng.standard_normal((12, 4)))[0]
+    v = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    y = core.apply_A((u * np.array(VERIFY_SPECTRUM)) @ v.T)
+    sigma = core.scalar_map(np.array(VERIFY_SPECTRUM, dtype=np.longdouble))
+    shell = core.random_shell_point(rng, 20, 5, 0.5)
+    verify_kernels = {
+        "inverse_A": lambda: core.inverse_A(y),
+        "_scalar_map_inverse": lambda: core._scalar_map_inverse(sigma, 1e-14),
+        "random_shell_point": lambda: core.random_shell_point(rng, 10, 3, 0.5),
+        "project_stiefel": lambda: core.project_stiefel(shell),
+    }
     out = {}
-    for name, fn in kernels.items():
-        best = min(timeit.repeat(fn, number=calls, repeat=5))
-        out["kernel_us." + name] = 1e6 * best / calls
+    for group, number in ((kernels, calls), (verify_kernels, calls // VERIFY_BATCH_DIVISOR)):
+        for name, fn in group.items():
+            best = min(timeit.repeat(fn, number=number, repeat=5))
+            out["kernel_us." + name] = 1e6 * best / number
     for algorithm in ALGORITHMS:
         for label, stride in (("trace_off", iters), ("stride_1", 1)):
             cfg = solvers.SolverConfig(
@@ -138,6 +161,8 @@ def main():
             metrics[name]["ratio"] = (
                 metrics[name]["worktree"]["median"] / metrics[name][args.against]["median"]
             )
+            pairs = zip(samples["worktree"], samples[args.against], strict=True)
+            metrics[name]["paired_ratio"] = summary([a[name] / b[name] for a, b in pairs])
     report = {
         "script": "tools/layers.py",
         "mode": mode,
@@ -149,9 +174,20 @@ def main():
             "cpu_count": os.cpu_count(),
             "machine": platform.machine(),
         },
-        "shapes": {"kernel": list(KERNEL_SHAPE), "iteration": [100, 5]},
+        "shapes": {
+            "kernel": list(KERNEL_SHAPE),
+            "verify_kernels": {
+                "inverse_A": [12, 4],
+                "_scalar_map_inverse": len(VERIFY_SPECTRUM),
+                "random_shell_point": [10, 3],
+                "project_stiefel": [20, 5],
+            },
+            "iteration": [100, 5],
+        },
+        "verify_spectrum": list(VERIFY_SPECTRUM),
         "seeds": {"data": DATA_SEED, "kernel_x": X_SEED, "run": RUN_SEED},
         "kernel_calls_per_batch": calls,
+        "verify_kernel_calls_per_batch": calls // VERIFY_BATCH_DIVISOR,
         "iterations_per_run": iters,
         "metrics": metrics,
     }

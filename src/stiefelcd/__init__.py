@@ -66,13 +66,11 @@ from .solvers import (
     best_grid_step,
     default_initial_point,
     grid_candidates,
-    prox_subgradient_step,
     run_prox_subgradient,
     run_riemannian_baseline,
     run_step_grid,
     run_subgradient,
     stationarity_estimate,
-    subgradient_step,
 )
 
 __version__ = "0.1.0"

@@ -360,8 +360,7 @@ def brute_force_sphere_oracle(problem: ProblemDefinition, grid_steps: int):
         raise DimensionError(
             f"sphere oracle needs a 2 x 1 problem, got {problem.n} x {problem.p}"
         )
-    if grid_steps < 1:
-        raise ConfigurationError(f"grid_steps must be >= 1, got {grid_steps}")
+    _integer("grid_steps", grid_steps, 1)
     thetas = 2.0 * math.pi * np.arange(grid_steps) / grid_steps
     cos, sin = np.cos(thetas), np.sin(thetas)
     values = np.empty(grid_steps)

@@ -17,6 +17,7 @@ for one slice is pinned to that slice, so it ends only that slice's run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -38,6 +39,21 @@ def _integer(name: str, value, least=None) -> None:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+
+
+def _number(name: str, value) -> float:
+    """value as a float; raise ConfigurationError naming the field unless it is a non-bool real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _nonnegative(name: str, value) -> None:
+    """Raise ValueError naming the parameter unless value is a finite nonnegative number."""
+    if _number(name, value) < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _stacks(fn):
@@ -167,8 +183,7 @@ class ProblemDefinition:
 
 def l1_regularizer(gamma: float, n_entries: int) -> Regularizer:
     """Entrywise term gamma * sum |X_ij| with soft-threshold prox."""
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    _nonnegative("gamma", gamma)
 
     @_stacks
     def value(x):
@@ -249,8 +264,7 @@ def make_quadratic_trace(a_mat, p: int) -> ProblemDefinition:
 def make_sparse_pca(cov, p: int, gamma: float) -> ProblemDefinition:
     """Sparse PCA surrogate: -trace(X' S X) + gamma * sum |X_ij|, S PSD."""
     s = _check_symmetric(cov, "covariance")
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    _nonnegative("gamma", gamma)
     w = np.linalg.eigvalsh(s)
     if w[0] < -1e-8 * max(1.0, float(w[-1])):
         raise ValueError(f"covariance is not positive semidefinite (min eig {w[0]:.3e})")
@@ -382,8 +396,7 @@ class NoiseModel:
     bound: Optional[float] = None
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        _nonnegative("sigma", self.sigma)
         if self.bound is None:
             object.__setattr__(self, "bound", 10.0 * self.sigma)
         if self.sigma > 0 and not self.bound > 0:

@@ -32,7 +32,8 @@ call: the step's on the whole stack (2-d for a stack of one), the trace's
 per block of iterates.  A 2-d user callable is called once per slice, and a
 DivergenceError it raises ends only its own run.  Oracle outputs are
 shape-checked; the trace's oracle outputs and every step's result are
-checked for finiteness, the latter by the next guard unless retracted.
+checked for finiteness, the latter by the next guard, which a retraction
+reaches unchanged.
 """
 
 from __future__ import annotations
@@ -49,21 +50,19 @@ from .core import (
     SHELL_RADIUS,
     StiefelPoint,
     _fro,
-    _gram,
     _jacobian,
     _map,
     _polar,
     _state,
     _tangent,
     _terms,
-    apply_A,
     feasibility_violation,
     project_stiefel,
     random_stiefel,
     validate_matrix,
 )
 from .errors import ConfigurationError, DivergenceError, SafeguardViolationError
-from .problems import ProblemDefinition, _integer, _pinned, _shaped
+from .problems import ProblemDefinition, _integer, _number, _pinned, _shaped
 
 SCHEDULE_KINDS = ("harmonic_decay", "constant", "custom")
 
@@ -111,8 +110,8 @@ class _RunNoise:
 
 
 def _finite(name: str, value) -> None:
-    """Raise ConfigurationError naming the field unless value, a number or a tuple, is finite."""
-    if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+    """Raise ConfigurationError naming the field unless value is a finite number."""
+    if not math.isfinite(_number(name, value)):
         raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
@@ -135,10 +134,11 @@ class StepSchedule:
             raise ConfigurationError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
         _finite("eta0", self.eta0)
         if self.kind == "custom":
-            if not self.values:
+            if not isinstance(self.values, (tuple, list)) or not self.values:
                 raise ConfigurationError("values must be a nonempty sequence for a custom schedule")
-            vals = tuple(float(v) for v in self.values)
-            _finite("values", vals)
+            vals = tuple(_number("values", v) for v in self.values)
+            if not all(map(math.isfinite, vals)):
+                raise ConfigurationError(f"values must be finite, got {vals}")
             if any(v <= 0 for v in vals):
                 raise ConfigurationError("values must be positive for a custom schedule")
             object.__setattr__(self, "values", vals)
@@ -206,7 +206,9 @@ class SolverConfig:
         if self.trace_stride < 1:
             raise ConfigurationError(f"trace_stride must be >= 1, got {self.trace_stride}")
         # nan fails >= 0; an inf estimate passes, and the shell check rejects every finite beta
-        if len(self.safeguards) != 3 or not all(s >= 0 for s in self.safeguards):
+        if not isinstance(self.safeguards, (tuple, list)) or len(self.safeguards) != 3 or not all(
+            _number("safeguards", s) >= 0 for s in self.safeguards
+        ):
             raise ConfigurationError("safeguards must be three nonnegative estimates")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
@@ -248,42 +250,6 @@ def default_initial_point(problem: ProblemDefinition, seed: int) -> np.ndarray:
     """Gaussian matrix from SeedSequence([seed, 1]) pushed onto the manifold by polar projection."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
     return random_stiefel(rng, problem.n, problem.p)
-
-
-def subgradient_step(x, d, eta: float, beta: float) -> np.ndarray:
-    """One penalty-subgradient update x - eta * (d + beta x (x'x - I))."""
-    x = validate_matrix(x, "x")
-    d = validate_matrix(d, "d")
-    if d.shape != x.shape:
-        raise ConfigurationError(f"direction shape {d.shape} != iterate shape {x.shape}")
-    if eta < 0:
-        raise ConfigurationError(f"step size must be nonnegative, got {eta}")
-    y = _penalty_step(x, d, eta, beta, _gram(x) - np.eye(x.shape[1]))
-    if not np.isfinite(y).all():
-        raise DivergenceError("subgradient step produced non-finite entries")
-    return y
-
-
-def _penalty_step(x, d, eta, beta, resid):
-    return x - eta * (d + beta * (x @ resid))
-
-
-def prox_subgradient_step(x, d, eta: float, reg=None) -> np.ndarray:
-    """One proximal update prox_{eta r}(A(x) - eta d); identity prox if reg is None."""
-    x = validate_matrix(x, "x")
-    d = validate_matrix(d, "d")
-    if d.shape != x.shape:
-        raise ConfigurationError(f"direction shape {d.shape} != iterate shape {x.shape}")
-    if eta < 0:
-        raise ConfigurationError(f"step size must be nonnegative, got {eta}")
-    if reg is not None and reg.prox is None:
-        raise ConfigurationError("regularizer has no proximal map")
-    y = apply_A(x) - eta * d
-    if reg is not None:
-        y = np.asarray(reg.prox(y, eta), dtype=float)
-    if not np.isfinite(y).all():
-        raise DivergenceError("proximal step produced non-finite entries")
-    return y
 
 
 def stationarity_estimate(problem: ProblemDefinition, point) -> float:
@@ -356,26 +322,27 @@ def _check_algorithm2_safeguards(problem: ProblemDefinition, cfg: SolverConfig, 
 
 
 def _guard(feas: float, k: int, shell: bool):
-    """Raise if iterate k, with Gram residual feas, is runaway or off the shell.
+    """The error ending a run whose iterate k, of Gram residual feas, is runaway or off the shell.
 
-    The shell is checked only when shell (the run's feas_shell_check) is set.
-    The driver hands a non-finite iterate to its step's error instead, so here
-    only an overflowing Gram matrix makes feas inf or NaN; both trip the guard.
+    None if it passes.  The shell is checked only when shell (the run's feas_shell_check)
+    is set.  The driver hands a non-finite iterate to its step's error instead, so
+    here only an overflowing Gram matrix makes feas inf or NaN; both trip the guard.
     """
     if not feas <= DIVERGENCE_FEAS_LIMIT:
-        raise DivergenceError(
+        return DivergenceError(
             f"Gram residual {feas:.3g} exceeded the divergence guard at iteration {k}"
         )
     if shell and feas > SHELL_RADIUS + 1e-12:
-        raise SafeguardViolationError(
+        return SafeguardViolationError(
             f"iterate left the 1/6 feasibility shell at iteration {k} "
             f"(residual {feas:.6g}); the bound beta >= max(16 M1, 60 Mt, 16 Mh) "
             "did not hold for this run"
         )
+    return None
 
 
 def _sgd_step(x, mapped, w, eta, beta, resid, poly):
-    return _penalty_step(x, _jacobian(x, w, resid, poly), eta, beta, resid)
+    return x - eta * (_jacobian(x, w, resid, poly) + beta * (x @ resid))
 
 
 def _prox_step(x, mapped, d, eta, beta, resid, poly):
@@ -386,13 +353,22 @@ def _baseline_step(x, mapped, w, eta, beta, resid, poly):
     return x - eta * _tangent(x, w)
 
 
+def _retract(y):
+    """Polar factor of each finite slice of the stack y; a non-finite slice stays for the guard."""
+    if np.isfinite(y).all():
+        return _polar(y)[0]
+    finite = np.isfinite(y).all(axis=(-2, -1))
+    y[finite] = _polar(y[finite])[0]
+    return y
+
+
 @dataclass(frozen=True)
 class _Method:
     """One algorithm's iteration, split where the driver must go per run.
 
     check(problem, cfg, biggest)           safeguard checks before the run, given its largest step
     step(x, A(x), d, eta, beta, G - I, M)  update algebra on the stacked iterate
-    retract(y)                             applied to the vetted update, if set
+    retract(y)                             applied to the update's finite slices, if set
     """
 
     check: Callable
@@ -406,12 +382,7 @@ class _Method:
 _METHODS = {
     "ncdf_sgd": _Method(_check_algorithm1_safeguards, _sgd_step, "subgradient", at_map=True),
     "ncdf_proxsgd": _Method(_check_algorithm2_safeguards, _prox_step, "proximal", proximal=True),
-    "rsgd_baseline": _Method(
-        lambda problem, cfg, biggest: None,
-        _baseline_step,
-        "baseline",
-        retract=lambda y: _polar(y)[0],
-    ),
+    "rsgd_baseline": _Method(lambda *_: None, _baseline_step, "baseline", retract=_retract),
 }
 
 
@@ -436,8 +407,6 @@ def _run_single(problem, cfg, x0, method: _Method) -> SolverResult:
     if isinstance(outcome, SolverResult):
         return outcome
     err, x, k, trace = outcome
-    # hand the partial run back with the error so callers can still
-    # emit whatever trace was collected before the abort
     projected = project_stiefel(x) if np.isfinite(x).all() else None
     err.result = SolverResult(x, projected, trace, "divergence_guard", k)
     raise err
@@ -599,7 +568,7 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     oracle ends the runs of the slices it names at iterate k, unless the
     stopping rule or a queued row ended them first, and the oracle is called
     again on the rest.  The guard goes row by row, and finds a non-finite
-    step without retraction by its Gram residual; trace and stopping-rule
+    step, the baseline's too, by its Gram residual; trace and stopping-rule
     rows go per block (_TraceQueue), each run ending where it would if each
     row were evaluated at once.  A row leaves when its run ends.
     """
@@ -627,14 +596,12 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
             # every residual at or below limit passes the guard, which runs only otherwise
             if not all(f <= limit for f in feas):
                 for i, r in enumerate(rows):
-                    if math.isfinite(feas[i]) or np.isfinite(x[i]).all():
-                        try:
-                            _guard(feas[i], k, shell)
-                        except (DivergenceError, SafeguardViolationError) as err:
-                            queue.end(r, (err, x[i], k, traces[r]))
-                    else:  # step k - 1 was not finite (k > 0, as x0 is validated finite)
+                    if not (math.isfinite(feas[i]) or np.isfinite(x[i]).all()):
+                        # step k - 1 was not finite (k > 0, as x0 is validated finite)
                         err = DivergenceError(non_finite.format(k - 1))
                         queue.end(r, (err, prev[i], k - 1, traces[r]))
+                    elif err := _guard(feas[i], k, shell):
+                        queue.end(r, (err, x[i], k, traces[r]))
                 rows, feas, x, resid, poly, steps = _keep(
                     outcomes, rows, feas, x, resid, poly, steps
                 )
@@ -678,14 +645,7 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
             y = method.step(x, mapped, d, eta, cfg.beta, resid, poly)
             if reg is not None:
                 y = np.ascontiguousarray(reg.prox(y, eta), dtype=float)
-            # without a retraction, the next guard catches a non-finite step and reports prev
-            if method.retract is not None and not np.isfinite(y).all():
-                for i in np.flatnonzero(~np.isfinite(y).all(axis=(-2, -1))):
-                    err = DivergenceError(non_finite.format(k))
-                    queue.end(rows[i], (err, x[i], k, traces[rows[i]]))
-                rows, y, steps = _keep(outcomes, rows, y, steps)
-                if not rows:
-                    break
+            # the next guard catches a non-finite step and reports prev
             prev, x = x, y if method.retract is None else method.retract(y)
     except Exception:
         queue.flush()  # a queued row may end a run before the error was reached

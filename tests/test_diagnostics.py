@@ -471,5 +471,14 @@ def test_sphere_oracle_validation():
     with pytest.raises(DimensionError):
         brute_force_sphere_oracle(tall, 100)
     ok = make_quadratic_trace(np.eye(2), 1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^grid_steps must be >= 1, got 0$"):
         brute_force_sphere_oracle(ok, 0)
+
+
+def test_sphere_oracle_rejects_a_grid_size_that_is_not_an_integer():
+    # 2.5 raised numpy's bare TypeError from np.empty
+    ok = make_quadratic_trace(np.eye(2), 1)
+    for bad in (2.5, 100.0, "100", True):
+        with pytest.raises(ConfigurationError, match="^grid_steps must be an integer, got "):
+            brute_force_sphere_oracle(ok, bad)
+    assert brute_force_sphere_oracle(ok, np.int64(100)) == brute_force_sphere_oracle(ok, 100)

@@ -152,6 +152,30 @@ def test_sparse_pca_validation():
         problems.make_sparse_pca(-np.eye(3), p=1, gamma=0.1)
 
 
+# a nan or inf gamma made every regularizer value and prox nan; a string or a
+# bool is no weight either
+BAD_WEIGHTS = [
+    (float("nan"), "^gamma must be finite, got nan$"),
+    (float("inf"), "^gamma must be finite, got inf$"),
+    (-float("inf"), "^gamma must be nonnegative, got -inf$"),
+    (-0.1, "^gamma must be nonnegative, got -0.1$"),
+    ("0.1", "^gamma must be a number, got '0.1'$"),
+    (True, "^gamma must be a number, got True$"),
+]
+
+
+@pytest.mark.parametrize("gamma, message", BAD_WEIGHTS)
+def test_l1_regularizer_rejects_a_weight_that_is_not_a_finite_nonnegative_number(gamma, message):
+    with pytest.raises(ValueError, match=message):
+        problems.l1_regularizer(gamma, 4)
+
+
+@pytest.mark.parametrize("gamma, message", BAD_WEIGHTS)
+def test_sparse_pca_rejects_a_weight_that_is_not_a_finite_nonnegative_number(gamma, message):
+    with pytest.raises(ValueError, match=message):
+        problems.make_sparse_pca(np.eye(3), p=1, gamma=gamma)
+
+
 # ---------------------------------------------------------------------------
 # l1 PCA
 # ---------------------------------------------------------------------------
@@ -264,6 +288,22 @@ def test_noise_draws_are_bounded_and_centered():
     draws = np.array([model.draw(rng, (3, 2)) for _ in range(10_000)])
     assert np.max(np.linalg.norm(draws, axis=(1, 2))) <= model.bound + 1e-12
     assert np.max(np.abs(draws.mean(axis=0))) <= 3.0 * model.sigma / 100.0
+
+
+@pytest.mark.parametrize(
+    "sigma, message",
+    [
+        # nan and inf made the bound nan or inf, and every noisy direction non-finite
+        (float("nan"), "^sigma must be finite, got nan$"),
+        (float("inf"), "^sigma must be finite, got inf$"),
+        (-float("inf"), "^sigma must be nonnegative, got -inf$"),
+        ("x", "^sigma must be a number, got 'x'$"),  # raised a bare TypeError
+        (None, "^sigma must be a number, got None$"),
+    ],
+)
+def test_noise_model_rejects_a_sigma_that_is_not_a_finite_nonnegative_number(sigma, message):
+    with pytest.raises(ValueError, match=message):
+        problems.NoiseModel(sigma=sigma)
 
 
 def test_attach_noise_zero_sigma_is_identity():

@@ -47,13 +47,11 @@ from stiefelcd.solvers import (
     best_grid_step,
     default_initial_point,
     grid_candidates,
-    prox_subgradient_step,
     run_prox_subgradient,
     run_riemannian_baseline,
     run_step_grid,
     run_subgradient,
     stationarity_estimate,
-    subgradient_step,
 )
 
 
@@ -206,6 +204,39 @@ def test_non_finite_config_numbers_are_rejected_naming_their_field(build, name):
         build()
 
 
+# each took a string, None or a bool without a typed error: a float field and
+# safeguards raised a bare TypeError (beta = True ran as beta = 1), and custom
+# values raised a bare TypeError or ValueError from float()
+NUMBER_FIELDS = {
+    "beta": lambda value: SolverConfig(beta=value),
+    "stop_tol_stationarity": lambda value: SolverConfig(stop_tol_stationarity=value),
+    "stop_tol_feasibility": lambda value: SolverConfig(stop_tol_feasibility=value),
+    "safeguards": lambda value: SolverConfig(safeguards=value),
+    "safeguards[1]": lambda value: SolverConfig(safeguards=(0.0, value, 0.0)),
+    "eta0": lambda value: StepSchedule(kind="constant", eta0=value),
+    "values": lambda value: StepSchedule(kind="custom", values=value),
+    "values[1]": lambda value: StepSchedule(kind="custom", values=(0.1, value)),
+}
+NOT_NUMBERS = st.sampled_from(
+    ["1", "x", "", None, True, False, np.True_, 1j, b"1", {}, (), ("a", 1, 2)]
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@example(name="beta", bad="1")
+@example(name="eta0", bad=None)
+@example(name="stop_tol_stationarity", bad="x")
+@example(name="safeguards", bad=5.0)  # a number where a sequence is due
+@example(name="safeguards", bad=("a", 1, 2))
+@example(name="values", bad=5)
+@example(name="values", bad=("a",))
+@given(name=st.sampled_from(list(NUMBER_FIELDS)), bad=NOT_NUMBERS)
+def test_config_numbers_that_are_not_numbers_are_rejected_naming_their_field(name, bad):
+    field = name.split("[")[0]
+    with pytest.raises(ConfigurationError, match=f"^{field} must be "):
+        NUMBER_FIELDS[name](bad)
+
+
 # max_iters = 5.5 or inf failed with a bare TypeError inside StepSchedule.steps,
 # seed = 1.5 and trace_stride = 2.5 ran silently, and epoch_len = 2.5 decayed at
 # fractional epochs
@@ -241,85 +272,30 @@ def test_grid_budget_epochs_rejects_non_integers_naming_it():
 # single steps, frozen scalar values
 
 
-def test_subgradient_step_scalar_frozen():
-    # x = 2, d = 1, eta = 0.1, beta = 1: penalty pull is x(x^2 - 1) = 6,
-    # so the update is 2 - 0.1 * (1 + 6) = 1.3
-    out = subgradient_step(np.array([[2.0]]), np.array([[1.0]]), 0.1, 1.0)
-    assert abs(out[0, 0] - 1.3) < 1e-15
+def scalar_state(x):
+    """(1 x 1 x 1 stack of x, its Gram residual, its map polynomial / 8)."""
+    stack = np.array([[[x]]])
+    return (stack, *core._state(stack))
 
 
-def test_subgradient_step_matches_penalty_gradient_formula():
-    rng = np.random.default_rng(7)
-    x = rng.uniform(-1.5, 1.5, size=(6, 2))
-    d = rng.standard_normal((6, 2))
-    eta, beta = 0.05, 3.0
-    out = subgradient_step(x, d, eta, beta)
-    manual = x - eta * (d + beta * x @ (x.T @ x - np.eye(2)))
-    assert np.linalg.norm(out - manual) < 1e-14
-
-
-def test_subgradient_step_validation():
-    x = np.eye(3, 2)
-    with pytest.raises(ConfigurationError):
-        subgradient_step(x, np.eye(3), 0.1, 1.0)
-    with pytest.raises(ConfigurationError):
-        subgradient_step(x, x, -0.1, 1.0)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_public_steps_raise_divergence():
-    x, d = np.eye(4, 2), np.full((4, 2), 1e300)
-    with pytest.raises(DivergenceError, match="^subgradient step produced non-finite entries$"):
-        subgradient_step(x, d, 1e300, 1.0)
-    with pytest.raises(DivergenceError, match="^proximal step produced non-finite entries$"):
-        prox_subgradient_step(x, d, 1e300)
-
-
-def test_subgradient_step_zero_step_is_identity():
-    rng = np.random.default_rng(0)
-    x = rng.uniform(-1.5, 1.5, size=(5, 3))
-    d = rng.standard_normal((5, 3))
-    assert np.array_equal(subgradient_step(x, d, 0.0, 2.0), x)
-
-
-def test_prox_step_zero_step_contracts_cubically():
-    # with eta = 0 the update is pure application of the map, so the Gram
-    # residual falls at cubic rate until it hits the float noise floor
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-1.0, 1.0, size=(6, 2))
-    x = x / np.linalg.norm(x) * 1.1  # modest violation
-    reg = l1_regularizer(0.5, 12)
-    feas = [feasibility_violation(x)]
-    for _ in range(4):
-        x = prox_subgradient_step(x, np.zeros_like(x), 0.0, reg)
-        feas.append(feasibility_violation(x))
-    for before, after in zip(feas, feas[1:]):
-        assert after <= before**3 + 1e-12
+def test_sgd_step_scalar_frozen():
+    # x = 2: A'(2) = 16.875, so w = 8/135 transports to the direction d = J(2)[w] = 1;
+    # the penalty pull is x(x^2 - 1) = 6, so with eta = 0.1 and beta = 1 the
+    # update is 2 - 0.1 * (1 + 6) = 1.3
+    x, resid, poly = scalar_state(2.0)
+    w = np.array([[[8.0 / 135.0]]])
+    out = solvers._METHODS["ncdf_sgd"].step(x, core._map(x, poly), w, 0.1, 1.0, resid, poly)
+    assert abs(out[0, 0, 0] - 1.3) < 1e-15
 
 
 def test_prox_step_scalar_frozen():
     # A(2) = 5.75; with d = 1, eta = 0.1 the landing point is 5.65, and the
     # l1 prox at threshold eta * gamma = 0.05 shrinks it to 5.6
-    reg = l1_regularizer(0.5, 1)
-    out = prox_subgradient_step(np.array([[2.0]]), np.array([[1.0]]), 0.1, reg)
-    assert abs(out[0, 0] - 5.6) < 1e-14
-
-
-def test_prox_step_identity_without_regularizer():
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-1.5, 1.5, size=(5, 2))
-    d = rng.standard_normal((5, 2))
-    out = prox_subgradient_step(x, d, 0.2, None)
-    assert np.linalg.norm(out - (apply_A(x) - 0.2 * d)) < 1e-14
-
-
-def test_prox_step_requires_prox():
-    reg = l1_regularizer(0.5, 4)
-    stripped = reg.__class__(
-        value=reg.value, prox=None, subgrad=reg.subgrad, lipschitz=reg.lipschitz
-    )
-    with pytest.raises(ConfigurationError):
-        prox_subgradient_step(np.eye(4, 1), np.eye(4, 1), 0.1, stripped)
+    x, resid, poly = scalar_state(2.0)
+    method = solvers._METHODS["ncdf_proxsgd"]
+    y = method.step(x, core._map(x, poly), np.ones((1, 1, 1)), 0.1, 1.0, resid, poly)
+    out = l1_regularizer(0.5, 1).prox(y, 0.1)
+    assert abs(out[0, 0, 0] - 5.6) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -945,9 +921,12 @@ def reference_outcome(problem, cfg, algorithm, x0):
         rng = keyed_rng(cfg.seed, k)
         if algorithm == "ncdf_sgd":
             w = problem.f_subgrad(apply_A(x), rng)
-            x = subgradient_step(x, jacobian_apply(x, w), eta, cfg.beta)
+            resid = x.T @ x - np.eye(x.shape[1])
+            x = x - eta * (jacobian_apply(x, w) + cfg.beta * (x @ resid))
         elif algorithm == "ncdf_proxsgd":
-            x = prox_subgradient_step(x, problem.phi_subgrad(x, rng), eta, problem.reg)
+            x = apply_A(x) - eta * problem.phi_subgrad(x, rng)
+            if problem.reg is not None:
+                x = np.asarray(problem.reg.prox(x, eta), dtype=float)
         else:
             w = problem.f_subgrad(x, rng)
             x = project_stiefel(x - eta * project_tangent(x, w)).matrix
@@ -1273,17 +1252,22 @@ def test_non_finite_oracle_output_aborts_as_divergence(algorithm):
 
 
 def poisoned(problem, seed, k, bad):
-    """problem whose oracle returns bad in the step of iteration k of the run seeded seed.
+    """problem whose oracle returns bad in the step of iteration k of the run seeded seed."""
+    return poisoned_runs(problem, [seed], k, bad)
+
+
+def poisoned_runs(problem, seeds, k, bad):
+    """problem whose oracle returns bad in the step of iteration k of each run seeded in seeds.
 
     The solver positions the step oracle's generator at (seed, iteration), so
     one draw from it tells the oracle which iteration it is serving.
     Stationarity calls get no generator and pass through to the clean oracle.
     """
-    mark = keyed_rng(seed, k).random()
+    marks = {keyed_rng(seed, k).random() for seed in seeds}
     base = problem.phi_subgrad
 
     def oracle(x, rng):
-        if rng is not None and rng.random() == mark:
+        if rng is not None and rng.random() in marks:
             return np.full(x.shape, bad)
         return base(x, rng)
 
@@ -1867,8 +1851,8 @@ def test_circle_grid_matches_the_frozen_formulas_bitwise(algorithm):
 
 
 # ---------------------------------------------------------------------------
-# a non-finite step is caught by the next iteration's guard (by the check
-# before the polar retraction for the baseline) and still reported as the
+# a non-finite step is caught by the next iteration's guard (the baseline's
+# retraction leaves a non-finite slice as it is) and still reported as the
 # step's own error, with the iterate it started from
 
 
@@ -1936,6 +1920,46 @@ def test_overflowing_step_of_one_stacked_row_leaves_the_others_running(algorithm
     row_cfg = replace(cfg, seed=seeds[1], schedule=StepSchedule(kind="constant", eta0=0.02))
     assert np.array_equal(x_k, iterate_at(problem, row_cfg, algorithm, k))
     assert trace_rows(trace) == [r for r in trace_rows(clean[1].trace) if r[0] <= k]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "victims, k",
+    [
+        ((0, 1, 2), 0),  # every row at once, at the first step
+        ((0, 1, 2), 7),
+        ((0, 1, 2), 19),  # every row at once, at the last step, max_iters - 1
+        ((1,), 19),
+        ((0, 2), 19),
+    ],
+)
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_rows_stepping_non_finite_together_each_end_at_that_step(algorithm, victims, k):
+    # the baseline's retraction leaves a non-finite row for the next guard, like the
+    # other steps; with every row gone, no iteration follows
+    problem = small_sparse_pca()
+    cfg = SolverConfig(
+        beta=1.0, schedule=StepSchedule(kind="constant"), max_iters=20, trace_stride=3
+    )
+    seeds, steps, x = three_rows(problem, cfg)
+    method = solvers._METHODS[algorithm]
+    clean = solvers._lockstep(problem, method, cfg, seeds, steps, x.copy())
+    hit_problem = poisoned_runs(problem, [seeds[i] for i in victims], k, np.inf)
+    hit = solvers._lockstep(hit_problem, method, cfg, seeds, steps, x.copy())
+    for row, seed in enumerate(seeds):
+        if row not in victims:
+            assert hit[row].termination == clean[row].termination == "max_iters"
+            assert np.array_equal(hit[row].final_x, clean[row].final_x)
+            assert trace_rows(hit[row].trace) == trace_rows(clean[row].trace)
+            continue
+        err, x_k, at, trace = hit[row]
+        assert type(err) is DivergenceError
+        assert str(err) == f"{LABELS[algorithm]} step produced non-finite entries at iteration {k}"
+        assert at == k
+        eta = StepSchedule(kind="constant", eta0=steps[row][0])
+        row_cfg = replace(cfg, seed=seed, schedule=eta)
+        assert np.array_equal(x_k, iterate_at(problem, row_cfg, algorithm, k))
+        assert trace_rows(trace) == [r for r in trace_rows(clean[row].trace) if r[0] <= k]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ Every value and subgradient callable of a problem also maps a (B, n, p)
 stack slice by slice, each slice bitwise as the 2-d call alone: an oracle
 returns the (B, n, p) stack of its subgradients, a value callable the B
 values.  The built-in ones are marked _stacks; any other callable is taken
-as a 2-d function, called once per slice, and a DivergenceError it raises
-for one slice is pinned to that slice, so it ends only that slice's run.
+as a 2-d function, called once per slice, and an error it raises for a
+slice propagates as it is raised.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import _fro, _jacobian, _map, _shell_points, _state, random_shell_point
-from .errors import ConfigurationError, DimensionError, DivergenceError
+from .errors import ConfigurationError, DimensionError
 
 SubgradOracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
@@ -42,17 +42,20 @@ def _integer(name: str, value, least=None) -> None:
 
 
 def _number(name: str, value) -> float:
-    """value as a float; raise ConfigurationError naming the field unless it is a non-bool real."""
+    """value as a float, ±inf past float range; raise ConfigurationError unless a non-bool real."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer (or fraction) too large for a float
+        return math.inf if value > 0 else -math.inf
 
 
 def _nonnegative(name: str, value) -> None:
     """Raise ValueError naming the parameter unless value is a finite nonnegative number."""
-    if _number(name, value) < 0:
+    if (number := _number(name, value)) < 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
-    if not math.isfinite(value):
+    if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -60,19 +63,6 @@ def _stacks(fn):
     """Mark fn as mapping a (B, n, p) stack slice by slice, bitwise as each slice alone."""
     fn._stacks = True
     return fn
-
-
-class _SliceErrors(DivergenceError):
-    """DivergenceErrors that slices of one stacked call raised; errors maps slice index to each."""
-
-    def __init__(self, errors: dict):
-        super().__init__("; ".join(f"slice {i}: {err}" for i, err in errors.items()))
-        self.errors = errors
-
-
-def _pinned(err: DivergenceError, slices: int) -> dict:
-    """The error of each slice that err ends: those it names, or all of them."""
-    return err.errors if isinstance(err, _SliceErrors) else dict.fromkeys(range(slices), err)
 
 
 def _shaped(w, shape) -> np.ndarray:
@@ -88,8 +78,8 @@ def _per_slice(fn, values: bool):
 
     A 2-d call passes straight through.  On a stack, an oracle's slice i gets
     the i-th row generator (or None), and a value callable (values true) gives
-    one number per slice.  Every slice is called; the DivergenceErrors they
-    raise are then raised together as _SliceErrors.
+    one number per slice.  A slice's error propagates as it is raised, and the
+    later slices are not called.
     """
     if getattr(fn, "_stacks", False):
         return fn
@@ -99,14 +89,9 @@ def _per_slice(fn, values: bool):
         if np.ndim(x) != 3:
             return fn(x, *rng)
         shape = () if values else x.shape[1:]
-        out, errors = np.empty((len(x), *shape)), {}
+        out = np.empty((len(x), *shape))
         for i, args in enumerate(zip(x, *([None] * len(x) if g is None else g for g in rng))):
-            try:
-                out[i] = _shaped(fn(*args), shape)
-            except DivergenceError as err:
-                errors[i] = err
-        if errors:
-            raise _SliceErrors(errors)
+            out[i] = _shaped(fn(*args), shape)
         return out
 
     return per_slice
@@ -397,10 +382,10 @@ class NoiseModel:
 
     def __post_init__(self):
         _nonnegative("sigma", self.sigma)
-        if self.bound is None:
-            object.__setattr__(self, "bound", 10.0 * self.sigma)
-        if self.sigma > 0 and not self.bound > 0:
+        bound = 10.0 * self.sigma if self.bound is None else _number("bound", self.bound)
+        if self.sigma > 0 and not bound > 0:
             raise ValueError(f"bound must be positive, got {self.bound}")
+        object.__setattr__(self, "bound", bound)
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         g = rng.normal(0.0, self.sigma, shape)
@@ -461,11 +446,8 @@ def estimate_constants(problem: ProblemDefinition, samples: int = 200, seed: int
             size = min(chunk, samples - lo)
             x = _shell_points(rng, problem.n, problem.p, lambda g: 1.0 - g.random(), size)
             resid, poly = _state(x)
-            try:
-                w_img = _shaped(problem.f_subgrad(_map(x, poly)), x.shape)
-                img, raw = _fro(w_img), _fro(_shaped(problem.f_subgrad(x), x.shape))
-            except _SliceErrors as err:  # the loop would raise the first failing slice's error
-                raise next(iter(err.errors.values())) from None
+            w_img = _shaped(problem.f_subgrad(_map(x, poly)), x.shape)
+            img, raw = _fro(w_img), _fro(_shaped(problem.f_subgrad(x), x.shape))
             if not np.isfinite(img + raw).all():
                 raise ValueError(
                     "subgradient oracle returned non-finite entries at a sampled point"

@@ -29,11 +29,11 @@ sharing one state per iterate (Gram residual and map polynomial) between
 the guard, the trace and the update, and owns every run's trace and
 outcome; each algorithm is one step (_Method).  Each oracle site makes one
 call: the step's on the whole stack (2-d for a stack of one), the trace's
-per block of iterates.  A 2-d user callable is called once per slice, and a
-DivergenceError it raises ends only its own run.  Oracle outputs are
-shape-checked; the trace's oracle outputs and every step's result are
-checked for finiteness, the latter by the next guard, which a retraction
-reaches unchanged.
+per block of iterates.  An error that an oracle or value callable raises
+propagates unchanged, whatever its type; only the driver's own checks end
+a single run.  Oracle outputs are shape-checked; the trace's oracle outputs
+and every step's result are checked for finiteness, the latter by the next
+guard, which a retraction reaches unchanged.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .core import (
     validate_matrix,
 )
 from .errors import ConfigurationError, DivergenceError, SafeguardViolationError
-from .problems import ProblemDefinition, _integer, _number, _pinned, _shaped
+from .problems import ProblemDefinition, _integer, _number, _shaped
 
 SCHEDULE_KINDS = ("harmonic_decay", "constant", "custom")
 
@@ -210,6 +210,9 @@ class SolverConfig:
             _number("safeguards", s) >= 0 for s in self.safeguards
         ):
             raise ConfigurationError("safeguards must be three nonnegative estimates")
+        # held as floats, so an integer beyond float range is the inf it stands for
+        guards = tuple(_number("safeguards", s) for s in self.safeguards)
+        object.__setattr__(self, "safeguards", guards)
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.stop_tol_stationarity < 0 or self.stop_tol_feasibility < 0:
@@ -451,20 +454,6 @@ def _keep(outcomes, rows: list, *stacks):
             for a in (rows, *stacks)]
 
 
-def _serve(call, rows, ended: dict):
-    """(served, call(served)) for the rows not in ended; the output is () if none is left.
-
-    A row whose slice of the call raises a DivergenceError enters ended with
-    that error (one naming no slice is every row's), and the rest are served again.
-    """
-    while rows := [j for j in rows if j not in ended]:
-        try:
-            return rows, call(rows)
-        except DivergenceError as err:
-            ended.update((rows[j], e) for j, e in _pinned(err, len(rows)).items())
-    return rows, ()
-
-
 def _index(rows: list, n: int):
     """Sorted distinct rows below n as an index: a slice, which copies nothing, if they are all."""
     return slice(None) if len(rows) == n else rows
@@ -484,9 +473,8 @@ class _TraceQueue:
     one _polar, one exact oracle call, one _stationarity and one f_values
     call each for h and f, each row bitwise its 2-d calls, and each run's
     rows are appended to its trace as columns; stat[run] keeps the run's
-    last stationarity.  A non-finite stationarity output, or a
-    DivergenceError of the row's own slice, ends that run at its row's
-    iterate k, with the rows before k, and drops its later rows.
+    last stationarity.  A non-finite stationarity output ends that run at
+    its row's iterate k, with the rows before k, and drops its later rows.
     """
 
     def __init__(self, problem, beta, shape, traces, outcomes):
@@ -519,31 +507,24 @@ class _TraceQueue:
             return
         runs, iters, feas, seconds, traced = zip(*rows)
         x, mapped = self.x[:n], self.mapped[:n]
-        proj, ended = _polar(x)[0], {}  # ended: the error that ends a row's run there
-        values = np.zeros((3, n))  # each row's stat, f at its mapped point and f
-        live, w = _serve(lambda i: self.problem.f_subgrad(proj[_index(i, n)]), range(n), ended)
-        if live:
-            w = _shaped(w, (len(live), *x.shape[1:]))
-            values[0, _index(live, n)], finite = _stationarity(proj[_index(live, n)], w)
-            for j in compress(live, (~finite).tolist()):
-                ended[j] = DivergenceError(
-                    f"stationarity oracle produced non-finite entries at iteration {iters[j]}"
-                )
-        self.stat.update(zip(runs, values[0].tolist()))  # read only for runs no row ended
-        at = [j for j in live if traced[j]]
-        for i, points in ((1, mapped), (2, proj)):  # f at the mapped points, then at proj
-            at, values[i, _index(at, n)] = _serve(
-                lambda rows: self.problem.f_values(points[_index(rows, n)]), at, ended
-            )
+        proj = _polar(x)[0]
+        stat, finite = _stationarity(proj, _shaped(self.problem.f_subgrad(proj), x.shape))
+        self.stat.update(zip(runs, stat.tolist()))  # read only for runs no row ended
         end = {}  # the row that ends each run ending in this block
-        for j in sorted(ended):
+        for j in compress(range(n), (~finite).tolist()):
             if self.outcomes[run := runs[j]] is None:
                 end[run] = j
-                self.outcomes[run] = (ended[j], x[j].copy(), iters[j], self.traces[run])
-        at = [j for j in at if j < end.get(runs[j], n)] if end else at  # rows before each end
-        stat, h, f = values[:, _index(at, n)]
+                err = DivergenceError(
+                    f"stationarity oracle produced non-finite entries at iteration {iters[j]}"
+                )
+                self.outcomes[run] = (err, x[j].copy(), iters[j], self.traces[run])
+        at = [j for j in range(n) if traced[j] and j < end.get(runs[j], n)]  # rows before each end
+        if not at:
+            return
+        i = _index(at, n)
         feas_at = np.array([feas[j] for j in at])
-        h += 0.25 * self.beta * feas_at * feas_at
+        h = self.problem.f_values(mapped[i]) + 0.25 * self.beta * feas_at * feas_at
+        stat, f = stat[i], self.problem.f_values(proj[i])
         cols = ([iters[j] for j in at], f.tolist(), h.tolist(), feas_at.tolist(), stat.tolist(),
                 [seconds[j] for j in at])
         of_run = [runs[j] for j in at]
@@ -561,16 +542,15 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     generator of seeds[i] and steps by steps[i][k].  Returns one outcome
     per row: its SolverResult, or (error, iterate, k, trace) for a run
     that a guard, a non-finite trace oracle or a non-finite step ended at
-    iterate k; any other error propagates, unless queued trace rows end
-    every run at an earlier iterate.  Each iteration forms the Gram state
-    (G - I, M / 8), the map, the polar factor, the oracle call, the step and
-    the proximal map once for the whole stack.  A DivergenceError of the
-    oracle ends the runs of the slices it names at iterate k, unless the
-    stopping rule or a queued row ended them first, and the oracle is called
-    again on the rest.  The guard goes row by row, and finds a non-finite
-    step, the baseline's too, by its Gram residual; trace and stopping-rule
-    rows go per block (_TraceQueue), each run ending where it would if each
-    row were evaluated at once.  A row leaves when its run ends.
+    iterate k.  An error of an oracle or value callable propagates
+    unchanged, whatever its type, unless queued trace rows end every run
+    at an earlier iterate.  Each iteration forms the Gram state (G - I,
+    M / 8), the map, the polar factor, the oracle call, the step and the
+    proximal map once for the whole stack.  The guard goes row by row, and
+    finds a non-finite step, the baseline's too, by its Gram residual;
+    trace and stopping-rule rows go per block (_TraceQueue), each run
+    ending where it would if each row were evaluated at once.  A row leaves
+    when its run ends.
     """
     shell = cfg.feas_shell_check
     limit = min(DIVERGENCE_FEAS_LIMIT, SHELL_RADIUS + 1e-12) if shell else DIVERGENCE_FEAS_LIMIT
@@ -621,25 +601,17 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
                         outcomes[r] = SolverResult(
                             x[i], project_stiefel(x[i]), traces[r], "tol_met", k
                         )
-            d = None
-            while d is None:  # the direction, called again without the runs it ended
-                if outcomes.count(None) < len(rows):  # the stopping rule, a flush or the oracle
-                    rows, x, resid, poly, mapped, steps = _keep(
-                        outcomes, rows, x, resid, poly, mapped, steps
-                    )
-                    if not rows:
-                        break
-                at = mapped if method.at_map else x
-                try:
-                    if len(rows) == 1:  # a single run's oracle gets a 2-d iterate and one generator
-                        d = _shaped(oracle(at[0], noise[rows[0]].at(k)), x.shape[1:])[None]
-                    else:
-                        d = _shaped(oracle(at, (noise[r].at(k) for r in rows)), x.shape)
-                except DivergenceError as err:
-                    for i, e in _pinned(err, len(rows)).items():
-                        queue.end(rows[i], (e, x[i], k, traces[rows[i]]))
-            if not rows:
-                break
+            if outcomes.count(None) < len(rows):  # the stopping rule or a flush ended a run
+                rows, x, resid, poly, mapped, steps = _keep(
+                    outcomes, rows, x, resid, poly, mapped, steps
+                )
+                if not rows:
+                    break
+            at = mapped if method.at_map else x
+            if len(rows) == 1:  # a single run's oracle gets a 2-d iterate and one generator
+                d = _shaped(oracle(at[0], noise[rows[0]].at(k)), x.shape[1:])[None]
+            else:
+                d = _shaped(oracle(at, (noise[r].at(k) for r in rows)), x.shape)
             # a stack of one steps by a float: bitwise the same, and cheaper than a (1, 1, 1) array
             eta = float(steps[0, k]) if len(rows) == 1 else steps[:, k, None, None]
             y = method.step(x, mapped, d, eta, cfg.beta, resid, poly)
@@ -675,9 +647,11 @@ def run_step_grid(
     budget_epochs epochs, tracing off and a seed derived from (cfg.seed,
     i); its row is bitwise what the single run of that config scores with
     tracing off.  The candidates advance in lockstep as one stacked
-    iterate.  A candidate that diverges, trips a guard or fails a
-    configuration check scores +inf; any other error propagates.  A custom
-    schedule is rejected, because it ignores the eta0 that the grid varies.
+    iterate.  A candidate that a guard, a non-finite step or a non-finite
+    stationarity output ends, or that fails a configuration check, scores
+    +inf; an error of an oracle or value callable propagates, whatever its
+    type.  A custom schedule is rejected, because it ignores the eta0 that
+    the grid varies.
     """
     if algorithm not in _METHODS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")

@@ -161,6 +161,9 @@ BAD_WEIGHTS = [
     (-0.1, "^gamma must be nonnegative, got -0.1$"),
     ("0.1", "^gamma must be a number, got '0.1'$"),
     (True, "^gamma must be a number, got True$"),
+    # integers beyond float range raised a bare OverflowError
+    (10**400, f"^gamma must be finite, got {10**400}$"),
+    (-(10**400), f"^gamma must be nonnegative, got {-(10**400)}$"),
 ]
 
 
@@ -291,19 +294,32 @@ def test_noise_draws_are_bounded_and_centered():
 
 
 @pytest.mark.parametrize(
-    "sigma, message",
+    "sigma, bound, message",
     [
         # nan and inf made the bound nan or inf, and every noisy direction non-finite
-        (float("nan"), "^sigma must be finite, got nan$"),
-        (float("inf"), "^sigma must be finite, got inf$"),
-        (-float("inf"), "^sigma must be nonnegative, got -inf$"),
-        ("x", "^sigma must be a number, got 'x'$"),  # raised a bare TypeError
-        (None, "^sigma must be a number, got None$"),
+        (float("nan"), None, "^sigma must be finite, got nan$"),
+        (float("inf"), None, "^sigma must be finite, got inf$"),
+        (-float("inf"), None, "^sigma must be nonnegative, got -inf$"),
+        ("x", None, "^sigma must be a number, got 'x'$"),  # raised a bare TypeError
+        (None, None, "^sigma must be a number, got None$"),
+        # integers beyond float range raised a bare OverflowError
+        (10**400, None, f"^sigma must be finite, got {10**400}$"),
+        (-(10**400), None, f"^sigma must be nonnegative, got {-(10**400)}$"),
+        # the bound went unchecked: numpy's bare TypeError on a draw, True kept as 1,
+        # and anything at all with sigma 0
+        (0.1, "x", "^bound must be a number, got 'x'$"),
+        (0.1, [1], r"^bound must be a number, got \[1\]$"),
+        (0.1, True, "^bound must be a number, got True$"),
+        (0.0, "x", "^bound must be a number, got 'x'$"),
+        (0.1, -1, "^bound must be positive, got -1$"),
+        (0.1, float("nan"), "^bound must be positive, got nan$"),
     ],
 )
-def test_noise_model_rejects_a_sigma_that_is_not_a_finite_nonnegative_number(sigma, message):
+def test_noise_model_rejects_a_sigma_that_is_not_a_finite_nonnegative_number(
+    sigma, bound, message
+):
     with pytest.raises(ValueError, match=message):
-        problems.NoiseModel(sigma=sigma)
+        problems.NoiseModel(sigma=sigma, bound=bound)
 
 
 def test_attach_noise_zero_sigma_is_identity():
@@ -515,7 +531,7 @@ def test_a_smooth_estimate_calls_its_oracle_twice_per_stack_and_a_noisy_one_per_
 @pytest.mark.parametrize("call", [0, 1, 20, 61], ids=["map-0", "raw-0", "map-10", "raw-30"])
 def test_a_smooth_oracle_failing_at_one_sample_raises_the_serial_loops_error(call, error):
     # the failing call is keyed by its point, so the stacks meet it at the same
-    # sample as the serial loop; a DivergenceError must not arrive as _SliceErrors
+    # sample as the serial loop; the per-slice adapter raises it as it is raised
     a = np.diag([3.0, 2.0, 1.0, 0.5, 0.25])
     points = []
     recording = problems.ProblemDefinition(
@@ -634,7 +650,7 @@ def test_stack_mark_follows_the_callable():
     assert marked(mlp.phi_subgrad) and marked(mlp.phi_value)
 
 
-def test_per_slice_adapter_pins_divergence_errors_and_checks_shapes():
+def test_per_slice_adapter_propagates_the_first_slice_error_and_checks_shapes():
     from stiefelcd.errors import DimensionError, DivergenceError
 
     calls = []
@@ -648,13 +664,11 @@ def test_per_slice_adapter_pins_divergence_errors_and_checks_shapes():
     problem = problems.ProblemDefinition(3, 1, lambda x: float(np.sum(x)), oracle)
     x = np.zeros((4, 3, 1))
     x[:, 0, 0] = [1.0, -1.0, 2.0, -3.0]
-    with pytest.raises(DivergenceError) as excinfo:
+    with pytest.raises(DivergenceError, match="^refused -1$") as excinfo:
         problem.phi_subgrad(x, None)
-    # every slice is called; each raising slice keeps its own error
-    assert calls == [1.0, -1.0, 2.0, -3.0]
-    errors = excinfo.value.errors
-    assert sorted(errors) == [1, 3]
-    assert [str(errors[i]) for i in (1, 3)] == ["refused -1", "refused -3"]
+    # the first raising slice's own error propagates, and the later slices are not called
+    assert type(excinfo.value) is DivergenceError
+    assert calls == [1.0, -1.0]
     assert np.array_equal(problem.phi_subgrad(x[[0, 2]], None), 2.0 * x[[0, 2]])
     assert np.array_equal(problem.f_values(x), [1.0, -1.0, 2.0, -3.0])
     # a wrong output shape is a DimensionError, not numpy's broadcasting or stacking error

@@ -159,6 +159,8 @@ def test_solver_config_validation():
         SolverConfig(trace_stride=0)
     with pytest.raises(ConfigurationError):
         SolverConfig(safeguards=(1.0, -1.0, 0.0))
+    # an estimate beyond float range is the inf it stands for (it raised a bare OverflowError)
+    assert SolverConfig(safeguards=(10**400, 0, 0)) == SolverConfig(safeguards=(INF, 0, 0))
     with pytest.raises(ConfigurationError):
         SolverConfig(seed=-1)
     with pytest.raises(ConfigurationError):
@@ -235,6 +237,18 @@ def test_config_numbers_that_are_not_numbers_are_rejected_naming_their_field(nam
     field = name.split("[")[0]
     with pytest.raises(ConfigurationError, match=f"^{field} must be "):
         NUMBER_FIELDS[name](bad)
+
+
+# an integer beyond float range raised a bare OverflowError; it is now the inf it stands for,
+# which a finite-only field rejects and safeguards keeps
+@pytest.mark.parametrize("huge", [10**400, -(10**400)])
+@pytest.mark.parametrize(
+    "name", ["beta", "stop_tol_stationarity", "stop_tol_feasibility", "eta0", "values[1]"]
+)
+def test_config_integers_beyond_float_range_are_rejected_naming_their_field(name, huge):
+    field = name.split("[")[0]
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got "):
+        NUMBER_FIELDS[name](huge)
 
 
 # max_iters = 5.5 or inf failed with a bare TypeError inside StepSchedule.steps,
@@ -801,7 +815,7 @@ def test_grid_propagates_oracle_dimension_error(algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ["ncdf_sgd", "ncdf_proxsgd", "rsgd_baseline"])
-def test_grid_divergence_at_one_candidates_stationarity_point_scores_only_it_inf(algorithm):
+def test_grid_propagates_an_oracle_divergence_error_at_one_candidates_point(algorithm):
     cfg = SolverConfig(schedule=StepSchedule(kind="constant"), max_iters=5, trace_stride=5)
     # the fourth candidate's starting point, as run_step_grid seeds it
     seed = int(np.random.SeedSequence([cfg.seed, 1003]).generate_state(1)[0])
@@ -814,16 +828,16 @@ def test_grid_divergence_at_one_candidates_stationarity_point_scores_only_it_inf
         assert x.ndim == 2
         return 2.0 * x
 
+    # the user's own error leaves the grid and the candidate's single run alike, unwrapped
     clean = run_step_grid(problem_with_oracle(lambda x, rng: 2.0 * x), cfg, 5, algorithm)
-    rows = run_step_grid(problem_with_oracle(oracle), cfg, 5, algorithm)
-    assert rows[3][1] == float("inf")
-    assert rows[:3] + rows[4:] == clean[:3] + clean[4:]
     assert all(math.isfinite(value) for _, value in clean)
-    single = replace(cfg, seed=seed, schedule=StepSchedule(kind="constant", eta0=rows[3][0]))
     with pytest.raises(DivergenceError, match="^refused the stationarity point$") as excinfo:
-        RUNNERS[algorithm](problem_with_oracle(oracle), single)
-    assert excinfo.value.result.iterations == 0
-    assert len(excinfo.value.result.trace) == 0
+        run_step_grid(problem_with_oracle(oracle), cfg, 5, algorithm)
+    assert type(excinfo.value) is DivergenceError and not hasattr(excinfo.value, "result")
+    eta = StepSchedule(kind="constant", eta0=grid_candidates()[3])
+    with pytest.raises(DivergenceError, match="^refused the stationarity point$") as excinfo:
+        RUNNERS[algorithm](problem_with_oracle(oracle), replace(cfg, seed=seed, schedule=eta))
+    assert type(excinfo.value) is DivergenceError and not hasattr(excinfo.value, "result")
 
 
 def test_grid_traces_only_iteration_0():
@@ -1682,13 +1696,13 @@ def test_replaced_per_row_oracle_runs_a_full_grid(algorithm):
     cfg = stack_grid_config()
     rows = run_step_grid(replace(problem, phi_subgrad=per_row), cfg, 20, algorithm)
     assert rows == run_step_grid(problem, cfg, 20, algorithm)
-    # a 2-d oracle that refuses to serve candidate 1's step at k = 1 ends that
-    # candidate's run alone: only candidate 1 scores inf, every other row is the clean grid's
+    # a 2-d oracle that refuses to serve candidate 1's step at k = 1, where its clean
+    # run goes on, ends the whole grid with the refusal as raised
     seed = int(np.random.SeedSequence([cfg.seed, 1001]).generate_state(1)[0])
-    clean = run_step_grid(small_sparse_pca(), cfg, 20, algorithm)
-    rows = run_step_grid(refusing(small_sparse_pca(), [(seed, 1)]), cfg, 20, algorithm)
-    assert rows[1][1] == float("inf") and clean[1][1] < float("inf")
-    assert rows[:1] + rows[2:] == clean[:1] + clean[2:]
+    assert run_step_grid(small_sparse_pca(), cfg, 20, algorithm)[1][1] < float("inf")
+    with pytest.raises(DivergenceError, match=f"^refused {seed} at 1$") as excinfo:
+        run_step_grid(refusing(small_sparse_pca(), [(seed, 1)]), cfg, 20, algorithm)
+    assert type(excinfo.value) is DivergenceError
 
 
 # ---------------------------------------------------------------------------
@@ -1963,7 +1977,7 @@ def test_rows_stepping_non_finite_together_each_end_at_that_step(algorithm, vict
 
 
 # ---------------------------------------------------------------------------
-# a DivergenceError of one slice ends that slice's run alone
+# an oracle's DivergenceError of one slice propagates from the whole stack
 
 
 def three_rows(problem, cfg, etas=(0.01, 0.02, 0.03)):
@@ -1974,7 +1988,7 @@ def three_rows(problem, cfg, etas=(0.01, 0.02, 0.03)):
 
 
 @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
-def test_divergence_of_one_slice_ends_only_its_own_run(algorithm):
+def test_an_oracle_divergence_error_of_one_slice_propagates_from_the_stack(algorithm):
     problem = small_sparse_pca()
     cfg = SolverConfig(
         beta=1.0, schedule=StepSchedule(kind="constant"), max_iters=20, trace_stride=3
@@ -1982,27 +1996,24 @@ def test_divergence_of_one_slice_ends_only_its_own_run(algorithm):
     seeds, steps, x = three_rows(problem, cfg)
     method = solvers._METHODS[algorithm]
     clean = solvers._lockstep(problem, method, cfg, seeds, steps, x.copy())
-    hit = solvers._lockstep(
-        refusing(problem, [(3, 4), (21, 7)]), method, cfg, seeds, steps, x.copy()
-    )
-    assert clean[1].termination == hit[1].termination == "max_iters"
-    assert np.array_equal(hit[1].final_x, clean[1].final_x)
-    assert trace_rows(hit[1].trace) == trace_rows(clean[1].trace)
-    for row, k in ((0, 4), (2, 7)):
-        err, x_k, at, trace = hit[row]
-        assert type(err) is DivergenceError  # the user's own error, not a wrapper
-        assert (str(err), at) == (f"refused {seeds[row]} at {k}", k)
-        eta = StepSchedule(kind="constant", eta0=steps[row][0])
-        row_cfg = replace(cfg, seed=seeds[row], schedule=eta)
-        assert np.array_equal(x_k, iterate_at(problem, row_cfg, algorithm, k))
-        assert trace_rows(trace) == [r for r in trace_rows(clean[row].trace) if r[0] <= k]
+    assert [outcome.termination for outcome in clean] == ["max_iters"] * 3
+    refused = refusing(problem, [(8, 4), (21, 7)])
+    # the first refusal, row 1's at k = 4, leaves the stack as the user raised it
+    with pytest.raises(DivergenceError, match="^refused 8 at 4$") as excinfo:
+        solvers._lockstep(refused, method, cfg, seeds, steps, x.copy())
+    assert type(excinfo.value) is DivergenceError
+    # and so does row 2's later one from its single run, with no partial run attached
+    eta = StepSchedule(kind="constant", eta0=steps[2][0])
+    with pytest.raises(DivergenceError, match="^refused 21 at 7$") as excinfo:
+        RUNNERS[algorithm](refused, replace(cfg, seed=21, schedule=eta))
+    assert type(excinfo.value) is DivergenceError and not hasattr(excinfo.value, "result")
 
 
 @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
 def test_stopping_rule_and_queued_rows_end_runs_before_the_oracle_error(algorithm):
     # row 0 meets the stopping rule at k = 0, where its step oracle would refuse;
-    # row 1's stationarity is nan at iterate 5, where its step oracle refuses too;
-    # row 2 is refused at k = 5 and ends with that error
+    # row 1, run alone, has a nan stationarity at iterate 5, where its step oracle
+    # refuses too; row 2 is refused at k = 5
     problem = make_quadratic_trace(np.diag(np.arange(6.0, 0.0, -1.0)), 2)
     cfg = SolverConfig(
         beta=1.0,
@@ -2019,24 +2030,29 @@ def test_stopping_rule_and_queued_rows_end_runs_before_the_oracle_error(algorith
     assert clean[1].termination == clean[2].termination == "max_iters"
     row_cfg = SolverConfig(beta=1.0, schedule=StepSchedule(kind="constant", eta0=0.01), seed=8)
     x5 = iterate_at(problem, row_cfg, algorithm, 5)
-    poisoned = refusing(problem, [(3, 0), (8, 5), (21, 5)], nan_at=project_stiefel(x5).matrix)
-    hit = solvers._lockstep(poisoned, method, cfg, seeds, steps, x.copy())
-    assert (hit[0].termination, hit[0].iterations) == ("tol_met", 0)
-    assert np.array_equal(hit[0].final_x, clean[0].final_x)
-    for row, message in (
-        (1, "stationarity oracle produced non-finite entries at iteration 5"),
-        (2, "refused 21 at 5"),
-    ):
-        err, x_k, at, trace = hit[row]
-        assert (str(err), at) == (message, 5)
-        assert trace_rows(trace) == trace_rows(clean[row].trace)[: 5 if row == 1 else 6]
+    # the stopping rule drops row 0 before its step's oracle call, so the stack is clean
+    hit = solvers._lockstep(refusing(problem, [(3, 0)]), method, cfg, seeds, steps, x.copy())
+    for row in range(3):
+        assert outcome_record(hit[row])[:2] == outcome_record(clean[row])[:2]
+        assert np.array_equal(hit[row].final_x, clean[row].final_x)
+        assert trace_rows(hit[row].trace) == trace_rows(clean[row].trace)
+    # row 1's single run ends at its queued nan stationarity, not at its oracle's error
+    poisoned = refusing(problem, [(8, 5)], nan_at=project_stiefel(x5).matrix)
+    (outcome,) = solvers._lockstep(poisoned, method, cfg, [8], steps[1:2], x[1:2].copy())
+    err, _, at, trace = outcome
+    message = "stationarity oracle produced non-finite entries at iteration 5"
+    assert (type(err), str(err), at) == (DivergenceError, message, 5)
+    assert trace_rows(trace) == trace_rows(clean[1].trace)[:5]
+    # row 2's refusal, which no earlier ending precedes, leaves the stack
+    with pytest.raises(DivergenceError, match="^refused 21 at 5$"):
+        solvers._lockstep(refusing(problem, [(3, 0), (21, 5)]), method, cfg, seeds, steps, x.copy())
 
 
 # how runs of a stack end mid-block: plain (none does), guard (a large step
 # diverges), stop (the stopping rule, at k = 10 or 20), nan_stat (the exact oracle
-# is nan at the victim's iterate k0), refused_stat and refused_step (a 2-d user
-# oracle raises DivergenceError for the victim's slice of the stationarity call at
-# iterate k0, or of the step's call at iteration k0)
+# is nan at the victim's iterate k0); or how the stack fails: refused_stat and
+# refused_step (a 2-d user oracle raises DivergenceError for the victim's slice of
+# the stationarity call at iterate k0, or of the step's call at iteration k0)
 LOCKSTEP_SCENARIOS = ("plain", "guard", "stop", "nan_stat", "refused_stat", "refused_step")
 
 
@@ -2116,9 +2132,18 @@ def test_stride_1_stacks_of_seeds_match_each_seeds_single_run(
         problem = stat_poisoned(problem, q, 0) if scenario == "nan_stat" else refused_at(problem, q)
     elif scenario == "refused_step":
         problem = refusing(problem, [(seeds[victim], k0)])
+    if scenario.startswith("refused"):  # the stack raises the victim's single-run error
+        with pytest.raises(DivergenceError) as alone:
+            single(problem, victim)
+        with mock.patch.object(solvers, "TRACE_QUEUE_ENTRIES", block * problem.n * problem.p):
+            with pytest.raises(DivergenceError) as excinfo:
+                solvers._lockstep(problem, method, cfg, seeds, steps, x.copy())
+        assert type(excinfo.value) is type(alone.value) is DivergenceError
+        assert str(excinfo.value) == str(alone.value)
+        return
     with mock.patch.object(solvers, "TRACE_QUEUE_ENTRIES", block * problem.n * problem.p):
         stacked = solvers._lockstep(problem, method, cfg, seeds, steps, x.copy())
-    if scenario not in ("plain", "guard", "stop"):  # the victim ends at k0, the others do not
+    if scenario == "nan_stat":  # the victim ends at k0, the others do not
         assert [outcome_record(o)[1] == k0 and isinstance(o, tuple) for o in stacked] == [
             i == victim for i in range(len(seeds))
         ]

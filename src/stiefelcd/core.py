@@ -32,11 +32,16 @@ a stack of iterates of shape (B, n, p) and act on each slice exactly as
 on the 2-d matrix alone; the solver driver advances every run that way, a
 single run as a stack of one, and the diagnostics evaluate their
 fixed-shape samples that way.
+
+Every module checks its scalar arguments with the helpers here, _number,
+_integer, _finite, _nonnegative and _positive: each raises
+ConfigurationError with a message "<name> must be ..., got <value>".
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,6 +61,50 @@ _RESIDUAL_COEFFS = (9.0, -33.0, 64.0)
 # Gram residual radius of the feasibility shell that safeguarded runs
 # (feas_shell_check) must stay inside.
 SHELL_RADIUS = 1.0 / 6.0
+
+
+def _number(name: str, value) -> float:
+    """value as a float, ±inf past float range; raise ConfigurationError unless a non-bool real."""
+    if isinstance(value, float):  # the common case, spared the slower abstract-class check
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer (or fraction) too large for a float
+        return math.inf if value > 0 else -math.inf
+
+
+def _integer(name: str, value, least=None) -> int:
+    """value as an int; raise ConfigurationError unless a non-bool integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def _finite(name: str, value) -> float:
+    """value as a float; raise ConfigurationError unless a finite number."""
+    if not math.isfinite(number := _number(name, value)):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+    return number
+
+
+def _nonnegative(name: str, value) -> float:
+    """value as a float; raise ConfigurationError unless a finite nonnegative number."""
+    if (number := _number(name, value)) < 0:
+        raise ConfigurationError(f"{name} must be nonnegative, got {value}")
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+    return number
+
+
+def _positive(name: str, value) -> float:
+    """value as a float; raise ConfigurationError unless a finite number > 0."""
+    if not (number := _finite(name, value)) > 0:
+        raise ConfigurationError(f"{name} must be positive, got {value}")
+    return number
 
 
 def validate_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -180,8 +229,7 @@ class PenaltyConfig:
     beta: float = 0.1
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        _positive("beta", self.beta)
 
 
 def apply_A(x) -> np.ndarray:
@@ -359,8 +407,7 @@ def inverse_A(y, tol: float = 1e-14) -> np.ndarray:
     own at s = 1 (see _scalar_map_inverse).  tol, the residual allowed per
     singular value relative to max(1, s), must be finite and positive.
     """
-    if not 0 < tol < math.inf:  # nan fails both comparisons
-        raise ConfigurationError(f"tol must be finite and positive, got {tol}")
+    _positive("tol", tol)
     y = validate_matrix(y)
     u, _, vt = np.linalg.svd(y, full_matrices=False)
     ld = np.longdouble
@@ -417,11 +464,6 @@ def random_stiefel(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
     return _polar(rng.standard_normal((n, p)))[0]
 
 
-def _check_radius(radius):
-    if not 0 <= radius < math.inf:  # nan fails both comparisons
-        raise ValueError(f"radius must be {'nonnegative' if radius < 0 else 'finite'}, got {radius}")
-
-
 def _shell_points(rng, n: int, p: int, radius_of, samples: int) -> np.ndarray:
     """(samples, n, p) stack of random points, slice i with Gram residual radius_of(rng).
 
@@ -437,7 +479,7 @@ def _shell_points(rng, n: int, p: int, radius_of, samples: int) -> np.ndarray:
     g, s = np.empty((samples, n, p)), np.zeros((samples, p, p))
     for i in range(samples):
         radius = radius_of(rng)
-        _check_radius(radius)
+        _nonnegative("radius", radius)
         radii.append(radius)
         rng.standard_normal(out=g[i])
         if radius == 0:
@@ -468,7 +510,7 @@ def random_shell_point(rng: np.random.Generator, n: int, p: int, radius: float) 
     draws and result are bitwise those of _shell_points, which builds many
     at once.
     """
-    _check_radius(radius)
+    _nonnegative("radius", radius)
     q = random_stiefel(rng, n, p)
     if radius == 0:
         return q

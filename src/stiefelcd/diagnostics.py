@@ -41,11 +41,11 @@ from .core import (
     random_stiefel,
     sym,
 )
+from .core import _integer, _positive
 from .errors import ConfigurationError, DimensionError
 from .problems import (
     STACK_ENTRIES,
     ProblemDefinition,
-    _integer,
     estimate_constants,
     make_quadratic_trace,
 )
@@ -297,8 +297,7 @@ def run_identity_suite(seed=0, samples=1000, tol_scale=1.0):
     """
     _integer("samples", samples, 1)
     _integer("seed", seed, 0)
-    if not 0 < tol_scale < math.inf:
-        raise ConfigurationError(f"tol_scale must be positive and finite, got {tol_scale}")
+    _positive("tol_scale", tol_scale)
     reports = []
     for index, (name, fn) in enumerate(IDENTITY_CHECKS):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 7, index]))
@@ -328,8 +327,7 @@ def run_stationarity_suite(problem: ProblemDefinition, beta: float, seed=0, samp
         )
     _integer("samples", samples, 1)
     _integer("seed", seed, 0)
-    if not beta > 0:
-        raise ConfigurationError(f"beta must be positive, got {beta}")
+    _positive("beta", beta)
     m1 = estimate_constants(problem, seed=seed)[0]
     suite = (
         ("stationarity_lower_bound", 0.0, _stationarity_gaps),

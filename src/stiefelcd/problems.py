@@ -17,13 +17,13 @@ slice propagates as it is raised.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import _fro, _jacobian, _map, _shell_points, _state, random_shell_point
+from .core import _integer, _nonnegative, _number
 from .errors import ConfigurationError, DimensionError
 
 SubgradOracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
@@ -31,32 +31,6 @@ SubgradOracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 # entries per (B, n, p) array of a stacked sample: a whole sample of small
 # points in one stack, and a few MiB at a time for large ones
 STACK_ENTRIES = 1 << 19
-
-
-def _integer(name: str, value, least=None) -> None:
-    """Raise ConfigurationError naming the field unless value is a non-bool integer >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigurationError(f"{name} must be >= {least}, got {value}")
-
-
-def _number(name: str, value) -> float:
-    """value as a float, ±inf past float range; raise ConfigurationError unless a non-bool real."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer (or fraction) too large for a float
-        return math.inf if value > 0 else -math.inf
-
-
-def _nonnegative(name: str, value) -> None:
-    """Raise ValueError naming the parameter unless value is a finite nonnegative number."""
-    if (number := _number(name, value)) < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _stacks(fn):
@@ -118,6 +92,9 @@ class Regularizer:
     lipschitz: float
 
     def __post_init__(self):
+        # nan fails >= 0; +inf stays, and caps the proximal step at 0
+        if not _number("lipschitz", self.lipschitz) >= 0:
+            raise ConfigurationError(f"lipschitz must be nonnegative, got {self.lipschitz}")
         object.__setattr__(self, "value", _per_slice(self.value, values=True))
         object.__setattr__(self, "subgrad", _per_slice(self.subgrad, values=False))
 
@@ -142,10 +119,13 @@ class ProblemDefinition:
     smooth: bool = False
 
     def __post_init__(self):
+        _integer("n", self.n)
+        _integer("p", self.p)
         if self.p < 1 or self.n < self.p:
             raise ValueError(f"need n >= p >= 1, got ({self.n}, {self.p})")
-        if self.lipschitz_est < 0:
-            raise ValueError("lipschitz_est must be nonnegative")
+        # nan fails >= 0; +inf stays: a spectral norm of huge data overflows to it
+        if not _number("lipschitz_est", self.lipschitz_est) >= 0:
+            raise ConfigurationError(f"lipschitz_est must be nonnegative, got {self.lipschitz_est}")
         object.__setattr__(self, "phi_value", _per_slice(self.phi_value, values=True))
         object.__setattr__(self, "phi_subgrad", _per_slice(self.phi_subgrad, values=False))
 
@@ -169,6 +149,7 @@ class ProblemDefinition:
 def l1_regularizer(gamma: float, n_entries: int) -> Regularizer:
     """Entrywise term gamma * sum |X_ij| with soft-threshold prox."""
     _nonnegative("gamma", gamma)
+    _integer("n_entries", n_entries, 0)
 
     @_stacks
     def value(x):
@@ -223,6 +204,7 @@ def make_quadratic_trace(a_mat, p: int) -> ProblemDefinition:
     the unit feasibility shell, where ||X||_F <= sqrt(2p).  The callables hold
     -2A only; scaling by -2 and 1/2 is exact away from overflow and subnormals.
     """
+    _integer("p", p, 1)
     a = _check_symmetric(a_mat, "A")
     n = a.shape[0]
     neg2a = -2.0 * a
@@ -275,6 +257,7 @@ def make_l1_pca(data, p: int) -> ProblemDefinition:
     if not np.all(np.isfinite(d)):
         raise ValueError("data contains non-finite entries")
     m, n = d.shape
+    _integer("p", p)
     if p < 1 or p > n:
         raise ValueError(f"need 1 <= p <= {n}, got {p}")
 
@@ -298,7 +281,7 @@ def make_l1_pca(data, p: int) -> ProblemDefinition:
 
 def _mlp_widths(widths):
     """(d_in, hidden, d_out) of a two-layer network whose first layer fits the manifold."""
-    d_in, hidden, d_out = (int(w) for w in widths)
+    d_in, hidden, d_out = (_integer("widths", w) for w in widths)
     if d_in < hidden or hidden < 1:
         raise ValueError(f"first layer must be tall: need d_in >= hidden >= 1, got {widths}")
     if d_out < 1:
@@ -384,7 +367,7 @@ class NoiseModel:
         _nonnegative("sigma", self.sigma)
         bound = 10.0 * self.sigma if self.bound is None else _number("bound", self.bound)
         if self.sigma > 0 and not bound > 0:
-            raise ValueError(f"bound must be positive, got {self.bound}")
+            raise ConfigurationError(f"bound must be positive, got {self.bound}")
         object.__setattr__(self, "bound", bound)
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:

@@ -61,8 +61,9 @@ from .core import (
     random_stiefel,
     validate_matrix,
 )
+from .core import _finite, _integer, _number, _positive
 from .errors import ConfigurationError, DivergenceError, SafeguardViolationError
-from .problems import ProblemDefinition, _integer, _number, _shaped
+from .problems import ProblemDefinition, _shaped
 
 SCHEDULE_KINDS = ("harmonic_decay", "constant", "custom")
 
@@ -109,12 +110,6 @@ class _RunNoise:
         return getattr(self._gen, name)
 
 
-def _finite(name: str, value) -> None:
-    """Raise ConfigurationError naming the field unless value is a finite number."""
-    if not math.isfinite(_number(name, value)):
-        raise ConfigurationError(f"{name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class StepSchedule:
     """Step-size rule eta_k.
@@ -132,8 +127,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ConfigurationError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        _finite("eta0", self.eta0)
         if self.kind == "custom":
+            _finite("eta0", self.eta0)
             if not isinstance(self.values, (tuple, list)) or not self.values:
                 raise ConfigurationError("values must be a nonempty sequence for a custom schedule")
             vals = tuple(_number("values", v) for v in self.values)
@@ -142,11 +137,9 @@ class StepSchedule:
             if any(v <= 0 for v in vals):
                 raise ConfigurationError("values must be positive for a custom schedule")
             object.__setattr__(self, "values", vals)
-        elif not self.eta0 > 0:
-            raise ConfigurationError(f"eta0 must be positive, got {self.eta0}")
-        _integer("epoch_len", self.epoch_len)
-        if self.epoch_len < 1:
-            raise ConfigurationError(f"epoch_len must be >= 1, got {self.epoch_len}")
+        else:
+            _positive("eta0", self.eta0)
+        _integer("epoch_len", self.epoch_len, 1)
 
     def step(self, k: int) -> float:
         if self.kind == "constant":
@@ -195,16 +188,11 @@ class SolverConfig:
             raise ConfigurationError(
                 f"feas_shell_check: expected true or false, got {self.feas_shell_check!r}"
             )
-        for name in ("beta", "stop_tol_stationarity", "stop_tol_feasibility"):
+        _positive("beta", self.beta)
+        for name in ("stop_tol_stationarity", "stop_tol_feasibility"):
             _finite(name, getattr(self, name))
-        for name in ("max_iters", "trace_stride", "seed"):
-            _integer(name, getattr(self, name))
-        if not self.beta > 0:
-            raise ConfigurationError(f"beta must be positive, got {self.beta}")
-        if self.max_iters < 1:
-            raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.trace_stride < 1:
-            raise ConfigurationError(f"trace_stride must be >= 1, got {self.trace_stride}")
+        for name, least in (("max_iters", 1), ("trace_stride", 1), ("seed", 0)):
+            _integer(name, getattr(self, name), least)
         # nan fails >= 0; an inf estimate passes, and the shell check rejects every finite beta
         if not isinstance(self.safeguards, (tuple, list)) or len(self.safeguards) != 3 or not all(
             _number("safeguards", s) >= 0 for s in self.safeguards
@@ -213,8 +201,6 @@ class SolverConfig:
         # held as floats, so an integer beyond float range is the inf it stands for
         guards = tuple(_number("safeguards", s) for s in self.safeguards)
         object.__setattr__(self, "safeguards", guards)
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.stop_tol_stationarity < 0 or self.stop_tol_feasibility < 0:
             raise ConfigurationError(
                 "stop_tol_stationarity and stop_tol_feasibility must be nonnegative"
@@ -655,9 +641,7 @@ def run_step_grid(
     """
     if algorithm not in _METHODS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-    _integer("budget_epochs", budget_epochs)
-    if budget_epochs < 1:
-        raise ConfigurationError(f"budget_epochs must be >= 1, got {budget_epochs}")
+    _integer("budget_epochs", budget_epochs, 1)
     if cfg.schedule.kind == "custom":
         raise ConfigurationError(
             "grid search varies eta0, which a custom schedule ignores; "

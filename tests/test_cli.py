@@ -516,7 +516,7 @@ def test_verify_rejects_a_negative_seed_naming_it(capsys):
 
 def test_verify_rejects_non_finite_tol_scale(capsys):
     assert main(["verify", "--samples", "1", "--tol-scale", "inf"]) == 3
-    assert "tol_scale must be positive and finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == "configuration error: tol_scale must be finite, got inf\n"
 
 
 # ---------------------------------------------------------------------------

@@ -415,7 +415,8 @@ def test_inverse_respects_tolerance_argument():
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf"), -float("inf")])
 def test_inverse_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
-    with pytest.raises(ConfigurationError, match=f"tol must be finite and positive, got {tol}"):
+    rule = "positive" if np.isfinite(tol) else "finite"
+    with pytest.raises(ConfigurationError, match=f"^tol must be {rule}, got {tol}$"):
         core.inverse_A([[5.75]], tol=tol)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stiefelcd import problems
 from stiefelcd.core import random_stiefel
-from stiefelcd.errors import DimensionError, DivergenceError
+from stiefelcd.errors import ConfigurationError, DimensionError, DivergenceError
 
 
 def fd_gradient(f, x, t=1e-6):
@@ -183,6 +183,52 @@ def test_sparse_pca_rejects_a_weight_that_is_not_a_finite_nonnegative_number(gam
 # l1 PCA
 # ---------------------------------------------------------------------------
 
+# 2.0 and 1.5 built a problem whose first run raised a bare TypeError, True ran as
+# p = 1, and a string raised numpy's bare TypeError; each factory now names p
+# before its first arithmetic on it
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: problems.make_quadratic_trace(np.eye(3), p),
+        lambda p: problems.make_sparse_pca(np.eye(3), p, 0.1),
+        lambda p: problems.make_l1_pca(np.ones((4, 3)), p),
+    ],
+    ids=["quadratic", "sparse", "l1"],
+)
+@pytest.mark.parametrize("p", [2.0, 1.5, True, "2", None, float("nan")])
+def test_factories_reject_a_column_count_that_is_not_an_integer(build, p):
+    with pytest.raises(ConfigurationError) as err:
+        build(p)
+    assert str(err.value) == f"p must be an integer, got {p!r}"
+    assert build(np.int64(2)).p == 2
+
+
+def test_problem_sizes_and_lipschitz_estimate_are_checked():
+    base = problems.make_l1_pca(np.ones((4, 3)), 2)
+    for name, bad in [("n", 3.0), ("p", 2.5), ("p", True), ("n", "3")]:
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got "):
+            replace(base, **{name: bad})
+    # a string raised a bare TypeError, and nan was accepted
+    bad_estimates = [
+        ("x", "a number, got 'x'"),
+        (float("nan"), "nonnegative, got nan"),
+        (-1.0, "nonnegative, got -1.0"),
+    ]
+    for bad, message in bad_estimates:
+        with pytest.raises(ConfigurationError, match=f"^lipschitz_est must be {message}$"):
+            replace(base, lipschitz_est=bad)
+    # the spectral norm of huge data overflows to inf, which stays allowed
+    assert replace(base, lipschitz_est=float("inf")).lipschitz_est == float("inf")
+
+
+def test_l1_regularizer_checks_its_entry_count():
+    # -4 gave a nan Lipschitz constant with numpy's sqrt warning, "x" a bare TypeError
+    bad_counts = [(-4, ">= 0, got -4"), ("x", "an integer, got 'x'"), (4.0, "an integer, got 4.0")]
+    for bad, message in bad_counts:
+        with pytest.raises(ConfigurationError, match=f"^n_entries must be {message}$"):
+            problems.l1_regularizer(0.1, bad)
+    assert problems.l1_regularizer(0.5, np.int64(4)).lipschitz == 1.0
+
 def test_l1_pca_hand_values():
     prob = problems.make_l1_pca(np.eye(2), p=1)
     x = np.array([[0.6], [-0.8]])
@@ -269,6 +315,15 @@ def test_mlp_gradient_matches_fd_away_from_kinks():
     assert np.min(np.abs(z)) > 1e-3
     fd = fd_gradient(prob.phi_value, x)
     assert np.linalg.norm(prob.phi_subgrad(x, None) - fd) <= 1e-6
+
+
+def test_mlp_rejects_widths_that_are_not_integers():
+    # 8.5 was truncated to 8 without a word
+    data = problems.synthetic_mlp_dataset(4, (8, 3, 2), 0)
+    for widths in [(8.5, 3, 2), (8, "3", 2), (8, 3, True)]:
+        with pytest.raises(ConfigurationError, match="^widths must be an integer, got "):
+            problems.make_orthogonal_mlp(data, widths)
+    assert problems.make_orthogonal_mlp(data, np.array([8, 3, 2])).n == 8
 
 
 def test_mlp_validation():
@@ -651,7 +706,7 @@ def test_stack_mark_follows_the_callable():
 
 
 def test_per_slice_adapter_propagates_the_first_slice_error_and_checks_shapes():
-    from stiefelcd.errors import DimensionError, DivergenceError
+    from stiefelcd.errors import ConfigurationError, DimensionError, DivergenceError
 
     calls = []
 

@@ -20,6 +20,11 @@ from stiefelcd.core import (
     project_tangent,
     random_stiefel,
 )
+from stiefelcd.diagnostics import (
+    brute_force_sphere_oracle,
+    run_identity_suite,
+    run_stationarity_suite,
+)
 from stiefelcd.errors import (
     ConfigurationError,
     DimensionError,
@@ -280,6 +285,70 @@ def test_grid_budget_epochs_rejects_non_integers_naming_it():
         with pytest.raises(ConfigurationError, match="^budget_epochs must be an integer, got "):
             run_step_grid(problem, cfg, bad, "ncdf_sgd")
     assert len(run_step_grid(problem, cfg, np.int64(2), "ncdf_sgd")) == len(grid_candidates())
+
+
+# the public scalar arguments that core's checks guard, as (argument name, rule, call
+# with the value); every rule rejects before any work is done, so each call is cheap
+BOUNDARY_QUAD = make_quadratic_trace(np.diag([3.0, 2.0, 1.0]), 1)
+BOUNDARY_CIRCLE = make_quadratic_trace(np.eye(2), 1)
+BOUNDARY_L1 = l1_regularizer(0.1, 4)
+BOUNDARY = [
+    ("beta", "positive", lambda v: core.PenaltyConfig(beta=v)),
+    ("tol", "positive", lambda v: core.inverse_A([[5.75]], tol=v)),
+    ("radius", "nonnegative", lambda v: core.random_shell_point(np.random.default_rng(0), 3, 2, v)),
+    ("beta", "positive", lambda v: SolverConfig(beta=v)),
+    ("stop_tol_stationarity", "finite", lambda v: SolverConfig(stop_tol_stationarity=v)),
+    ("max_iters", ">= 1", lambda v: SolverConfig(max_iters=v)),
+    ("trace_stride", ">= 1", lambda v: SolverConfig(trace_stride=v)),
+    ("seed", ">= 0", lambda v: SolverConfig(seed=v)),
+    ("eta0", "positive", lambda v: StepSchedule(eta0=v)),
+    ("epoch_len", ">= 1", lambda v: StepSchedule(epoch_len=v)),
+    ("budget_epochs", ">= 1", lambda v: run_step_grid(BOUNDARY_QUAD, SolverConfig(), v)),
+    ("tol_scale", "positive", lambda v: run_identity_suite(samples=1, tol_scale=v)),
+    ("samples", ">= 1", lambda v: run_identity_suite(samples=v)),
+    ("beta", "positive", lambda v: run_stationarity_suite(BOUNDARY_QUAD, v, samples=1)),
+    ("seed", ">= 0", lambda v: estimate_constants(BOUNDARY_QUAD, seed=v)),
+    ("grid_steps", ">= 1", lambda v: brute_force_sphere_oracle(BOUNDARY_CIRCLE, v)),
+    ("gamma", "nonnegative", lambda v: l1_regularizer(v, 4)),
+    ("gamma", "nonnegative", lambda v: make_sparse_pca(np.eye(3), 1, v)),
+    ("sigma", "nonnegative", lambda v: NoiseModel(sigma=v)),
+    ("n_entries", ">= 0", lambda v: l1_regularizer(0.1, v)),
+    ("lipschitz", "bound", lambda v: replace(BOUNDARY_L1, lipschitz=v)),
+    ("lipschitz_est", "bound", lambda v: replace(BOUNDARY_QUAD, lipschitz_est=v)),
+    ("n", "integer", lambda v: replace(BOUNDARY_QUAD, n=v)),
+    ("p", "integer", lambda v: replace(BOUNDARY_QUAD, p=v)),
+    ("p", ">= 1", lambda v: make_quadratic_trace(np.eye(3), v)),
+    ("p", ">= 1", lambda v: make_sparse_pca(np.eye(3), v, 0.1)),
+    ("p", "integer", lambda v: make_l1_pca(np.ones((4, 3)), v)),
+    ("widths", "integer", lambda v: make_orthogonal_mlp([(np.ones(3), np.ones(1))], (3, v, 1))),
+]
+NOT_REAL = st.one_of(st.text(max_size=3), st.none(), st.booleans(), st.just(np.True_))
+BEYOND = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)])
+NEGATIVE = st.one_of(st.floats(max_value=-5e-324, allow_nan=False), st.integers(max_value=-1))
+NOT_INTEGRAL = st.one_of(NOT_REAL, st.floats(), st.just(2.5))
+BAD_VALUES = {
+    "finite": st.one_of(NOT_REAL, BEYOND),
+    "nonnegative": st.one_of(NOT_REAL, BEYOND, NEGATIVE),
+    "positive": st.one_of(NOT_REAL, BEYOND, NEGATIVE, st.sampled_from([0, 0.0])),
+    # an upper bound may be +inf (a spectral norm that overflows), never nan or negative
+    "bound": st.one_of(NOT_REAL, st.just(math.nan), NEGATIVE, st.just(-(10**400))),
+    "integer": NOT_INTEGRAL,
+    ">= 0": st.one_of(NOT_INTEGRAL, st.integers(max_value=-1)),
+    ">= 1": st.one_of(NOT_INTEGRAL, st.integers(max_value=0)),
+}
+
+
+# PenaltyConfig, inverse_A, run_identity_suite, run_stationarity_suite, l1_regularizer
+# and ProblemDefinition raised a bare TypeError for a string, and a nan or negative
+# Lipschitz bound was accepted
+@settings(max_examples=300, deadline=None, database=None)
+@given(site=st.sampled_from(range(len(BOUNDARY))), data=st.data())
+def test_every_public_scalar_argument_rejects_a_bad_value_naming_it(site, data):
+    name, rule, call = BOUNDARY[site]
+    bad = data.draw(BAD_VALUES[rule], label="bad")
+    with pytest.raises(ConfigurationError) as err:
+        call(bad)
+    assert str(err.value).startswith(f"{name} must be "), str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +661,27 @@ def test_run_prox_subgradient_step_cap_checked():
         max_iters=10,
     )
     run_prox_subgradient(problem, ok)
+
+
+@pytest.mark.parametrize("lipschitz", [math.nan, -10.0])
+def test_a_regularizer_lipschitz_that_would_lift_the_step_cap_is_rejected(lipschitz):
+    # a nan or negative constant made the proximal shell check skip its step cap,
+    # and a step 160 times the cap ran until the divergence guard
+    problem = make_sparse_pca(spiked_covariance(6, [3, 2], 0), 2, 0.1)
+    cfg = SolverConfig(
+        beta=50.0,
+        schedule=StepSchedule(kind="constant", eta0=10.0),
+        feas_shell_check=True,
+        safeguards=(1.0, 0.5, 1.0),
+    )
+    with pytest.raises(ConfigurationError, match=r"steps <= 1/\(19 \(Mt \+ Mr\)\) = 0.0621821,"):
+        run_prox_subgradient(problem, cfg)
+    with pytest.raises(ConfigurationError, match=f"^lipschitz must be nonnegative, got {lipschitz}"):
+        replace(problem.reg, lipschitz=lipschitz)
+    # an infinite constant stays allowed: its cap of 0 rejects every step
+    unbounded = replace(problem, reg=replace(problem.reg, lipschitz=math.inf))
+    with pytest.raises(ConfigurationError, match=r"\)\) = 0, largest scheduled step is 10$"):
+        run_prox_subgradient(unbounded, cfg)
 
 
 def test_run_prox_subgradient_smooth_problem_identity_prox():

@@ -396,9 +396,11 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     reports = run_identity_suite(seed=args.seed, samples=args.samples, tol_scale=args.tol_scale)
     problem = _internal_smooth_problem(np.random.default_rng(args.seed))
-    m1, mt, mh = estimate_constants(problem, seed=args.seed)
+    m1, mt, mh = constants = estimate_constants(problem, seed=args.seed)
     beta = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
-    reports += run_stationarity_suite(problem, beta, seed=args.seed, samples=min(args.samples, 500))
+    reports += run_stationarity_suite(
+        problem, beta, seed=args.seed, samples=min(args.samples, 500), constants=constants
+    )
     print(format_reports(reports))
     failing = [r.name for r in reports if not r.passed]
     if failing:

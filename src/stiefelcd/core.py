@@ -459,7 +459,7 @@ def ncdf_subgradient(f_subgrad, x, penalty: PenaltyConfig) -> np.ndarray:
 
 def random_stiefel(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
     """Haar-ish random feasible point: polar factor of a Gaussian matrix."""
-    if n < p or p < 1:
+    if _integer("n", n) < _integer("p", p) or p < 1:
         raise DimensionError(f"need n >= p >= 1, got ({n}, {p})")
     return _polar(rng.standard_normal((n, p)))[0]
 

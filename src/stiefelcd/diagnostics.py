@@ -9,13 +9,17 @@ checks, whose samples all share their problem's shape, draw every point
 first and evaluate h and its gradient once on the stack, slice by slice
 bitwise as on each point alone.  Reports are plain records (one JSON line
 each) so a build can be vetted from the command line, and the whole
-suite is deterministic given (seed, samples).
+suite is deterministic given (seed, samples): each identity check draws
+from its own stream, so the suite gives the same reports whichever
+process runs each check (_fan_out).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -89,6 +93,16 @@ def _report(name, samples, max_violation, tolerance, seed, error=None) -> CheckR
     )
 
 
+def _failed(name, samples, seed, error) -> CheckReport:
+    return _report(name, samples, math.inf, 0.0, seed, error)
+
+
+def _norm(m) -> float:
+    """np.linalg.norm(m) of a float64 array without its wrapper: the root of the same dot."""
+    r = m.ravel(order="K")
+    return math.sqrt(r.dot(r))
+
+
 def _random_dims(rng, n_max=20, p_max=5):
     n = int(rng.integers(2, n_max + 1))
     p = int(rng.integers(1, min(n, p_max) + 1))
@@ -97,13 +111,13 @@ def _random_dims(rng, n_max=20, p_max=5):
 
 def _unit_direction(rng, n, p):
     d = rng.standard_normal((n, p))
-    return d / np.linalg.norm(d)
+    return d / _norm(d)
 
 
 def _jacobian_scale(x) -> float:
     # crude operator-norm bound for the Jacobian at x, used to scale
     # inner-product tolerances the same way the map's magnitude grows
-    g = float(np.linalg.norm(x.T @ x))
+    g = _norm(x.T @ x)
     return (15.0 + 10.0 * g + 3.0 * g * g) / 8.0 + 3.0 * g
 
 
@@ -132,15 +146,16 @@ def _sampled(tolerance, violation):
 def _fixed_point(rng):
     n, p = _random_dims(rng)
     x = random_stiefel(rng, n, p)
-    return np.linalg.norm(apply_A(x) - x) / math.sqrt(p)
+    return _norm(apply_A(x) - x) / math.sqrt(p)
 
 
 def _factorization(rng):
     n, p = _random_dims(rng)
     x = rng.uniform(-2.0, 2.0, size=(n, p))
     lhs, rhs = ata_residual_identity(x)
-    denom = max(1.0, float(np.linalg.norm(x)) ** 2)
-    return float(np.linalg.norm(lhs - rhs)) / denom
+    denom = max(1.0, _norm(x) ** 2)
+    r = (lhs - rhs).ravel(order="K")
+    return float(np.sqrt(r.dot(r))) / denom  # the root in long double, as np.linalg.norm takes it
 
 
 def _cubic(rng):
@@ -157,7 +172,7 @@ def _finite_difference(rng):
     x = rng.uniform(-1.5, 1.5, size=(n, p))
     d = _unit_direction(rng, n, p)
     fd = (apply_A(x + t * d) - apply_A(x - t * d)) / (2.0 * t)
-    return float(np.linalg.norm(jacobian_apply(x, d) - fd))
+    return _norm(jacobian_apply(x, d) - fd)
 
 
 def _manifold_form(rng):
@@ -165,7 +180,7 @@ def _manifold_form(rng):
     x = random_stiefel(rng, n, p)
     d = _unit_direction(rng, n, p)
     closed = d - x @ sym(d.T @ x)
-    return float(np.linalg.norm(jacobian_apply(x, d) - closed))
+    return _norm(jacobian_apply(x, d) - closed)
 
 
 def _self_adjoint(rng):
@@ -175,7 +190,7 @@ def _self_adjoint(rng):
     w = rng.standard_normal((n, p))
     lhs = float(np.sum(jacobian_apply(x, d) * w))
     rhs = float(np.sum(d * jacobian_apply(x, w)))
-    denom = np.linalg.norm(d) * np.linalg.norm(w) * _jacobian_scale(x)
+    denom = _norm(d) * _norm(w) * _jacobian_scale(x)
     return abs(lhs - rhs) / denom
 
 
@@ -186,8 +201,8 @@ def _normal_component(rng):
     g = x.T @ x
     resid = g - np.eye(p)
     lhs = float(np.sum(jacobian_apply(x, w) * (x @ resid)))
-    rhs = 15.0 / 8.0 * float(np.sum(sym(x.T @ w) * np.linalg.matrix_power(resid, 3)))
-    denom = 1.0 + abs(lhs) + abs(rhs) + np.linalg.norm(w) * _jacobian_scale(x)
+    rhs = 15.0 / 8.0 * float(np.sum(sym(x.T @ w) * ((resid @ resid) @ resid)))
+    denom = 1.0 + abs(lhs) + abs(rhs) + _norm(w) * _jacobian_scale(x)
     return abs(lhs - rhs) / denom
 
 
@@ -202,22 +217,21 @@ def _roundtrip(rng):
         bad = np.abs(s - 1.0) < 0.01
         s[bad] = rng.uniform(0.0, 3.0, size=int(bad.sum()))
     x = (u[:, :p] * s) @ v.T
-    err = np.linalg.norm(inverse_A(apply_A(x)) - x)
-    return float(err) / max(1.0, float(np.linalg.norm(x)))
+    return _norm(inverse_A(apply_A(x)) - x) / max(1.0, _norm(x))
 
 
 def _projection_distance(rng):
     n, p = _random_dims(rng)
     x = random_shell_point(rng, n, p, 0.5 * (1.0 - rng.random()))
     v = feasibility_violation(x)
-    return float(np.linalg.norm(x - project_stiefel(x).matrix)) - v
+    return _norm(x - project_stiefel(x).matrix) - v
 
 
 def _projection_map_distance(rng):
     n, p = _random_dims(rng)
     x = random_shell_point(rng, n, p, 0.5 * (1.0 - rng.random()))
     v = feasibility_violation(x)
-    return float(np.linalg.norm(apply_A(x) - project_stiefel(x).matrix)) - 4.0 * v**3
+    return _norm(apply_A(x) - project_stiefel(x).matrix) - 4.0 * v**3
 
 
 def _internal_smooth_problem(rng):
@@ -288,37 +302,151 @@ IDENTITY_CHECKS = (
 )
 
 
+def _claims(fd):
+    """The indices read one byte at a time from the claim pipe fd, until it is empty."""
+    while claim := os.read(fd, 1):
+        yield claim[0]
+
+
+def _serve(task, claims, out):
+    """A forked child's whole life: run claimed indices, pickling each to out, then _exit.
+
+    Before each task(index) it sends (index, None), so the parent knows
+    which index a child that dies was running.  os._exit skips the
+    inherited stdio buffers, atexit handlers and every frame above.
+    """
+    status = 1
+    try:
+        with open(out, "wb") as stream:
+            for index in _claims(claims):
+                pickle.dump((index, None), stream)
+                stream.flush()
+                pickle.dump((index, task(index)), stream)
+                stream.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fan_out(task, count, lost):
+    """[task(0), ..., task(count - 1)] for count <= 256, run by this process and forked children.
+
+    With k = min(count, CPUs this process may use) the caller forks k - 1
+    children, and every process claims indices one at a time from one pipe
+    filled, and closed for writing, before the first fork; a slow task so
+    holds up only its own process.  Each child pickles back its results.
+    An index whose child ended before sending its result gets
+    lost(index, error) instead, error naming how the child ended.  If a
+    fork fails, the processes already running claim the rest.  Every child
+    is reaped before this returns or raises.  Without os.fork or
+    os.sched_getaffinity, or with k = 1, the caller runs every task itself.
+    """
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    workers = min(count, len(os.sched_getaffinity(0))) if forks else 1
+    if workers <= 1:
+        return [task(index) for index in range(count)]
+    results = [None] * count
+    ended = {}  # index claimed by a child that ended without its result -> how it ended
+    claims, fill = os.pipe()
+    os.write(fill, bytes(range(count)))
+    os.close(fill)
+    children = {}  # pid -> the read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _serve(task, claims, write)
+            os.close(write)
+            children[pid] = open(read, "rb")
+        for index in _claims(claims):
+            results[index] = task(index)
+        for pid in list(children):
+            running = None
+            with children[pid] as stream:
+                while True:
+                    try:
+                        index, result = pickle.load(stream)
+                    except (EOFError, pickle.UnpicklingError):
+                        break
+                    if result is None:
+                        running = index
+                    else:
+                        results[index], running = result, None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if running is not None:
+                ended[running] = (
+                    f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                )
+    finally:
+        os.close(claims)
+        if children:  # an exception cut the call short: stop and reap the children left
+            import signal  # only here, so that importing the package loads no new module
+
+            for pid, stream in children.items():
+                stream.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    worker = "ChildProcessError: the worker running it "
+    return [
+        lost(index, worker + ended.get(index, "ended early")) if result is None else result
+        for index, result in enumerate(results)
+    ]
+
+
+def _identity_check(index, seed, samples, tol_scale) -> CheckReport:
+    """Report of IDENTITY_CHECKS[index] on its own stream SeedSequence([seed, 7, index])."""
+    name, fn = IDENTITY_CHECKS[index]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7, index]))
+    try:
+        violation, tolerance = fn(rng, samples, tol_scale)
+    except Exception as exc:
+        # a check that cannot even execute is a failed check, and the
+        # suite's contract is to report failures rather than throw
+        return _failed(name, samples, seed, f"{type(exc).__name__}: {exc}")
+    return _report(name, samples, violation, tolerance, seed)
+
+
 def run_identity_suite(seed=0, samples=1000, tol_scale=1.0):
     """Run every named identity check on seeded random inputs.
 
-    Failures are reported, never raised.  tol_scale multiplies every
-    tolerance (for reduced-precision builds); reports come back in name
-    order.
+    Failures are reported, never raised; a check whose worker process
+    dies fails with a ChildProcessError naming how it ended.  tol_scale
+    multiplies every tolerance (for reduced-precision builds); reports
+    come back in name order.  Where os.fork and os.sched_getaffinity exist,
+    the checks run in forked workers on every CPU this process may use
+    (_fan_out), and serially elsewhere or on one CPU; the reports do not
+    depend on which.  Python 3.12 and later warn (DeprecationWarning)
+    when a process with more than one thread forks, and numpy's BLAS
+    thread pool is one.
     """
-    _integer("samples", samples, 1)
-    _integer("seed", seed, 0)
-    _positive("tol_scale", tol_scale)
-    reports = []
-    for index, (name, fn) in enumerate(IDENTITY_CHECKS):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 7, index]))
-        error = None
-        try:
-            violation, tolerance = fn(rng, int(samples), float(tol_scale))
-        except Exception as exc:
-            # a check that cannot even execute is a failed check, and the
-            # suite's contract is to report failures rather than throw
-            violation, tolerance = float("inf"), 0.0
-            error = f"{type(exc).__name__}: {exc}"
-        reports.append(_report(name, samples, violation, tolerance, seed, error))
+    samples = _integer("samples", samples, 1)
+    seed = _integer("seed", seed, 0)
+    tol_scale = _positive("tol_scale", tol_scale)
+    reports = _fan_out(
+        lambda index: _identity_check(index, seed, samples, tol_scale),
+        len(IDENTITY_CHECKS),
+        lambda index, error: _failed(IDENTITY_CHECKS[index][0], samples, seed, error),
+    )
     return sorted(reports, key=lambda r: r.name)
 
 
-def run_stationarity_suite(problem: ProblemDefinition, beta: float, seed=0, samples=500):
+def run_stationarity_suite(
+    problem: ProblemDefinition, beta: float, seed=0, samples=500, constants=None
+):
     """Gradient-norm lower bound and projection descent on a user problem.
 
     Only smooth problems qualify: with a set-valued oracle one returned
     element cannot certify the distance bound.  A beta far below the
     safeguard level shows up as failed reports, not exceptions.
+    constants, when the caller has them, are estimate_constants(problem,
+    seed=seed), which is otherwise called here.
     """
     if not problem.smooth:
         raise ConfigurationError(
@@ -328,7 +456,7 @@ def run_stationarity_suite(problem: ProblemDefinition, beta: float, seed=0, samp
     _integer("samples", samples, 1)
     _integer("seed", seed, 0)
     _positive("beta", beta)
-    m1 = estimate_constants(problem, seed=seed)[0]
+    m1 = (constants or estimate_constants(problem, seed=seed))[0]
     suite = (
         ("stationarity_lower_bound", 0.0, _stationarity_gaps),
         ("projection_descent", 1e-10, _descent_gaps),

@@ -306,6 +306,7 @@ def make_orthogonal_mlp(
     kink, so the subgradient at zero preactivations is zero.
     """
     d_in, hidden, d_out = _mlp_widths(widths)
+    _integer("seed", seed, 0)
     pairs = list(dataset)
     if not pairs:
         raise ValueError("dataset is empty")
@@ -483,6 +484,7 @@ def spiked_covariance(n: int, top_eigenvalues, seed: int) -> np.ndarray:
 
 def synthetic_mlp_dataset(n_samples: int, widths, seed: int):
     """Regression pairs from a planted two-layer ReLU network."""
+    _integer("n_samples", n_samples, 0)
     d_in, hidden, d_out = _mlp_widths(widths)
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d_in, hidden)))

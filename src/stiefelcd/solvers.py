@@ -237,7 +237,7 @@ class SolverResult:
 
 def default_initial_point(problem: ProblemDefinition, seed: int) -> np.ndarray:
     """Gaussian matrix from SeedSequence([seed, 1]) pushed onto the manifold by polar projection."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
+    rng = np.random.default_rng(np.random.SeedSequence([_integer("seed", seed, 0), 1]))
     return random_stiefel(rng, problem.n, problem.p)
 
 

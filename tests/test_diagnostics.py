@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import select
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -49,6 +52,15 @@ REQUIRED_CHECKS = {
     "stationarity_lower_bound",
     "projection_descent",
 }
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test here, the suite's calls that raise included, leaves no child process."""
+    yield
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_identity_suite_covers_every_invariant():
@@ -230,6 +242,121 @@ def test_check_report_fields():
 
 
 # ---------------------------------------------------------------------------
+# the checks spread over forked workers
+
+FORKS = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+MANY_CPUS = FORKS and len(os.sched_getaffinity(0)) >= 2
+
+
+def serial_reports(seed, samples):
+    """Each IDENTITY_CHECKS entry run here, on its own seeded generator, in name order."""
+    reports = []
+    for index, (name, fn) in enumerate(IDENTITY_CHECKS):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 7, index]))
+        violation, tolerance = fn(rng, samples, 1.0)
+        passed = bool(violation <= tolerance)
+        reports.append(CheckReport(name, samples, float(violation), tolerance, passed, seed))
+    return sorted(reports, key=lambda r: r.name)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_identity_suite_equals_each_check_run_serially(seed):
+    assert run_identity_suite(seed=seed, samples=20) == serial_reports(seed, 20)
+
+
+def forbid_fork(monkeypatch):
+    def fork():
+        raise AssertionError("forked a child")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.skipif(not FORKS, reason="needs os.fork and os.sched_getaffinity")
+def test_identity_suite_on_one_cpu_runs_in_this_process(monkeypatch):
+    forbid_fork(monkeypatch)
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        reports = run_identity_suite(seed=1, samples=20)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert reports == serial_reports(1, 20)
+
+
+def test_identity_suite_forks_no_more_processes_than_checks(monkeypatch):
+    forbid_fork(monkeypatch)
+    monkeypatch.setattr(diagnostics, "IDENTITY_CHECKS", diagnostics.IDENTITY_CHECKS[:1])
+    (report,) = run_identity_suite(seed=0, samples=20)
+    assert report == serial_reports(0, 20)[0]
+
+
+def test_identity_suite_runs_every_check_itself_when_fork_fails(monkeypatch):
+    def fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert run_identity_suite(seed=2, samples=20) == serial_reports(2, 20)
+
+
+@pytest.mark.skipif(not MANY_CPUS, reason="needs os.fork and two usable CPUs")
+def test_a_check_that_kills_its_worker_fails_naming_the_exit_status(monkeypatch):
+    # the caller's first check waits until a child has taken the other one, so one
+    # of the two always runs in a child, which it ends with status 3
+    caller, (wait, signal) = os.getpid(), os.pipe()
+    waited = []
+
+    def check(rng, samples, scale):
+        if os.getpid() != caller:
+            os.write(signal, b"x")
+            os._exit(3)
+        if not waited:  # bounded, so a suite that never forks fails here instead of hanging
+            ready = select.select([wait], [], [], 30)[0]
+            waited.append(os.read(wait, 1) if ready else None)
+        return 0.0, 1.0
+
+    monkeypatch.setattr(diagnostics, "IDENTITY_CHECKS", (("a", check), ("b", check)))
+    try:
+        reports = run_identity_suite(seed=0, samples=2)
+    finally:
+        os.close(wait)
+        os.close(signal)
+    assert waited == [b"x"]
+    failed = [r for r in reports if not r.passed]
+    assert len(reports) == 2 and len(failed) == 1
+    assert failed[0].error == "ChildProcessError: the worker running it exited with status 3"
+    assert failed[0].max_violation == math.inf
+    assert [r.error for r in reports if r.passed] == [None]
+
+
+@pytest.mark.skipif(not MANY_CPUS, reason="needs os.fork and two usable CPUs")
+def test_an_interrupt_in_the_caller_stops_every_worker(monkeypatch):
+    # children sleep in their check; the caller, which always gets a check because
+    # each child holds one at a time, is interrupted in it and must not wait them out
+    caller = os.getpid()
+
+    def check(rng, samples, scale):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    workers = min(4, len(os.sched_getaffinity(0)))
+    checks = tuple((f"c{i}", check) for i in range(workers))
+    monkeypatch.setattr(diagnostics, "IDENTITY_CHECKS", checks)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_identity_suite(seed=0, samples=2)
+    assert time.perf_counter() - t0 < 30
+
+
+def test_stationarity_suite_takes_the_constants_it_would_estimate():
+    problem = quad_problem()
+    constants = estimate_constants(problem, seed=3)
+    assert run_stationarity_suite(problem, 80.0, seed=3, samples=40, constants=constants) == (
+        run_stationarity_suite(problem, 80.0, seed=3, samples=40)
+    )
+
+
+# ---------------------------------------------------------------------------
 # stationarity suite
 
 
@@ -408,6 +535,10 @@ def test_the_projection_certificate_is_checked_for_every_slice(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "_polar", off_manifold)
     reports = {r.name: r for r in run_identity_suite(seed=0, samples=7)}
+    # the suite may have run the check in a forked worker, whose nudges this process
+    # does not see: run it here as well, where its report must be the suite's
+    index = [name for name, _ in IDENTITY_CHECKS].index("projection_descent")
+    assert diagnostics._identity_check(index, 0, 7, 1.0) == reports["projection_descent"]
     with pytest.raises(ValueError) as err:
         core.StiefelPoint(nudged[0])
     failed = reports["projection_descent"]

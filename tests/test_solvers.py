@@ -321,6 +321,12 @@ BOUNDARY = [
     ("p", ">= 1", lambda v: make_sparse_pca(np.eye(3), v, 0.1)),
     ("p", "integer", lambda v: make_l1_pca(np.ones((4, 3)), v)),
     ("widths", "integer", lambda v: make_orthogonal_mlp([(np.ones(3), np.ones(1))], (3, v, 1))),
+    ("seed", ">= 0", lambda v: default_initial_point(BOUNDARY_QUAD, v)),
+    ("seed", ">= 0", lambda v: make_orthogonal_mlp([(np.ones(3), np.ones(1))], (3, 2, 1), seed=v)),
+    ("n", "integer", lambda v: random_stiefel(np.random.default_rng(0), v, 1)),
+    ("p", "integer", lambda v: random_stiefel(np.random.default_rng(0), 3, v)),
+    ("n", "integer", lambda v: core.random_shell_point(np.random.default_rng(0), v, 1, 0.1)),
+    ("n_samples", ">= 0", lambda v: synthetic_mlp_dataset(v, (3, 2, 1), 0)),
 ]
 NOT_REAL = st.one_of(st.text(max_size=3), st.none(), st.booleans(), st.just(np.True_))
 BEYOND = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)])
@@ -349,6 +355,54 @@ def test_every_public_scalar_argument_rejects_a_bad_value_naming_it(site, data):
     with pytest.raises(ConfigurationError) as err:
         call(bad)
     assert str(err.value).startswith(f"{name} must be "), str(err.value)
+
+
+# default_initial_point ran a seed of 1.5 as seed 1 and raised numpy's bare error for
+# -1; make_orthogonal_mlp raised bare errors for both; random_stiefel and
+# synthetic_mlp_dataset raised a bare TypeError for a float size
+MLP_PAIRS = [(np.ones(3), np.ones(1))]
+SEEDS_AND_SIZES = {
+    "default_initial_point": ("seed", lambda v: default_initial_point(BOUNDARY_QUAD, v)),
+    "make_orthogonal_mlp": ("seed", lambda v: make_orthogonal_mlp(MLP_PAIRS, (3, 2, 1), seed=v)),
+    "random_stiefel-n": ("n", lambda v: random_stiefel(np.random.default_rng(0), v, 1)),
+    "random_stiefel-p": ("p", lambda v: random_stiefel(np.random.default_rng(0), 3, v)),
+    "random_shell_point": ("n", lambda v: core.random_shell_point(np.random.default_rng(0), v, 1, 0.5)),
+    "synthetic_mlp_dataset": ("n_samples", lambda v: synthetic_mlp_dataset(v, (3, 2, 1), 0)),
+}
+
+
+@pytest.mark.parametrize("site", SEEDS_AND_SIZES)
+@pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+def test_public_seeds_and_sizes_reject_a_value_that_is_not_an_integer(site, bad):
+    name, call = SEEDS_AND_SIZES[site]
+    with pytest.raises(ConfigurationError) as err:
+        call(bad)
+    assert str(err.value) == f"{name} must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("site", SEEDS_AND_SIZES)
+def test_public_seeds_and_sizes_reject_minus_one_with_a_typed_error(site):
+    name, call = SEEDS_AND_SIZES[site]
+    if name in ("n", "p"):  # a size below 1 keeps its shape error
+        with pytest.raises(DimensionError, match=r"^need n >= p >= 1, got "):
+            call(-1)
+    else:
+        with pytest.raises(ConfigurationError) as err:
+            call(-1)
+        assert str(err.value) == f"{name} must be >= 0, got -1"
+
+
+def test_public_seeds_and_sizes_take_numpy_integers():
+    # run_step_grid hands default_initial_point its seeds; numpy integers stay valid
+    quad, widths = BOUNDARY_QUAD, (3, 2, 1)
+    assert np.array_equal(default_initial_point(quad, np.int64(3)), default_initial_point(quad, 3))
+    a = random_stiefel(np.random.default_rng(5), np.int64(4), np.uint8(2))
+    assert np.array_equal(a, random_stiefel(np.random.default_rng(5), 4, 2))
+    a = make_orthogonal_mlp(MLP_PAIRS, widths, seed=np.uint32(4))
+    b = make_orthogonal_mlp(MLP_PAIRS, widths, seed=4)
+    assert a.f_value(np.eye(3, 2)) == b.f_value(np.eye(3, 2))
+    a = synthetic_mlp_dataset(np.int64(3), widths, 0)
+    assert repr(a) == repr(synthetic_mlp_dataset(3, widths, 0))
 
 
 # ---------------------------------------------------------------------------

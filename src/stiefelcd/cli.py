@@ -34,7 +34,7 @@ import math
 import sys
 import time
 from dataclasses import fields
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -430,6 +430,7 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
+@cache  # built at the first main() call, not at import; it binds the cmd_* functions then
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stiefelcd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

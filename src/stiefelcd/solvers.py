@@ -532,35 +532,43 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     unchanged, whatever its type, unless queued trace rows end every run
     at an earlier iterate.  Each iteration forms the Gram state (G - I,
     M / 8), the map, the polar factor, the oracle call, the step and the
-    proximal map once for the whole stack.  The guard goes row by row, and
-    finds a non-finite step, the baseline's too, by its Gram residual;
-    trace and stopping-rule rows go per block (_TraceQueue), each run
-    ending where it would if each row were evaluated at once.  A row leaves
-    when its run ends.
+    proximal map once for the whole stack.  The guard takes each row's Gram
+    residual (one dot product for a stack of one) and goes row by row only
+    when one fails; it finds a non-finite step, the baseline's too, by that
+    residual.  Trace and stopping-rule rows go per block (_TraceQueue), each
+    run ending where it would if each row were evaluated at once.  A row
+    leaves when its run ends, at the guard or at a trace or stopping row.
     """
     shell = cfg.feas_shell_check
     limit = min(DIVERGENCE_FEAS_LIMIT, SHELL_RADIUS + 1e-12) if shell else DIVERGENCE_FEAS_LIMIT
+    passes = limit.__ge__  # f <= limit, false for NaN; every residual that passes skips the guard
     tol_stat, tol_feas = cfg.stop_tol_stationarity, cfg.stop_tol_feasibility
     stop_on = tol_stat > 0  # SolverConfig makes both tolerances positive or neither
-    reg = problem.reg if method.proximal else None
+    max_iters, stride, beta = cfg.max_iters, cfg.trace_stride, cfg.beta
+    step, retract, at_map = method.step, method.retract, method.at_map
+    maps = at_map or method.proximal  # every step needs A(x), not only a traced one
+    prox = problem.reg.prox if method.proximal and problem.reg is not None else None
     # the proximal method steps along the smooth part only; the others along f
     oracle = problem.phi_subgrad if method.proximal else problem.f_subgrad
     noise = [_RunNoise(seed) for seed in seeds]
     rows = list(range(len(seeds)))  # the run of each row of the stack
-    steps = np.asarray(steps, dtype=float)  # (B, max_iters), cut down with the stack
+    etas, steps = steps, np.asarray(steps, dtype=float)  # (B, max_iters), cut down with the stack
     traces = [IterateTrace() for _ in seeds]
     outcomes = [None] * len(seeds)
-    queue = _TraceQueue(problem, cfg.beta, x.shape[1:], traces, outcomes)
-    terms = _terms(x.shape[-1], x.ndim)
+    terms, shape = _terms(x.shape[-1], x.ndim), x.shape[1:]
+    queue = _TraceQueue(problem, beta, shape, traces, outcomes)
     non_finite = method.label + " step produced non-finite entries at iteration {}"
     t0 = time.perf_counter()
     try:
-        for k in range(cfg.max_iters + 1):
+        for k in range(max_iters + 1):
             resid, poly = _state(x, terms)
-            flat = resid.reshape(len(rows), 1, -1)  # _fro's dot products, with math.sqrt per row
-            feas = [math.sqrt(s) for s in (flat @ flat.swapaxes(-1, -2)).ravel().tolist()]
-            # every residual at or below limit passes the guard, which runs only otherwise
-            if not all(f <= limit for f in feas):
+            if len(rows) == 1:  # one dot product: bitwise the batched one (see core._violation)
+                flat = resid.ravel()
+                feas = [math.sqrt(flat.dot(flat))]
+            else:  # _fro's dot products, with math.sqrt per row
+                flat = resid.reshape(len(rows), 1, -1)
+                feas = [math.sqrt(s) for s in (flat @ flat.swapaxes(-1, -2)).ravel().tolist()]
+            if not all(map(passes, feas)):
                 for i, r in enumerate(rows):
                     if not (math.isfinite(feas[i]) or np.isfinite(x[i]).all()):
                         # step k - 1 was not finite (k > 0, as x0 is validated finite)
@@ -571,40 +579,41 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
                 rows, feas, x, resid, poly, steps = _keep(
                     outcomes, rows, feas, x, resid, poly, steps
                 )
-            if not rows or k == cfg.max_iters:
+            if not rows or k == max_iters:
                 break
-            traced = k % cfg.trace_stride == 0
+            traced = k % stride == 0
             stopping = stop_on and k % 10 == 0
-            mapped = _map(x, poly) if traced or method.at_map or method.proximal else None
-            if traced or stopping:
+            mapped = _map(x, poly) if traced or maps else None
+            if traced or stopping:  # the only rows, besides the guard's, that can end a run
                 seconds = time.perf_counter() - t0
                 for i, r in enumerate(rows):
                     queue.add(r, k, x[i], mapped[i] if traced else None, feas[i], seconds)
-            if stopping:
-                queue.flush()
-                for i, r in enumerate(rows):
-                    if outcomes[r] is None and queue.stat[r] <= tol_stat and feas[i] <= tol_feas:
-                        outcomes[r] = SolverResult(
-                            x[i], project_stiefel(x[i]), traces[r], "tol_met", k
-                        )
-            if outcomes.count(None) < len(rows):  # the stopping rule or a flush ended a run
-                rows, x, resid, poly, mapped, steps = _keep(
-                    outcomes, rows, x, resid, poly, mapped, steps
-                )
-                if not rows:
-                    break
-            at = mapped if method.at_map else x
-            if len(rows) == 1:  # a single run's oracle gets a 2-d iterate and one generator
-                d = _shaped(oracle(at[0], noise[rows[0]].at(k)), x.shape[1:])[None]
+                if stopping:
+                    queue.flush()
+                    for i, r in enumerate(rows):
+                        if outcomes[r] is None and queue.stat[r] <= tol_stat:
+                            if feas[i] <= tol_feas:
+                                outcomes[r] = SolverResult(
+                                    x[i], project_stiefel(x[i]), traces[r], "tol_met", k
+                                )
+                if outcomes.count(None) < len(rows):  # the stopping rule or a flush ended a run
+                    rows, x, resid, poly, mapped, steps = _keep(
+                        outcomes, rows, x, resid, poly, mapped, steps
+                    )
+                    if not rows:
+                        break
+            at = mapped if at_map else x
+            if len(rows) == 1:  # a single run's oracle gets a 2-d iterate and one generator,
+                d = _shaped(oracle(at[0], noise[rows[0]].at(k)), shape)[None]
+                eta = float(etas[rows[0]][k])  # and its step a float: bitwise a (1, 1, 1) array's
             else:
                 d = _shaped(oracle(at, (noise[r].at(k) for r in rows)), x.shape)
-            # a stack of one steps by a float: bitwise the same, and cheaper than a (1, 1, 1) array
-            eta = float(steps[0, k]) if len(rows) == 1 else steps[:, k, None, None]
-            y = method.step(x, mapped, d, eta, cfg.beta, resid, poly)
-            if reg is not None:
-                y = np.ascontiguousarray(reg.prox(y, eta), dtype=float)
+                eta = steps[:, k, None, None]
+            y = step(x, mapped, d, eta, beta, resid, poly)
+            if prox is not None:
+                y = np.ascontiguousarray(prox(y, eta), dtype=float)
             # the next guard catches a non-finite step and reports prev
-            prev, x = x, y if method.retract is None else method.retract(y)
+            prev, x = x, y if retract is None else retract(y)
     except Exception:
         queue.flush()  # a queued row may end a run before the error was reached
         if any(outcome is None for outcome in outcomes):

@@ -298,6 +298,25 @@ def test_run_diverged_to_a_huge_iterate_prints_only_its_error_line(tmp_path):
     assert json.loads(done.stdout)["final_feasibility"] is None
 
 
+def test_main_reuses_one_parser_that_importing_cli_does_not_build(tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import stiefelcd.cli as c; print(c._build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.stdout == "0\n"
+    parser = cli._build_parser()
+    assert main(["verify", "--samples", "many"]) == 3
+    assert main(["grid", str(tmp_path / "missing.json")]) == 3
+    assert cli._build_parser() is parser
+    err = capsys.readouterr().err
+    assert "argument --samples: invalid int value: 'many'" in err
+    assert "missing.json" in err
+
+
 def test_run_with_an_overflowing_exact_subgradient_exits_2_with_a_null_stationarity(tmp_path):
     # every entry of the L1-PCA data is 1e308, so the exact subgradient at iterate 0
     # overflows: the trace's stationarity ends the run, the summary writes the shared

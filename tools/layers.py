@@ -1,4 +1,4 @@
-"""Kernel and iteration layers of the solver's hot path, for one or two source trees.
+"""Kernel, iteration and ops layers of the solver's hot path, for one or two source trees.
 
 Run from the repository root:
 
@@ -24,6 +24,16 @@ round.  A process times:
                    trace off (trace_stride = max_iters) and at stride 1;
                    the best of 3 runs
 
+and, once per tree in a process of its own:
+
+  ops layer        Python and C function calls per iteration of the same
+                   runs, counted with sys.setprofile: a 2 000-iteration run
+                   minus a 1 000-iteration run, after one warm run.  The
+                   counts repeat exactly, so --against gives their exact
+                   difference, ./src minus REV.  c_call does not see
+                   operators such as @ and -, so a count is a proxy for
+                   numpy dispatches, not for flops
+
 The JSON gives, per metric and tree, the median and the quartiles over the
 rounds, and with --against the ratio of the medians, ./src over REV, and
 the median and quartiles of the per-round ratios, ./src over REV within
@@ -43,6 +53,7 @@ import tarfile
 import tempfile
 import time
 import timeit
+from functools import partial
 
 KERNEL_SHAPE = (1, 100, 5)
 VERIFY_SPECTRUM = (0.2, 0.9, 1.4, 2.5)  # inverse_A's 12x4 input is A of a matrix with these
@@ -50,10 +61,65 @@ VERIFY_BATCH_DIVISOR = 10  # the verify kernels cost tens of microseconds: batch
 DATA_SEED, X_SEED, RUN_SEED = 3, 0, 1
 TOP_EIGENVALUES = (10.0, 8.0, 6.0, 4.0, 2.0)
 ALGORITHMS = ("ncdf_sgd", "ncdf_proxsgd", "rsgd_baseline")
+OPS_ITERS = (1_000, 2_000)  # the ops layer counts the second run minus the first
 MODES = {  # rounds, kernel calls per timed batch, iterations per run
     "quick": (3, 2_000, 300),
     "full": (7, 20_000, 2_000),
 }
+
+
+def iteration_problem():
+    """The 100x5 sparse PCA problem of the iteration and ops layers."""
+    from stiefelcd.problems import make_sparse_pca, spiked_covariance
+
+    return make_sparse_pca(spiked_covariance(100, TOP_EIGENVALUES, seed=DATA_SEED), 5, 0.1)
+
+
+def iteration_runs(iters):
+    """(metric suffix, run callable) for each algorithm, trace off and at stride 1."""
+    from stiefelcd import solvers
+
+    problem = iteration_problem()
+    for algorithm in ALGORITHMS:
+        for label, stride in (("trace_off", iters), ("stride_1", 1)):
+            cfg = solvers.SolverConfig(
+                beta=1.0,
+                schedule=solvers.StepSchedule(kind="constant", eta0=1e-3),
+                max_iters=iters,
+                seed=RUN_SEED,
+                trace_stride=stride,
+            )
+            run = solvers.ALGORITHM_RUNNERS[algorithm]
+            yield f"{algorithm}.{label}", partial(run, problem, cfg)
+
+
+def count_calls(run):
+    """{"call": Python calls, "c_call": C calls} made by run()."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def count_ops(src):
+    """Calls of each iteration run of the stiefelcd under src in OPS_ITERS' extra iterations."""
+    sys.path.insert(0, src)
+    short, long = OPS_ITERS
+    out = {}
+    for (name, run_short), (_, run_long) in zip(iteration_runs(short), iteration_runs(long)):
+        run_short()  # warm: fills one-time caches
+        a, b = count_calls(run_short), count_calls(run_long)
+        for event, label in (("call", "python"), ("c_call", "c")):
+            out[f"{name}.{label}_calls"] = b[event] - a[event]
+    return out
 
 
 def measure(src, calls, iters):
@@ -61,10 +127,9 @@ def measure(src, calls, iters):
     sys.path.insert(0, src)
     import numpy as np
 
-    from stiefelcd import core, solvers
-    from stiefelcd.problems import make_sparse_pca, spiked_covariance
+    from stiefelcd import core
 
-    problem = make_sparse_pca(spiked_covariance(100, TOP_EIGENVALUES, seed=DATA_SEED), 5, 0.1)
+    problem = iteration_problem()
     rng = np.random.default_rng(X_SEED)
     q = np.linalg.qr(rng.standard_normal(KERNEL_SHAPE[1:]))[0]
     x = np.ascontiguousarray((1.0 + 1e-3) * q[None])  # inside the shell, off the manifold
@@ -95,21 +160,13 @@ def measure(src, calls, iters):
         for name, fn in group.items():
             best = min(timeit.repeat(fn, number=number, repeat=5))
             out["kernel_us." + name] = 1e6 * best / number
-    for algorithm in ALGORITHMS:
-        for label, stride in (("trace_off", iters), ("stride_1", 1)):
-            cfg = solvers.SolverConfig(
-                beta=1.0,
-                schedule=solvers.StepSchedule(kind="constant", eta0=1e-3),
-                max_iters=iters,
-                seed=RUN_SEED,
-                trace_stride=stride,
-            )
-            runs = []
-            for _ in range(3):
-                t0 = time.perf_counter()
-                solvers.ALGORITHM_RUNNERS[algorithm](problem, cfg)
-                runs.append(time.perf_counter() - t0)
-            out[f"iteration_us.{algorithm}.{label}"] = 1e6 * min(runs) / iters
+    for name, run in iteration_runs(iters):
+        runs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            run()
+            runs.append(time.perf_counter() - t0)
+        out["iteration_us." + name] = 1e6 * min(runs) / iters
     out["numpy"] = np.__version__
     return out
 
@@ -134,10 +191,14 @@ def main():
     parser.add_argument("--against", metavar="REV", help="also measure src/ of this git revision")
     parser.add_argument("--out", help="write the JSON here as well as to stdout")
     parser.add_argument("--measure", nargs=3, help=argparse.SUPPRESS)  # src calls iters
+    parser.add_argument("--count-ops", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.measure:
         src, calls, iters = args.measure
         print(json.dumps(measure(src, int(calls), int(iters))))
+        return
+    if args.count_ops:
+        print(json.dumps(count_ops(args.count_ops)))
         return
     mode = "quick" if args.quick else "full"
     rounds, calls, iters = MODES[mode]
@@ -152,6 +213,10 @@ def main():
                 cmd = [sys.executable, __file__, "--measure", trees[label], str(calls), str(iters)]
                 done = subprocess.run(cmd, check=True, capture_output=True, text=True)
                 samples[label].append(json.loads(done.stdout))
+        counted = {}
+        for label, src in trees.items():
+            cmd = [sys.executable, __file__, "--count-ops", src]
+            counted[label] = json.loads(subprocess.run(cmd, check=True, capture_output=True).stdout)
     metrics = {}
     for name in samples["worktree"][0]:
         if name == "numpy":
@@ -163,6 +228,13 @@ def main():
             )
             pairs = zip(samples["worktree"], samples[args.against], strict=True)
             metrics[name]["paired_ratio"] = summary([a[name] / b[name] for a, b in pairs])
+    extra = OPS_ITERS[1] - OPS_ITERS[0]
+    ops = {}  # calls per iteration; the difference of the integer counts, so it is exact
+    for name in counted["worktree"]:
+        ops[name] = {label: counts[name] / extra for label, counts in counted.items()}
+        if args.against:
+            change = counted["worktree"][name] - counted[args.against][name]
+            ops[name]["difference"] = change / extra
     report = {
         "script": "tools/layers.py",
         "mode": mode,
@@ -190,6 +262,10 @@ def main():
         "verify_kernel_calls_per_batch": calls // VERIFY_BATCH_DIVISOR,
         "iterations_per_run": iters,
         "metrics": metrics,
+        "ops_iterations": list(OPS_ITERS),
+        "ops_note": "calls per iteration; c_call does not see operators such as @ and -, so a "
+        "count is a proxy for numpy dispatches, not for flops",
+        "ops": ops,
     }
     text = json.dumps(report, indent=1)
     if args.out:

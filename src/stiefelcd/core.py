@@ -17,16 +17,16 @@ columns.  validate_matrix returns them C-contiguous, and numpy's X'X of a
 C-contiguous X is exactly symmetric, so no Gram matrix needs symmetrizing.
 
 The public kernels validate each input once, at the boundary, and then
-call only private, unchecked helpers (_gram, _terms, _state, _fro,
-_violation, _map, _jacobian, _tangent, _polar, _scalar_map_inverse, _h,
-_h_grad, _shell_points), never another public kernel that would validate
-it again: StiefelPoint certifies the matrix it has just validated through
-_violation, not feasibility_violation.  The solver loop calls the same
-helpers directly on one per-iterate state: the Gram residual G - I and
-the map polynomial stored divided by 8, M / 8 = 1.875 I - 1.25 G +
-0.375 G^2 (exact away from overflow and subnormals), formed once per
-iterate and reused for the feasibility guard, A(X) = X (M / 8), the
-Jacobian and the penalty gradient X (G - I).
+call only private, unchecked helpers (_gram, _terms, _state, _poly, _fro,
+_violation, _map, _jacobian, _tangent, _polar, _certified,
+_scalar_map_inverse, _h, _h_grad, _shell_points), never another public
+kernel that would validate it again: StiefelPoint certifies the matrix it
+has just validated through _violation, not feasibility_violation.  The
+solver loop calls the same helpers directly on one per-iterate state: the
+Gram residual G - I for the guard and the penalty gradient X (G - I), and,
+where read, M / 8 = 1.875 I - 1.25 G + 0.375 G^2 (the map polynomial
+divided by 8, exact away from overflow and subnormals) for A(X) = X (M / 8)
+and the Jacobian.
 The private helpers transpose only the last two axes, so they also accept
 a stack of iterates of shape (B, n, p) and act on each slice exactly as
 on the 2-d matrix alone; the solver driver advances every run that way, a
@@ -152,11 +152,16 @@ def _terms(p: int, ndim: int):
     return _eye(p, ndim), _eye(p, ndim, c0 / 8.0), c1 / 8.0, c2 / 8.0
 
 
-def _state(x: np.ndarray, terms=None):
-    """(G - I, M / 8) of an unchecked C-contiguous x; terms, if given, is _terms(p, x.ndim)."""
-    eye, eye0, c1, c2 = terms or _terms(x.shape[-1], x.ndim)
-    g = _gram(x)
-    return g - eye, eye0 + c1 * g + c2 * (g @ g)
+def _state(x: np.ndarray):
+    """(G - I, M / 8) of an unchecked C-contiguous x."""
+    g, terms = _gram(x), _terms(x.shape[-1], x.ndim)
+    return g - terms[0], _poly(g, terms)
+
+
+def _poly(g: np.ndarray, terms) -> np.ndarray:
+    """M / 8 = c0 I + c1 G + c2 G^2 from the Gram matrix g; terms is _terms(p, g.ndim)."""
+    _, eye0, c1, c2 = terms
+    return eye0 + c1 * g + c2 * (g @ g)
 
 
 def _fro(m: np.ndarray) -> np.ndarray:
@@ -263,8 +268,7 @@ def ata_residual_identity(x):
     eye = np.eye(x.shape[1], dtype=ld)
     g = xl.T @ xl  # numpy has no BLAS for longdouble, so symmetrize it here
     g = 0.5 * (g + g.T)
-    _, eye0, c1, c2 = _terms(x.shape[1], 2)
-    a = _map(xl, eye0 + c1 * g + c2 * (g @ g))
+    a = _map(xl, _poly(g, _terms(x.shape[1], 2)))
     lhs = a.T @ a - eye
     r = g - eye
     d0, d1, d2 = (ld(c) for c in _RESIDUAL_COEFFS)
@@ -295,6 +299,11 @@ def project_tangent(x, w) -> np.ndarray:
     return _tangent(x, w)
 
 
+def _certified(q, smallest) -> StiefelPoint:
+    """project_stiefel's point from _polar's polar factor q and smallest singular value."""
+    return StiefelPoint(q, bool(smallest < 1e-12))
+
+
 def project_stiefel(x) -> StiefelPoint:
     """Closest matrix with orthonormal columns, via the economical SVD.
 
@@ -302,8 +311,7 @@ def project_stiefel(x) -> StiefelPoint:
     singular value is below 1e-12 the projection is not unique; the
     returned point carries rank_deficient=True in that case.
     """
-    q, smallest = _polar(validate_matrix(x))
-    return StiefelPoint(matrix=q, rank_deficient=bool(smallest < 1e-12))
+    return _certified(*_polar(validate_matrix(x)))
 
 
 def scalar_map(t):

@@ -25,9 +25,9 @@ run is a stack of one, and the step-size grid stacks its candidates, so
 each candidate scores bitwise what its single run would.  Step sizes are
 resolved and the safeguards checked before the first iteration; x0 is
 validated once.  The driver then runs on core's unchecked kernels,
-sharing one state per iterate (Gram residual and map polynomial) between
-the guard, the trace and the update, and owns every run's trace and
-outcome; each algorithm is one step (_Method).  Each oracle site makes one
+sharing each iterate's Gram residual, and its map polynomial where read,
+between the guard, the trace and the update, and owns every run's trace
+and outcome; each algorithm is one step (_Method).  Each oracle site makes one
 call: the step's on the whole stack (2-d for a stack of one), the trace's
 per block of iterates.  An error that an oracle or value callable raises
 propagates unchanged, whatever its type; only the driver's own checks end
@@ -49,16 +49,17 @@ import numpy as np
 from .core import (
     SHELL_RADIUS,
     StiefelPoint,
+    _certified,
     _fro,
+    _gram,
     _jacobian,
     _map,
     _polar,
-    _state,
+    _poly,
     _tangent,
     _terms,
     feasibility_violation,
     project_stiefel,
-    random_stiefel,
     validate_matrix,
 )
 from .core import _finite, _integer, _number, _positive
@@ -156,8 +157,8 @@ class StepSchedule:
         """step(0), ..., step(n - 1); raises ConfigurationError if a custom schedule is shorter."""
         if self.kind == "constant":
             return [self.eta0] * n
-        if self.kind == "harmonic_decay":
-            return (self.eta0 / (0.1 * (np.arange(n) // self.epoch_len) + 1.0)).tolist()
+        if self.kind == "harmonic_decay":  # k // min(epoch_len, n) = k // epoch_len for k < n
+            return (self.eta0 / (0.1 * (np.arange(n) // min(self.epoch_len, n)) + 1.0)).tolist()
         # a schedule shorter than n raises the short-schedule error at its first missing step
         return list(self.values[:n]) if n <= len(self.values) else self.step(len(self.values))
 
@@ -237,8 +238,23 @@ class SolverResult:
 
 def default_initial_point(problem: ProblemDefinition, seed: int) -> np.ndarray:
     """Gaussian matrix from SeedSequence([seed, 1]) pushed onto the manifold by polar projection."""
-    rng = np.random.default_rng(np.random.SeedSequence([_integer("seed", seed, 0), 1]))
-    return random_stiefel(rng, problem.n, problem.p)
+    return _initial_points(problem, [seed])[0]
+
+
+def _initial_points(problem: ProblemDefinition, seeds) -> np.ndarray:
+    """(B, n, p) stack of default_initial_point of each seed: one Gaussian each, one _polar."""
+    rngs = [np.random.default_rng([_integer("seed", s, 0), 1]) for s in seeds]
+    return _polar(np.stack([rng.standard_normal((problem.n, problem.p)) for rng in rngs]))[0]
+
+
+def _step_list(schedule: StepSchedule, n: int, name: str) -> list:
+    """schedule.steps(n); a list too long to allocate is a ConfigurationError naming name."""
+    try:
+        return schedule.steps(n)
+    except ConfigurationError:  # a short custom schedule
+        raise
+    except (MemoryError, OverflowError, ValueError) as err:  # ValueError: past numpy's limit
+        raise ConfigurationError(f"{name}: {n} steps do not fit in memory") from err
 
 
 def stationarity_estimate(problem: ProblemDefinition, point) -> float:
@@ -382,7 +398,7 @@ def _run_single(problem, cfg, x0, method: _Method) -> SolverResult:
     custom schedule shorter than max_iters fails before the first oracle
     call, with no partial run.
     """
-    steps = cfg.schedule.steps(cfg.max_iters)
+    steps = _step_list(cfg.schedule, cfg.max_iters, "max_iters")
     method.check(problem, cfg, max(steps))
     if x0 is None:
         x = default_initial_point(problem, cfg.seed)
@@ -438,11 +454,6 @@ def _keep(outcomes, rows: list, *stacks):
     kept = [i for i, r in enumerate(rows) if outcomes[r] is None]
     return [[a[i] for i in kept] if isinstance(a, list) else a if a is None else a[kept]
             for a in (rows, *stacks)]
-
-
-def _index(rows: list, n: int):
-    """Sorted distinct rows below n as an index: a slice, which copies nothing, if they are all."""
-    return slice(None) if len(rows) == n else rows
 
 
 # queued trace rows hold at most this many matrix entries per point (iterate
@@ -507,7 +518,7 @@ class _TraceQueue:
         at = [j for j in range(n) if traced[j] and j < end.get(runs[j], n)]  # rows before each end
         if not at:
             return
-        i = _index(at, n)
+        i = slice(None) if len(at) == n else at  # a slice copies nothing
         feas_at = np.array([feas[j] for j in at])
         h = self.problem.f_values(mapped[i]) + 0.25 * self.beta * feas_at * feas_at
         stat, f = stat[i], self.problem.f_values(proj[i])
@@ -530,14 +541,15 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     that a guard, a non-finite trace oracle or a non-finite step ended at
     iterate k.  An error of an oracle or value callable propagates
     unchanged, whatever its type, unless queued trace rows end every run
-    at an earlier iterate.  Each iteration forms the Gram state (G - I,
-    M / 8), the map, the polar factor, the oracle call, the step and the
-    proximal map once for the whole stack.  The guard takes each row's Gram
-    residual (one dot product for a stack of one) and goes row by row only
-    when one fails; it finds a non-finite step, the baseline's too, by that
-    residual.  Trace and stopping-rule rows go per block (_TraceQueue), each
-    run ending where it would if each row were evaluated at once.  A row
-    leaves when its run ends, at the guard or at a trace or stopping row.
+    at an earlier iterate.  Each iteration forms G - I, M / 8 and the map
+    (these two only where a step or trace row reads them), the polar factor,
+    the oracle call, the step and the proximal map once for the whole
+    stack.  The guard takes each row's Gram residual (one dot product for a
+    stack of one) and goes row by row only when one fails; it finds a
+    non-finite step, the baseline's too, by that residual.  Trace and
+    stopping-rule rows go per block (_TraceQueue), each run ending where it
+    would if each row were evaluated at once.  A row leaves when its run
+    ends, at the guard or at a trace or stopping row.
     """
     shell = cfg.feas_shell_check
     limit = min(DIVERGENCE_FEAS_LIMIT, SHELL_RADIUS + 1e-12) if shell else DIVERGENCE_FEAS_LIMIT
@@ -546,7 +558,7 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     stop_on = tol_stat > 0  # SolverConfig makes both tolerances positive or neither
     max_iters, stride, beta = cfg.max_iters, cfg.trace_stride, cfg.beta
     step, retract, at_map = method.step, method.retract, method.at_map
-    maps = at_map or method.proximal  # every step needs A(x), not only a traced one
+    maps = at_map or method.proximal  # the NCDF steps read A(x), so M / 8; the baseline's neither
     prox = problem.reg.prox if method.proximal and problem.reg is not None else None
     # the proximal method steps along the smooth part only; the others along f
     oracle = problem.phi_subgrad if method.proximal else problem.f_subgrad
@@ -556,12 +568,13 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     traces = [IterateTrace() for _ in seeds]
     outcomes = [None] * len(seeds)
     terms, shape = _terms(x.shape[-1], x.ndim), x.shape[1:]
+    eye = terms[0]
     queue = _TraceQueue(problem, beta, shape, traces, outcomes)
     non_finite = method.label + " step produced non-finite entries at iteration {}"
     t0 = time.perf_counter()
     try:
         for k in range(max_iters + 1):
-            resid, poly = _state(x, terms)
+            resid = (g := _gram(x)) - eye
             if len(rows) == 1:  # one dot product: bitwise the batched one (see core._violation)
                 flat = resid.ravel()
                 feas = [math.sqrt(flat.dot(flat))]
@@ -576,14 +589,13 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
                         queue.end(r, (err, prev[i], k - 1, traces[r]))
                     elif err := _guard(feas[i], k, shell):
                         queue.end(r, (err, x[i], k, traces[r]))
-                rows, feas, x, resid, poly, steps = _keep(
-                    outcomes, rows, feas, x, resid, poly, steps
-                )
+                rows, feas, x, g, resid, steps = _keep(outcomes, rows, feas, x, g, resid, steps)
             if not rows or k == max_iters:
                 break
             traced = k % stride == 0
             stopping = stop_on and k % 10 == 0
-            mapped = _map(x, poly) if traced or maps else None
+            poly = _poly(g, terms) if traced or maps else None  # read by the step or a trace row
+            mapped = None if poly is None else _map(x, poly)
             if traced or stopping:  # the only rows, besides the guard's, that can end a run
                 seconds = time.perf_counter() - t0
                 for i, r in enumerate(rows):
@@ -619,9 +631,9 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
         if any(outcome is None for outcome in outcomes):
             raise
         return outcomes
-    # any row still here passed the guard at k = max_iters
-    for i, r in enumerate(rows):
-        queue.end(r, SolverResult(x[i], project_stiefel(x[i]), traces[r], "max_iters", k))
+    # any row still here passed the guard at k = max_iters, so its iterate is finite
+    for i, (r, q, smallest) in enumerate(zip(rows, *_polar(x))):  # one SVD for the stack
+        queue.end(r, SolverResult(x[i], _certified(q, smallest), traces[r], "max_iters", k))
     return outcomes
 
 
@@ -662,7 +674,7 @@ def run_step_grid(
     shared = replace(cfg, max_iters=budget, trace_stride=budget)
     kept, seeds, steps = [], [], []
     for i, eta in enumerate(candidates):
-        row = replace(cfg.schedule, eta0=eta).steps(shared.max_iters)
+        row = _step_list(replace(cfg.schedule, eta0=eta), budget, "budget_epochs")
         try:
             method.check(problem, shared, max(row))
         except ConfigurationError:
@@ -670,13 +682,13 @@ def run_step_grid(
         kept.append(i)
         seeds.append(int(np.random.SeedSequence([cfg.seed, 1000 + i]).generate_state(1)[0]))
         steps.append(row)
-    values = [float("inf")] * len(candidates)
+    scores = {}
     if kept:
-        x = np.stack([default_initial_point(problem, seed) for seed in seeds])
-        for i, outcome in zip(kept, _lockstep(problem, method, shared, seeds, steps, x)):
-            if isinstance(outcome, SolverResult):
-                values[i] = problem.f_value(outcome.projected.matrix)
-    return list(zip(candidates, values))
+        ends = _lockstep(problem, method, shared, seeds, steps, _initial_points(problem, seeds))
+        done = {i: o.projected.matrix for i, o in zip(kept, ends) if isinstance(o, SolverResult)}
+        if done:  # one f_values call scores every finished candidate, each bitwise its f_value
+            scores = dict(zip(done, problem.f_values(np.stack(list(done.values()))).tolist()))
+    return [(eta, scores.get(i, float("inf"))) for i, eta in enumerate(candidates)]
 
 
 def best_grid_step(rows) -> Optional[float]:

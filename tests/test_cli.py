@@ -401,6 +401,20 @@ def test_run_short_custom_schedule_exits_3(tmp_path, capsys):
     assert "configuration error: solver: custom schedule has 4 values, needed step 4" in err
 
 
+# 2**62 steps fail at once: neither their list nor numpy's array of them could be allocated
+@pytest.mark.parametrize("kind", ["constant", "harmonic_decay"])
+@pytest.mark.parametrize("command, key", [("run", "max_iters"), ("grid", "budget_epochs")])
+def test_a_step_list_too_large_to_allocate_exits_3_naming_its_key(
+    tmp_path, capsys, command, key, kind
+):
+    cfg = minimal_config(tmp_path, **{key: 2**62})
+    cfg["solver"]["schedule"] = {"kind": kind, "eta0": 0.005}
+    assert main([command, write_config(tmp_path, cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"configuration error: solver: {key}: {2**62} steps do not fit in memory\n"
+
+
 def test_run_feas_shell_check_must_be_boolean(tmp_path, capsys):
     # bool("false") is True, so a string would silently turn the check on
     cfg = minimal_config(tmp_path, feas_shell_check="false")

@@ -2298,3 +2298,129 @@ def test_stride_1_stacks_of_seeds_match_each_seeds_single_run(
         expected = outcome_record(single(problem, i))
         assert (ending, k, rows) == (expected[0], expected[1], expected[3])
         assert np.array_equal(final_x, expected[2])
+
+
+# ---------------------------------------------------------------------------
+# the grid's stacked start, projection and scoring, and the map polynomial
+# formed only where it is read
+
+
+def circle_problem_and_config():
+    """Criterion 10's 2x1 circle, whose larger grid steps diverge, as the benchmark runs it."""
+    cfg = SolverConfig(
+        beta=0.1, schedule=StepSchedule(kind="harmonic_decay", eta0=0.03), seed=5,
+        max_iters=250, trace_stride=250,
+    )
+    return make_l1_pca(gaussian_matrix(6, 2, seed=11), 1), cfg
+
+
+@pytest.mark.parametrize("n, p", [(2, 1), (6, 1), (6, 2), (3, 3), (12, 3), (5, 5)])
+def test_stacked_starting_points_are_each_seeds_default_initial_point_bytewise(n, p):
+    problem = make_l1_pca(gaussian_matrix(n + 3, n, seed=1), p)
+    seeds = [0, 1, 7, 2**32 - 1, np.uint32(4_000_000_000), 10**30]
+    stack = solvers._initial_points(problem, seeds)
+    assert stack.shape == (len(seeds), n, p)
+    for seed, x in zip(seeds, stack):
+        # the construction default_initial_point had before it became a stack of one
+        frozen = random_stiefel(np.random.default_rng(np.random.SeedSequence([int(seed), 1])), n, p)
+        single = default_initial_point(problem, seed)
+        assert single.shape == frozen.shape == x.shape
+        assert x.tobytes() == frozen.tobytes() == single.tobytes()
+
+
+def same_point(a, b):
+    return a.matrix.tobytes() == b.matrix.tobytes() and a.rank_deficient is b.rank_deficient
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_runs_and_grid_rows_project_their_final_iterate_as_project_stiefel_does(
+    monkeypatch, algorithm
+):
+    ends, lockstep = [], solvers._lockstep
+
+    def recording(*args):
+        ends.extend(outcomes := lockstep(*args))
+        return outcomes
+
+    monkeypatch.setattr(solvers, "_lockstep", recording)
+    problem, cfg = circle_problem_and_config()
+    run = RUNNERS[algorithm](problem, cfg)
+    rows = run_step_grid(problem, cfg, 250, algorithm)
+    finished = [o for o in ends[1:] if isinstance(o, solvers.SolverResult)]
+    assert len(ends) == 1 + len(rows) and finished
+    assert len(finished) < len(rows) or algorithm == "rsgd_baseline"  # NCDF steps diverge here
+    for result in [run, *finished]:
+        assert result.termination == "max_iters"
+        assert same_point(result.projected, project_stiefel(result.final_x))
+    # the grid scores each finished candidate with one stacked f_values call, each its f_value
+    scores = [value for _, value in rows if math.isfinite(value)]
+    assert scores == [problem.f_value(o.projected.matrix) for o in finished]
+    # the NCDF steps keep a zero iterate at zero, whose projection is flagged rank deficient
+    # as project_stiefel flags it; the baseline's retraction leaves zero at its first step
+    zero = RUNNERS[algorithm](problem, replace(cfg, max_iters=3), x0=np.zeros((2, 1)))
+    assert same_point(zero.projected, project_stiefel(zero.final_x))
+    assert zero.projected.rank_deficient is (algorithm != "rsgd_baseline")
+
+
+@pytest.mark.parametrize("algorithm", ["ncdf_sgd", "ncdf_proxsgd"])
+def test_a_stack_flags_only_its_rank_deficient_slice(algorithm):
+    # the NCDF steps keep the zero slice at zero; the stack projects its rows with one SVD
+    problem, cfg = circle_problem_and_config()
+    cfg = replace(cfg, schedule=StepSchedule(kind="constant", eta0=0.01), max_iters=5)
+    seeds = [3, 4, 5, 6]
+    x = solvers._initial_points(problem, seeds)
+    x[2] = 0.0
+    method = solvers._METHODS[algorithm]
+    outcomes = solvers._lockstep(problem, method, cfg, seeds, [[0.01] * 5] * 4, x)
+    assert [o.projected.rank_deficient for o in outcomes] == [False, False, True, False]
+    for outcome in outcomes:
+        assert same_point(outcome.projected, project_stiefel(outcome.final_x))
+
+
+@pytest.mark.parametrize("stride, baseline_forms", [(20, 1), (7, 3), (1, 20)])
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_the_map_polynomial_is_formed_only_where_a_step_or_trace_row_reads_it(
+    monkeypatch, algorithm, stride, baseline_forms
+):
+    # the baseline steps from x and reads M / 8 only for a trace row's A(x); the NCDF
+    # steps read it on every iteration, so neither count depends on the output
+    formed, poly = [], solvers._poly
+    monkeypatch.setattr(solvers, "_poly", lambda g, terms: formed.append(1) or poly(g, terms))
+    cfg = SolverConfig(schedule=StepSchedule(kind="constant", eta0=0.01), max_iters=20)
+    traced = RUNNERS[algorithm](l1_pca_problem(noisy=True), replace(cfg, trace_stride=stride))
+    assert len(traced.trace) == len(range(0, 20, stride))
+    assert len(formed) == (baseline_forms if algorithm == "rsgd_baseline" else 20)
+
+
+@pytest.mark.parametrize("epoch_len", [1, 3, 50, 51, 2**63, 10**30])
+def test_harmonic_steps_equal_step_bitwise_for_any_epoch_len(epoch_len):
+    sched = StepSchedule(kind="harmonic_decay", eta0=0.3, epoch_len=epoch_len)
+    assert [v.hex() for v in sched.steps(50)] == [sched.step(k).hex() for k in range(50)]
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_an_epoch_longer_than_the_run_takes_eta0_at_every_step(algorithm):
+    problem = l1_pca_problem(noisy=True)
+    cfg = SolverConfig(schedule=StepSchedule(kind="constant", eta0=0.01), max_iters=30)
+    harmonic = replace(cfg, schedule=StepSchedule(eta0=0.01, epoch_len=2**63))
+    assert np.array_equal(RUNNERS[algorithm](problem, harmonic).final_x,
+                          RUNNERS[algorithm](problem, cfg).final_x)
+
+
+# each size fails at once: its list or array could never be allocated, so nothing is
+@pytest.mark.parametrize("schedule", [
+    StepSchedule(kind="constant"),
+    StepSchedule(kind="harmonic_decay"),
+    StepSchedule(kind="constant", epoch_len=2**63),
+    StepSchedule(kind="harmonic_decay", epoch_len=2**63),
+])
+@pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+def test_a_step_list_too_large_to_allocate_is_a_configuration_error_naming_its_size(
+    algorithm, schedule
+):
+    problem = l1_pca_problem(noisy=False)
+    with pytest.raises(ConfigurationError, match=f"^max_iters: {2**62} steps do not fit in mem"):
+        RUNNERS[algorithm](problem, SolverConfig(schedule=schedule, max_iters=2**62))
+    budget = 2**62 * schedule.epoch_len
+    with pytest.raises(ConfigurationError, match=f"^budget_epochs: {budget} steps do not fit"):
+        run_step_grid(problem, SolverConfig(schedule=schedule), 2**62, algorithm)

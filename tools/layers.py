@@ -28,11 +28,16 @@ and, once per tree in a process of its own:
 
   ops layer        Python and C function calls per iteration of the same
                    runs, counted with sys.setprofile: a 2 000-iteration run
-                   minus a 1 000-iteration run, after one warm run.  The
-                   counts repeat exactly, so --against gives their exact
-                   difference, ./src minus REV.  c_call does not see
-                   operators such as @ and -, so a count is a proxy for
-                   numpy dispatches, not for flops
+                   minus a 1 000-iteration run, after one warm run; and
+                   per iteration of the stacked grid (run_step_grid) of
+                   each algorithm on the benchmark's circle grid config
+                   (6x2 L1-PCA data, p = 1, beta 0.1, harmonic eta0 0.03),
+                   a 2 000-epoch grid minus a 1 000-epoch grid, whose
+                   surviving candidates are the same.  The counts repeat
+                   exactly, so --against gives their exact difference,
+                   ./src minus REV.  c_call does not see operators such as
+                   @ and -, so a count is a proxy for numpy dispatches, not
+                   for flops
 
 The JSON gives, per metric and tree, the median and the quartiles over the
 rounds, and with --against the ratio of the medians, ./src over REV, and
@@ -59,6 +64,7 @@ KERNEL_SHAPE = (1, 100, 5)
 VERIFY_SPECTRUM = (0.2, 0.9, 1.4, 2.5)  # inverse_A's 12x4 input is A of a matrix with these
 VERIFY_BATCH_DIVISOR = 10  # the verify kernels cost tens of microseconds: batches a tenth as long
 DATA_SEED, X_SEED, RUN_SEED = 3, 0, 1
+GRID_SEED = 0  # data and grid seed of the ops layer's circle grid: 3, 5 and 10 candidates survive
 TOP_EIGENVALUES = (10.0, 8.0, 6.0, 4.0, 2.0)
 ALGORITHMS = ("ncdf_sgd", "ncdf_proxsgd", "rsgd_baseline")
 OPS_ITERS = (1_000, 2_000)  # the ops layer counts the second run minus the first
@@ -93,6 +99,20 @@ def iteration_runs(iters):
             yield f"{algorithm}.{label}", partial(run, problem, cfg)
 
 
+def grid_runs(budget_epochs):
+    """(metric name, grid callable) for each algorithm on the circle grid config."""
+    from stiefelcd import solvers
+    from stiefelcd.problems import gaussian_matrix, make_l1_pca
+
+    problem = make_l1_pca(gaussian_matrix(6, 2, seed=GRID_SEED), 1)
+    cfg = solvers.SolverConfig(
+        beta=0.1, schedule=solvers.StepSchedule(kind="harmonic_decay", eta0=0.03), seed=GRID_SEED
+    )
+    for algorithm in ALGORITHMS:
+        grid = partial(solvers.run_step_grid, problem, cfg, budget_epochs, algorithm)
+        yield f"grid.{algorithm}", grid
+
+
 def count_calls(run):
     """{"call": Python calls, "c_call": C calls} made by run()."""
     counts = {"call": 0, "c_call": 0}
@@ -110,11 +130,13 @@ def count_calls(run):
 
 
 def count_ops(src):
-    """Calls of each iteration run of the stiefelcd under src in OPS_ITERS' extra iterations."""
+    """Calls of each run and grid of the stiefelcd under src in OPS_ITERS' extra iterations."""
     sys.path.insert(0, src)
     short, long = OPS_ITERS
     out = {}
-    for (name, run_short), (_, run_long) in zip(iteration_runs(short), iteration_runs(long)):
+    pairs = [*zip(iteration_runs(short), iteration_runs(long))]
+    pairs += zip(grid_runs(short), grid_runs(long))
+    for (name, run_short), (_, run_long) in pairs:
         run_short()  # warm: fills one-time caches
         a, b = count_calls(run_short), count_calls(run_long)
         for event, label in (("call", "python"), ("c_call", "c")):
@@ -255,9 +277,10 @@ def main():
                 "project_stiefel": [20, 5],
             },
             "iteration": [100, 5],
+            "grid": [6, 2, 1],
         },
         "verify_spectrum": list(VERIFY_SPECTRUM),
-        "seeds": {"data": DATA_SEED, "kernel_x": X_SEED, "run": RUN_SEED},
+        "seeds": {"data": DATA_SEED, "kernel_x": X_SEED, "run": RUN_SEED, "grid": GRID_SEED},
         "kernel_calls_per_batch": calls,
         "verify_kernel_calls_per_batch": calls // VERIFY_BATCH_DIVISOR,
         "iterations_per_run": iters,

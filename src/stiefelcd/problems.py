@@ -373,7 +373,8 @@ class NoiseModel:
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         g = rng.normal(0.0, self.sigma, shape)
-        nrm = math.sqrt(g.ravel().dot(g.ravel()))  # bitwise np.linalg.norm(g), without its wrapper
+        flat = g.ravel()
+        nrm = math.sqrt(flat.dot(flat))  # bitwise np.linalg.norm(g), without its wrapper
         if nrm > self.bound:
             g *= self.bound / nrm
         return g

@@ -10,9 +10,9 @@ Two penalty-based iterations and one feasible baseline:
                          polar retraction (stays exactly feasible)
 
 Runs are deterministic given (problem, config, seed): each run owns one
-counter-based generator (Philox keyed by its seed), and the step's oracle
-call at iteration k draws from it positioned at that iteration, so oracle
-noise at iteration k is reproducible bitwise and independent of the run's
+counter-based generator (Philox keyed by its seed), handed to the step's
+oracle call at iteration k positioned at that iteration, so oracle noise
+at iteration k is reproducible bitwise and independent of the run's
 history.  The generator is built on the first draw, so deterministic
 oracles skip its set-up.  Stationarity (the trace's stat column, the
 stopping rule and stationarity_estimate) calls the oracle without a
@@ -28,12 +28,12 @@ validated once.  The driver then runs on core's unchecked kernels,
 sharing each iterate's Gram residual, and its map polynomial where read,
 between the guard, the trace and the update, and owns every run's trace
 and outcome; each algorithm is one step (_Method).  Each oracle site makes one
-call: the step's on the whole stack (2-d for a stack of one), the trace's
-per block of iterates.  An error that an oracle or value callable raises
-propagates unchanged, whatever its type; only the driver's own checks end
-a single run.  Oracle outputs are shape-checked; the trace's oracle outputs
-and every step's result are checked for finiteness, the latter by the next
-guard, which a retraction reaches unchanged.
+call: the step's on the whole stack (2-d for a stack of one; phi's alone
+without a regularizer), the trace's per block of iterates.  An error that an
+oracle or value callable raises propagates unchanged, whatever its type; only
+the driver's own checks end a single run.  Oracle outputs are shape-checked;
+the trace's oracle outputs and every step's result are checked for finiteness,
+the latter by the next guard, which a retraction reaches unchanged.
 """
 
 from __future__ import annotations
@@ -81,12 +81,12 @@ def _philox(seed: int) -> np.random.Generator:
 class _RunNoise:
     """One run's oracle noise, handed to its oracle calls as their generator.
 
-    at(k) marks the next oracle call; that call's first attribute access
-    (rng.normal, rng.standard_normal, ...) moves the run's Philox to
-    counter (0, 0, k, 0) with nothing buffered, and its later accesses
-    continue from there.  So the draws of iteration k depend on (seed, k)
-    only.  The Philox is built on the first draw, so an oracle that never
-    draws costs no set-up.
+    at(k) returns the generator of the oracle call at iteration k: the run's
+    Philox at counter (0, 0, k, 0) with nothing buffered, the call's draws
+    continuing from there, so iteration k's draws depend on (seed, k) only.
+    Before the first draw it returns this object instead, whose first
+    attribute access (rng.normal, ...) builds and positions the Philox, so
+    an oracle that never draws costs no set-up.
     """
 
     __slots__ = ("_seed", "_gen", "_state", "_at")
@@ -94,20 +94,21 @@ class _RunNoise:
     def __init__(self, seed: int):
         self._seed, self._gen, self._state, self._at = seed, None, None, None
 
-    def at(self, k: int) -> "_RunNoise":
-        self._at = (0, 0, k, 0)
-        return self
+    def at(self, k: int):
+        if self._gen is None:  # built on the first draw, by __getattr__
+            self._at = k
+            return self
+        self._state["state"]["counter"] = (0, 0, k, 0)
+        self._gen.bit_generator.state = self._state
+        return self._gen
 
     def __getattr__(self, name):
-        if self._at is not None:
-            if self._gen is None:
-                self._gen = _philox(self._seed)
-                state = self._gen.bit_generator.state  # counter 0, empty buffer
-                key = tuple(state["state"]["key"].tolist())  # the setter reads tuples faster
-                self._state = dict(state, state={"key": key}, buffer=tuple(state["buffer"]))
-            self._state["state"]["counter"] = self._at
-            self._gen.bit_generator.state = self._state
-            self._at = None
+        if self._gen is None and self._at is not None:
+            self._gen = _philox(self._seed)
+            state = self._gen.bit_generator.state  # counter 0, empty buffer
+            key = tuple(state["state"]["key"].tolist())  # the setter reads tuples faster
+            self._state = dict(state, state={"key": key}, buffer=tuple(state["buffer"]))
+            self.at(self._at)
         return getattr(self._gen, name)
 
 
@@ -247,10 +248,16 @@ def _initial_points(problem: ProblemDefinition, seeds) -> np.ndarray:
     return _polar(np.stack([rng.standard_normal((problem.n, problem.p)) for rng in rngs]))[0]
 
 
-def _step_list(schedule: StepSchedule, n: int, name: str) -> list:
-    """schedule.steps(n); a list too long to allocate is a ConfigurationError naming name."""
+def _step_list(schedule: StepSchedule, n: int, name: str, etas=None) -> list:
+    """schedule.steps(n), or with etas that list for each eta0 in etas (not for a custom
+    schedule); a list too long to allocate is a ConfigurationError naming name."""
     try:
-        return schedule.steps(n)
+        if etas is None:
+            return schedule.steps(n)
+        if schedule.kind == "constant":
+            return [[eta] * n for eta in etas]
+        divisors = 0.1 * (np.arange(n) // min(schedule.epoch_len, n)) + 1.0  # steps()' divisors
+        return [(eta / divisors).tolist() for eta in etas]
     except ConfigurationError:  # a short custom schedule
         raise
     except (MemoryError, OverflowError, ValueError) as err:  # ValueError: past numpy's limit
@@ -506,7 +513,8 @@ class _TraceQueue:
         x, mapped = self.x[:n], self.mapped[:n]
         proj = _polar(x)[0]
         stat, finite = _stationarity(proj, _shaped(self.problem.f_subgrad(proj), x.shape))
-        self.stat.update(zip(runs, stat.tolist()))  # read only for runs no row ended
+        stat = stat.tolist()
+        self.stat.update(zip(runs, stat))  # read only for runs no row ended
         end = {}  # the row that ends each run ending in this block
         for j in compress(range(n), (~finite).tolist()):
             if self.outcomes[run := runs[j]] is None:
@@ -515,20 +523,19 @@ class _TraceQueue:
                     f"stationarity oracle produced non-finite entries at iteration {iters[j]}"
                 )
                 self.outcomes[run] = (err, x[j].copy(), iters[j], self.traces[run])
-        at = [j for j in range(n) if traced[j] and j < end.get(runs[j], n)]  # rows before each end
-        if not at:
-            return
-        i = slice(None) if len(at) == n else at  # a slice copies nothing
-        feas_at = np.array([feas[j] for j in at])
-        h = self.problem.f_values(mapped[i]) + 0.25 * self.beta * feas_at * feas_at
-        stat, f = stat[i], self.problem.f_values(proj[i])
-        cols = ([iters[j] for j in at], f.tolist(), h.tolist(), feas_at.tolist(), stat.tolist(),
-                [seconds[j] for j in at])
-        of_run = [runs[j] for j in at]
-        for run in dict.fromkeys(of_run):
-            t, kept = self.traces[run], [r == run for r in of_run]
+        if end or not all(traced):  # keep the trace rows before each end
+            if not (at := [j for j in range(n) if traced[j] and j < end.get(runs[j], n)]):
+                return
+            cut = ([c[j] for j in at] for c in (runs, iters, feas, stat, seconds))
+            (runs, iters, feas, stat, seconds), mapped, proj = cut, mapped[at], proj[at]
+        feas_at = np.array(feas)
+        h = self.problem.f_values(mapped) + 0.25 * self.beta * feas_at * feas_at
+        cols = (iters, self.problem.f_values(proj).tolist(), h.tolist(), feas, stat, seconds)
+        one = runs.count(runs[0]) == len(runs)  # one run's rows extend its columns unfiltered
+        for run in dict.fromkeys(runs):
+            t, kept = self.traces[run], None if one else [r == run for r in runs]
             for column, col in zip((t.iters, t.f, t.h, t.feas, t.stat, t.seconds), cols):
-                column.extend(compress(col, kept))
+                column.extend(col if one else compress(col, kept))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the checks end a run on non-finite values
@@ -560,8 +567,9 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     step, retract, at_map = method.step, method.retract, method.at_map
     maps = at_map or method.proximal  # the NCDF steps read A(x), so M / 8; the baseline's neither
     prox = problem.reg.prox if method.proximal and problem.reg is not None else None
-    # the proximal method steps along the smooth part only; the others along f
-    oracle = problem.phi_subgrad if method.proximal else problem.f_subgrad
+    # the proximal method steps along the smooth part only; the others along f, which is phi
+    # when there is no regularizer (_shaped makes the float array that f_subgrad would)
+    oracle = problem.phi_subgrad if method.proximal or problem.reg is None else problem.f_subgrad
     noise = [_RunNoise(seed) for seed in seeds]
     rows = list(range(len(seeds)))  # the run of each row of the stack
     etas, steps = steps, np.asarray(steps, dtype=float)  # (B, max_iters), cut down with the stack
@@ -673,8 +681,8 @@ def run_step_grid(
     budget = budget_epochs * cfg.schedule.epoch_len
     shared = replace(cfg, max_iters=budget, trace_stride=budget)
     kept, seeds, steps = [], [], []
-    for i, eta in enumerate(candidates):
-        row = _step_list(replace(cfg.schedule, eta0=eta), budget, "budget_epochs")
+    rows = _step_list(cfg.schedule, budget, "budget_epochs", candidates)  # one set of divisors
+    for i, row in enumerate(rows):
         try:
             method.check(problem, shared, max(row))
         except ConfigurationError:

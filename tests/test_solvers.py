@@ -140,6 +140,13 @@ def test_schedule_steps_equal_step_bitwise(sched):
     expected = [sched.step(k) for k in range(2500)]
     assert [type(v) for v in steps] == [type(v) for v in expected]
     assert [float(v).hex() for v in steps] == [float(v).hex() for v in expected]
+    if sched.kind != "custom":  # the grid's rows, each eta0 over divisors formed once
+        etas = [sched.eta0, 0.3, 9e-2]
+        rows = solvers._step_list(sched, 2500, "budget_epochs", etas)
+        for eta, row in zip(etas, rows, strict=True):
+            expected = replace(sched, eta0=eta).steps(2500)
+            assert [type(v) for v in row] == [type(v) for v in expected]
+            assert [float(v).hex() for v in row] == [float(v).hex() for v in expected]
 
 
 def test_schedule_validation():
@@ -1296,6 +1303,51 @@ def test_oracle_draws_continue_within_one_call():
         assert np.array_equal(second, rng.standard_normal((4, 2)))
 
 
+def philox_at(seed, k, philox=solvers._philox):
+    """A fresh _philox(seed) moved to counter (0, 0, k, 0) with nothing buffered."""
+    gen = philox(seed)
+    state = gen.bit_generator.state
+    state["state"]["counter"] = np.array([0, 0, k, 0], dtype=np.uint64)
+    gen.bit_generator.state = state
+    return gen
+
+
+# one draw of each kind, the int32 ones odd-sized so that a half-used 64-bit word is left over
+DRAWS = {
+    "normal": lambda g: g.normal(0.0, 0.05, (3, 2)),
+    "standard_normal": lambda g: g.standard_normal(5),
+    "random": lambda g: g.random(3),
+    "integers": lambda g: g.integers(0, 1000, 3),
+    "integers32": lambda g: g.integers(-5, 5, 7, dtype=np.int32),
+}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    calls=st.lists(
+        st.tuples(st.integers(0, 2**40), st.lists(st.sampled_from(sorted(DRAWS)), max_size=4)),
+        max_size=10,
+    ),
+    repeat=st.booleans(),
+)
+def test_run_noise_hands_each_call_its_iterations_fresh_generator(seed, calls, repeat):
+    # iterations in any order, repeated or drawing nothing; a call's draws continue
+    # from one another; the Philox is built at the first draw and only then
+    if repeat:  # the same iteration twice in a row, as a rerun of one k would
+        calls = [call for call in calls for _ in range(2)]
+    built, drew, philox = [], False, solvers._philox
+    noise = solvers._RunNoise(seed)
+    with mock.patch.object(solvers, "_philox", lambda s: built.append(s) or philox(s)):
+        for k, draws in calls:
+            rng, fresh = noise.at(k), philox_at(seed, k)
+            for draw in draws:
+                got, expected = DRAWS[draw](rng), DRAWS[draw](fresh)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            drew = drew or bool(draws)
+            assert built == ([seed] if drew else [])
+
+
 @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
 def test_noisy_trace_stat_is_noise_free_norm_at_polar_factor(algorithm):
     problem = l1_pca_problem(noisy=True)
@@ -2226,15 +2278,21 @@ def refused_at(problem, q):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None, database=None)
 @example(algorithm="ncdf_sgd", scenario="guard", seeds=[1, 2, 3], etas=[0.002, 0.3, 0.09],
-         block=4, max_iters=12, victim=0, k0=0)
+         block=4, max_iters=12, victim=0, k0=0, traced_shape=False)
 @example(algorithm="ncdf_proxsgd", scenario="nan_stat", seeds=[4, 5], etas=[0.002, 0.004],
-         block=3, max_iters=9, victim=1, k0=4)
+         block=3, max_iters=9, victim=1, k0=4, traced_shape=False)
 @example(algorithm="rsgd_baseline", scenario="refused_stat", seeds=[6, 7, 8, 9],
-         etas=[0.001] * 4, block=6, max_iters=8, victim=2, k0=3)
+         etas=[0.001] * 4, block=6, max_iters=8, victim=2, k0=3, traced_shape=False)
 @example(algorithm="ncdf_sgd", scenario="refused_step", seeds=[10, 11, 12, 13, 14],
-         etas=[0.002] * 5, block=2, max_iters=7, victim=0, k0=5)
+         etas=[0.002] * 5, block=2, max_iters=7, victim=0, k0=5, traced_shape=False)
 @example(algorithm="ncdf_proxsgd", scenario="stop", seeds=[15, 16], etas=[0.001, 0.004],
-         block=5, max_iters=24, victim=0, k0=0)
+         block=5, max_iters=24, victim=0, k0=0, traced_shape=False)
+@example(algorithm="ncdf_sgd", scenario="guard", seeds=[17, 18, 19, 20],
+         etas=[0.004, 0.09, 0.002, 0.3], block=3, max_iters=6, victim=0, k0=0, traced_shape=True)
+@example(algorithm="ncdf_sgd", scenario="stop", seeds=[21, 22, 23], etas=[0.004, 0.001, 0.002],
+         block=4, max_iters=24, victim=0, k0=0, traced_shape=True)
+@example(algorithm="ncdf_proxsgd", scenario="nan_stat", seeds=[24, 25, 26],
+         etas=[0.002, 0.004, 0.001], block=5, max_iters=11, victim=1, k0=6, traced_shape=True)
 @given(
     algorithm=st.sampled_from(sorted(RUNNERS)),
     scenario=st.sampled_from(LOCKSTEP_SCENARIOS),
@@ -2244,25 +2302,35 @@ def refused_at(problem, q):
     max_iters=st.integers(1, 24),
     victim=st.integers(0, 4),
     k0=st.integers(0, 23),
+    traced_shape=st.booleans(),
 )
 def test_stride_1_stacks_of_seeds_match_each_seeds_single_run(
-    algorithm, scenario, seeds, etas, block, max_iters, victim, k0
+    algorithm, scenario, seeds, etas, block, max_iters, victim, k0, traced_shape
 ):
-    # blocks of 1-6 rows hold rows of several runs and several iterations
+    # blocks of 1-6 rows hold rows of several runs and several iterations; with
+    # traced_shape, the runs are the l1pca_traced benchmark's noisy 30x12 L1-PCA with
+    # p = 3, whose NCDF steps of 0.09 and 0.3 diverge within two iterations, and a
+    # run's rows leave mid-block while the others keep drawing noise
     victim, k0 = victim % len(seeds), k0 % max_iters
     stop = scenario == "stop"
+    tol_stat, tol_feas = (25.0, 0.3) if traced_shape else (5.0, 0.2)
     cfg = SolverConfig(
         beta=1.0,
         schedule=StepSchedule(kind="constant"),
         max_iters=max_iters,
         trace_stride=1,
-        stop_tol_stationarity=5.0 if stop else 0.0,  # stops the L1-PCA runs at k = 10 or 20
-        stop_tol_feasibility=0.2 if stop else 0.0,
+        stop_tol_stationarity=tol_stat if stop else 0.0,  # stops the L1-PCA runs at k = 10 or 20
+        stop_tol_feasibility=tol_feas if stop else 0.0,
     )
-    if scenario == "guard":  # some of the steps diverge on this quadratic
-        problem = make_quadratic_trace(np.diag(np.arange(6.0, 0.0, -1.0)), 2)
-    else:  # small steps, which the guard never ends
+    if scenario != "guard":  # small steps, which the guard never ends
         etas = [min(eta, 0.004) for eta in etas]
+    if traced_shape:
+        problem = make_l1_pca(gaussian_matrix(30, 12, seed=0), 3)
+        if scenario != "refused_step":
+            problem = attach_noise(problem, NoiseModel(sigma=0.05, bound=0.1))
+    elif scenario == "guard":  # some of the steps diverge on this quadratic
+        problem = make_quadratic_trace(np.diag(np.arange(6.0, 0.0, -1.0)), 2)
+    else:
         problem = l1_pca_problem(noisy=scenario != "refused_step")
     steps = [[eta] * max_iters for eta in etas[: len(seeds)]]
     x = np.stack([default_initial_point(problem, seed) for seed in seeds])

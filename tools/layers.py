@@ -22,13 +22,18 @@ round.  A process times:
   iteration layer  microseconds per iteration of each algorithm on 100x5
                    sparse PCA (gamma 0.1, constant step 1e-3), with the
                    trace off (trace_stride = max_iters) and at stride 1;
-                   the best of 3 runs
+                   and of the subgradient and proximal methods on the
+                   benchmark's noisy 12x3 L1-PCA (30x12 data, p = 3, noise
+                   sigma 0.05 with bound 0.1, estimated safeguards and the
+                   shell check, the l1pca_traced config), likewise; the
+                   best of 3 runs
 
 and, once per tree in a process of its own:
 
   ops layer        Python and C function calls per iteration of the same
-                   runs, counted with sys.setprofile: a 2 000-iteration run
-                   minus a 1 000-iteration run, after one warm run; and
+                   runs, noisy ones included, counted with sys.setprofile:
+                   a 2 000-iteration run minus a 1 000-iteration run, after
+                   one warm run; and
                    per iteration of the stacked grid (run_step_grid) of
                    each algorithm on the benchmark's circle grid config
                    (6x2 L1-PCA data, p = 1, beta 0.1, harmonic eta0 0.03),
@@ -99,6 +104,36 @@ def iteration_runs(iters):
             yield f"{algorithm}.{label}", partial(run, problem, cfg)
 
 
+def noisy_runs(iters):
+    """(metric suffix, run callable) of the noisy L1-PCA runs, trace off and at stride 1.
+
+    As bench/workloads.py's l1pca_traced sets up an instance: beta is the
+    smallest that the shell check accepts for the sampled constants, and the
+    steps are the largest that the safeguards allow.
+    """
+    from stiefelcd import solvers
+    from stiefelcd.problems import NoiseModel, attach_noise, estimate_constants
+    from stiefelcd.problems import gaussian_matrix, make_l1_pca
+
+    data = gaussian_matrix(30, 12, seed=DATA_SEED)
+    problem = attach_noise(make_l1_pca(data, 3), NoiseModel(sigma=0.05, bound=0.1))
+    m1, mt, mh = estimate_constants(problem, seed=DATA_SEED)
+    beta = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
+    for algorithm, eta in (("ncdf_sgd", 1.0 / (2.0 * beta)), ("ncdf_proxsgd", 1.0 / (19.0 * mt))):
+        for label, stride in (("trace_off", iters), ("stride_1", 1)):
+            cfg = solvers.SolverConfig(
+                beta=beta,
+                schedule=solvers.StepSchedule(kind="constant", eta0=eta),
+                max_iters=iters,
+                feas_shell_check=True,
+                safeguards=(m1, mt, mh),
+                seed=RUN_SEED,
+                trace_stride=stride,
+            )
+            run = solvers.ALGORITHM_RUNNERS[algorithm]
+            yield f"noisy.{algorithm}.{label}", partial(run, problem, cfg)
+
+
 def grid_runs(budget_epochs):
     """(metric name, grid callable) for each algorithm on the circle grid config."""
     from stiefelcd import solvers
@@ -135,6 +170,7 @@ def count_ops(src):
     short, long = OPS_ITERS
     out = {}
     pairs = [*zip(iteration_runs(short), iteration_runs(long))]
+    pairs += zip(noisy_runs(short), noisy_runs(long))
     pairs += zip(grid_runs(short), grid_runs(long))
     for (name, run_short), (_, run_long) in pairs:
         run_short()  # warm: fills one-time caches
@@ -182,7 +218,7 @@ def measure(src, calls, iters):
         for name, fn in group.items():
             best = min(timeit.repeat(fn, number=number, repeat=5))
             out["kernel_us." + name] = 1e6 * best / number
-    for name, run in iteration_runs(iters):
+    for name, run in [*iteration_runs(iters), *noisy_runs(iters)]:
         runs = []
         for _ in range(3):
             t0 = time.perf_counter()
@@ -277,6 +313,7 @@ def main():
                 "project_stiefel": [20, 5],
             },
             "iteration": [100, 5],
+            "noisy": [30, 12, 3],
             "grid": [6, 2, 1],
         },
         "verify_spectrum": list(VERIFY_SPECTRUM),

@@ -174,6 +174,12 @@ def _fro(m: np.ndarray) -> np.ndarray:
     return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
 
 
+def _norm(m) -> float:
+    """np.linalg.norm(m) of a float64 array without its wrapper: the root of the same dot."""
+    r = m.ravel(order="K")
+    return math.sqrt(r.dot(r))
+
+
 def _violation(x) -> float:
     """feasibility_violation of an unchecked 2-d C-contiguous x."""
     r = (_gram(x) - _eye(x.shape[1], 2)).ravel()
@@ -524,7 +530,7 @@ def random_shell_point(rng: np.random.Generator, n: int, p: int, radius: float) 
         return q
     s = rng.standard_normal((p, p))
     s = 0.5 * (s + s.T)
-    fro = math.sqrt(s.ravel().dot(s.ravel()))  # bitwise np.linalg.norm(s), without its wrapper
+    fro = _norm(s)
     if fro == 0:
         s, fro = _eye(p, 2), math.sqrt(p)
     w, v = np.linalg.eigh(_eye(p, 2) + (radius / fro) * s)

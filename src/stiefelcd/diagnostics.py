@@ -32,6 +32,7 @@ from .core import (
     _gram,
     _h,
     _h_grad,
+    _norm,
     _polar,
     _shell_points,
     _state,
@@ -95,12 +96,6 @@ def _report(name, samples, max_violation, tolerance, seed, error=None) -> CheckR
 
 def _failed(name, samples, seed, error) -> CheckReport:
     return _report(name, samples, math.inf, 0.0, seed, error)
-
-
-def _norm(m) -> float:
-    """np.linalg.norm(m) of a float64 array without its wrapper: the root of the same dot."""
-    r = m.ravel(order="K")
-    return math.sqrt(r.dot(r))
 
 
 def _random_dims(rng, n_max=20, p_max=5):
@@ -477,24 +472,24 @@ SPHERE_CHUNK = 1024
 def brute_force_sphere_oracle(problem: ProblemDefinition, grid_steps: int):
     """Global minimum of f over the circle by exhaustive angle search.
 
-    Returns (angle, value) for the first grid minimizer of
-    f((cos t, sin t)') over grid_steps uniform angles in [0, 2 pi).  The
-    values come from problem.f_values on stacks of SPHERE_CHUNK points,
-    each bitwise f_value of its point.
+    Returns (angle, value) for the first grid minimizer of f((cos t, sin t)')
+    over grid_steps uniform angles in [0, 2 pi), a nan value first of all, as
+    np.argmin picks it.  The angles, points and values (each bitwise f_value
+    of its point) are formed SPHERE_CHUNK at a time, in O(SPHERE_CHUNK) memory.
     """
     if (problem.n, problem.p) != (2, 1):
         raise DimensionError(
             f"sphere oracle needs a 2 x 1 problem, got {problem.n} x {problem.p}"
         )
     _integer("grid_steps", grid_steps, 1)
-    thetas = 2.0 * math.pi * np.arange(grid_steps) / grid_steps
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    values = np.empty(grid_steps)
     for lo in range(0, grid_steps, SPHERE_CHUNK):
-        hi = lo + SPHERE_CHUNK
-        values[lo:hi] = problem.f_values(np.stack([cos[lo:hi], sin[lo:hi]], axis=-1)[..., None])
-    best = int(np.argmin(values))
-    return float(thetas[best]), float(values[best])
+        thetas = 2.0 * math.pi * np.arange(lo, min(lo + SPHERE_CHUNK, grid_steps)) / grid_steps
+        values = problem.f_values(np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)[..., None])
+        i = int(np.argmin(values))
+        value = float(values[i])
+        if lo == 0 or value < best[1] or math.isnan(value) and not math.isnan(best[1]):
+            best = float(thetas[i]), value
+    return best
 
 
 def format_reports(reports) -> str:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import _fro, _jacobian, _map, _shell_points, _state, random_shell_point
+from .core import _fro, _jacobian, _map, _norm, _shell_points, _state, random_shell_point
 from .core import _integer, _nonnegative, _number
 from .errors import ConfigurationError, DimensionError
 
@@ -265,9 +265,11 @@ def make_l1_pca(data, p: int) -> ProblemDefinition:
     def phi_value(x):
         return -np.sum(np.abs(d @ np.asarray(x, dtype=float)), axis=(-2, -1))
 
+    neg_dt = -d.T  # as the oracle's -d.T was: the same values in the same (F) layout
+
     @_stacks
     def phi_subgrad(x, rng):
-        return -d.T @ np.sign(d @ np.asarray(x, dtype=float))
+        return neg_dt @ np.sign(d @ np.asarray(x, dtype=float))
 
     return ProblemDefinition(
         n=n,
@@ -407,6 +409,11 @@ def attach_noise(problem: ProblemDefinition, model: NoiseModel) -> ProblemDefini
     return replace(problem, phi_subgrad=noisy, smooth=False)
 
 
+def _max_transported(mt: float, x, w, resid, poly) -> float:
+    """max(mt, ||J(X_i)[W_i]||_F over a stack), bitwise the serial loop's running maximum."""
+    return max([mt, *_fro(_jacobian(x, w, resid, poly)).tolist()]) if len(x) else mt
+
+
 def estimate_constants(problem: ProblemDefinition, samples: int = 200, seed: int = 0):
     """Sampled bounds (M1, Mt, Mh) for safeguard configuration.
 
@@ -415,18 +422,18 @@ def estimate_constants(problem: ProblemDefinition, samples: int = 200, seed: int
     directions transported through the map's Jacobian, and Mh bounds raw
     subgradient norms at X itself.  Sampled maxima are lower bounds of
     the true suprema and are inflated by 1.5 before being returned.
-    A noisy problem is sampled with its noise, because the bounds cover
-    the directions that the solvers actually step along, one point at a
-    time.  A smooth problem's exact oracle draws nothing from the generator,
-    so its points are drawn and evaluated in stacks of at most STACK_ENTRIES
-    entries, each maximum bitwise that of the one-at-a-time loop.
+    A smooth problem's points are drawn and evaluated in stacks of at most
+    STACK_ENTRIES entries.  Any other one is drawn, mapped and called one
+    point at a time, a noisy oracle with its noise drawn between the points,
+    and takes Mt from stacks of its points with a nonzero image; each
+    maximum is bitwise that of the one-at-a-time loop.
     """
     _integer("samples", samples, 1)
     _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
+    chunk = min(samples, max(1, STACK_ENTRIES // (problem.n * problem.p)))
     m1 = mt = mh = 0.0
     if problem.smooth:
-        chunk = max(1, STACK_ENTRIES // (problem.n * problem.p))
         for lo in range(0, samples, chunk):
             size = min(chunk, samples - lo)
             x = _shell_points(rng, problem.n, problem.p, lambda g: 1.0 - g.random(), size)
@@ -437,21 +444,26 @@ def estimate_constants(problem: ProblemDefinition, samples: int = 200, seed: int
                 raise ValueError(
                     "subgradient oracle returned non-finite entries at a sampled point"
                 )
-            jac = _fro(_jacobian(x, np.ascontiguousarray(w_img), resid, poly))[img > 0]
-            m1, mh, mt = max(m1, *img.tolist()), max(mh, *raw.tolist()), max([mt, *jac.tolist()])
+            mt = _max_transported(mt, *(a[img > 0] for a in (x, w_img, resid, poly)))
+            m1, mh = max(m1, *img.tolist()), max(mh, *raw.tolist())
         return 1.5 * m1, 1.5 * mt, 1.5 * mh
-    for _ in range(samples):  # serial: a noisy oracle draws from rng between the samples
+    xs, ws = np.empty((2, chunk, problem.n, problem.p))
+    resids, polys = np.empty((2, chunk, problem.p, problem.p))
+    k = 0  # points with a nonzero image held in the stacks
+    for _ in range(samples):
         x = random_shell_point(rng, problem.n, problem.p, 1.0 - rng.random())  # radius in (0, 1]
         resid, poly = _state(x)
         w_img = problem.f_subgrad(_map(x, poly), rng)
-        img = float(np.linalg.norm(w_img))
-        raw = float(np.linalg.norm(problem.f_subgrad(x, rng)))
+        img, raw = _norm(w_img), _norm(problem.f_subgrad(x, rng))
         if not math.isfinite(img + raw):  # max() would drop a nan and leave a zero bound
             raise ValueError("subgradient oracle returned non-finite entries at a sampled point")
         m1, mh = max(m1, img), max(mh, raw)
         if img > 0:
-            w_img = np.ascontiguousarray(_shaped(w_img, x.shape))
-            mt = max(mt, float(np.linalg.norm(_jacobian(x, w_img, resid, poly))))
+            xs[k], ws[k], resids[k], polys[k] = x, _shaped(w_img, x.shape), resid, poly
+            k += 1
+            if k == chunk:
+                mt, k = _max_transported(mt, xs, ws, resids, polys), 0
+    mt = _max_transported(mt, xs[:k], ws[:k], resids[:k], polys[:k])
     return 1.5 * m1, 1.5 * mt, 1.5 * mh
 
 

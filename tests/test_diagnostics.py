@@ -5,6 +5,7 @@ import math
 import os
 import select
 import time
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -31,6 +32,7 @@ from stiefelcd.diagnostics import (
 from stiefelcd.errors import ConfigurationError, DimensionError
 from stiefelcd.problems import (
     ProblemDefinition,
+    _stacks,
     estimate_constants,
     make_l1_pca,
     make_quadratic_trace,
@@ -595,6 +597,85 @@ def test_sphere_oracle_matches_its_per_point_values_bitwise(steps):
     values = [problem.f_value(np.array([[cos[i]], [sin[i]]])) for i in range(steps)]
     best = int(np.argmin(values))
     assert brute_force_sphere_oracle(problem, steps) == (float(thetas[best]), values[best])
+
+
+C = diagnostics.SPHERE_CHUNK
+SPHERE_STEPS = [1, 2, C - 1, C, C + 1, 3 * C + 7]
+
+
+def full_array_sphere_oracle(problem, grid_steps):
+    # the oracle as it was before it streamed its angles: every angle, its cos and sin
+    # and every value held at once, then one argmin
+    thetas = 2.0 * math.pi * np.arange(grid_steps) / grid_steps
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    values = np.empty(grid_steps)
+    for lo in range(0, grid_steps, C):
+        values[lo : lo + C] = problem.f_values(
+            np.stack([cos[lo : lo + C], sin[lo : lo + C]], axis=-1)[..., None]
+        )
+    best = int(np.argmin(values))
+    return float(thetas[best]), float(values[best])
+
+
+def tabled(table):
+    # a 2 x 1 problem whose values are read off table in the order the angles come,
+    # so a test puts its ties and nans at chosen grid indices
+    read = [0]
+
+    @_stacks
+    def phi_value(x):
+        lo = read[0]
+        read[0] += len(x)
+        return table[lo : lo + len(x)].copy()
+
+    return ProblemDefinition(n=2, p=1, phi_value=phi_value, phi_subgrad=lambda x, rng: x)
+
+
+def sphere_tables(steps):
+    # values with a nan after a -inf, and values whose least one recurs on both sides
+    # of chunk boundaries
+    rng = np.random.default_rng(steps)
+    nan = rng.standard_normal(steps)
+    nan[steps // 2], nan[steps - 1] = -np.inf, np.nan
+    tie = rng.integers(0, 3, steps).astype(float)
+    tie[[i for i in (C - 1, C, C + 1, 2 * C, steps - 1) if i < steps]] = -1.0
+    return {"nan": nan, "tie": tie}
+
+
+@pytest.mark.parametrize("steps", SPHERE_STEPS)
+def test_sphere_chunks_take_the_full_arrays_angles_bitwise(steps):
+    # numpy's SIMD loops could treat a short tail differently; they must not
+    thetas = 2.0 * math.pi * np.arange(steps) / steps
+    for lo in range(0, steps, C):
+        part = 2.0 * math.pi * np.arange(lo, min(lo + C, steps)) / steps
+        for fn in (np.positive, np.cos, np.sin):
+            assert fn(part).tobytes() == fn(thetas)[lo : lo + C].tobytes()
+
+
+@pytest.mark.parametrize("steps", SPHERE_STEPS)
+def test_sphere_oracle_matches_the_full_array_reference_bitwise(steps):
+    problem = make_l1_pca(np.random.default_rng(3).standard_normal((6, 2)), 1)
+    got = brute_force_sphere_oracle(problem, steps)
+    assert got == full_array_sphere_oracle(problem, steps)
+    thetas = 2.0 * math.pi * np.arange(steps) / steps
+    for name, table in sphere_tables(steps).items():
+        best = int(np.argmin(table))  # the first nan if there is one, else the first least
+        expected = (float(thetas[best]), float(table[best]))
+        assert repr(brute_force_sphere_oracle(tabled(table), steps)) == repr(expected), name
+        assert repr(full_array_sphere_oracle(tabled(table), steps)) == repr(expected), name
+    assert math.isnan(brute_force_sphere_oracle(tabled(sphere_tables(steps)["nan"]), steps)[1])
+
+
+def test_sphere_oracle_memory_does_not_grow_with_the_grid():
+    # the four grid_steps-long arrays would take 32 MB at 10^6 angles
+    problem = make_l1_pca(np.random.default_rng(3).standard_normal((6, 2)), 1)
+    tracemalloc.start()
+    try:
+        brute_force_sphere_oracle(problem, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sphere_oracle_validation():

@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -610,6 +612,109 @@ def test_a_smooth_oracle_failing_at_one_sample_raises_the_serial_loops_error(cal
             problems.estimate_constants(problem, samples=40, seed=3)
         raised.append((type(err.value), str(err.value)))
     assert raised[0] == raised[1] == (error, f"oracle failed at call {call}")
+
+
+def frozen_sampled_estimate(problem, samples=200, seed=0):
+    # estimate_constants' loop for a problem that is not smooth, as it ran before it
+    # took Mt a stack at a time: the Jacobian and np.linalg.norm at every point
+    from stiefelcd.core import _jacobian, _map, _state, random_shell_point
+
+    rng = np.random.default_rng(seed)
+    m1 = mt = mh = 0.0
+    for _ in range(samples):
+        x = random_shell_point(rng, problem.n, problem.p, 1.0 - rng.random())
+        resid, poly = _state(x)
+        w_img = problem.f_subgrad(_map(x, poly), rng)
+        img = float(np.linalg.norm(w_img))
+        raw = float(np.linalg.norm(problem.f_subgrad(x, rng)))
+        if not math.isfinite(img + raw):
+            raise ValueError("subgradient oracle returned non-finite entries at a sampled point")
+        m1, mh = max(m1, img), max(mh, raw)
+        if img > 0:
+            w_img = np.ascontiguousarray(problems._shaped(w_img, x.shape))
+            mt = max(mt, float(np.linalg.norm(_jacobian(x, w_img, resid, poly))))
+    return 1.5 * m1, 1.5 * mt, 1.5 * mh
+
+
+NOISE = {"noise": {"sigma": 0.05, "bound": 0.1}}
+SAMPLED_PROBLEMS = {
+    "noisy_l1_pca": dict(CLI_PROBLEMS["l1_pca"], **NOISE),
+    "noisy_sparse_pca": dict(CLI_PROBLEMS["sparse_pca"], **NOISE),
+    "orthogonal_mlp": CLI_PROBLEMS["orthogonal_mlp"],
+}
+
+
+@lru_cache(maxsize=None)
+def sampled_problem(kind):
+    from stiefelcd.cli import build_problem
+
+    return build_problem(SAMPLED_PROBLEMS[kind])
+
+
+def recorded(problem, calls, zero_at, fail_at):
+    # problem with its oracle recording each point and whether it got a generator, and
+    # returning zeros at the calls numbered in zero_at and inf entries at call fail_at
+    oracle = problem.phi_subgrad
+
+    @problems._stacks
+    def phi_subgrad(x, rng):
+        calls.append((x.tobytes(), rng is None))
+        w, call = oracle(x, rng), len(calls) - 1
+        if call == fail_at:
+            return np.full(w.shape, np.inf)
+        return np.zeros(w.shape) if call in zero_at else w
+
+    return replace(problem, phi_subgrad=phi_subgrad)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(sorted(SAMPLED_PROBLEMS)),
+    samples=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    points_per_stack=st.sampled_from([None, 1, 3, 8]),
+    zero_at=st.frozensets(st.integers(0, 80), max_size=6),
+    fail_at=st.none() | st.integers(0, 80),
+)
+def test_sampled_estimates_on_stacks_match_the_frozen_serial_loop(
+    kind, samples, seed, points_per_stack, zero_at, fail_at
+):
+    # a small STACK_ENTRIES takes Mt over many stacks, down to stacks of one, and a zero
+    # image leaves its point out of them; the oracle must see the same points in the
+    # same order, and a non-finite output must end the estimate at the same call with
+    # the same error
+    problem = sampled_problem(kind)
+    assert not problem.smooth
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        if points_per_stack is not None:
+            patch.setattr(problems, "STACK_ENTRIES", points_per_stack * problem.n * problem.p)
+        for estimate in (problems.estimate_constants, frozen_sampled_estimate):
+            calls = []
+            try:
+                got = repr(estimate(recorded(problem, calls, zero_at, fail_at), samples, seed))
+            except ValueError as err:
+                got = str(err)
+            outcomes.append((got, calls))
+    assert outcomes[0] == outcomes[1]
+    failed = outcomes[0][0].startswith("subgradient oracle returned non-finite")
+    assert failed == (fail_at is not None and fail_at < 2 * samples)
+
+
+def test_a_wrong_shaped_oracle_output_is_checked_only_when_its_norm_is_nonzero():
+    # as in the serial loop, a sample whose image has norm 0 adds no Jacobian and so
+    # never meets the shape check
+    prob = problems.make_l1_pca(problems.gaussian_matrix(20, 6, seed=5), 2)
+    zero = replace(prob, phi_subgrad=lambda x, rng: np.zeros(x.shape[0]))
+    assert problems.estimate_constants(zero, samples=30, seed=1) == (0.0, 0.0, 0.0)
+    assert frozen_sampled_estimate(zero, samples=30, seed=1) == (0.0, 0.0, 0.0)
+    flat = replace(prob, phi_subgrad=lambda x, rng: np.ones(x.shape[0]))
+    raised = []
+    for estimate in (problems.estimate_constants, frozen_sampled_estimate):
+        with pytest.raises(DimensionError) as err:
+            estimate(flat, samples=30, seed=1)
+        raised.append(str(err.value))
+    assert raised[0] == raised[1] == "oracle output shape (6,) != expected shape (6, 2)"
 
 
 def test_estimate_constants_validates_samples():

@@ -2,13 +2,15 @@
 
 Run from the repository root:
 
-    python3 tools/layers.py --quick                      # ./src only, under 20 s
+    python3 tools/layers.py --quick                      # ./src only, under 30 s
     python3 tools/layers.py --against HEAD~1 --out BENCH_15.json
 
 --against REV extracts src/ of the git revision REV into a temporary
 directory and measures it beside ./src.  Each tree is measured in fresh
-interpreter processes, the trees alternating, one process per tree and
-round.  A process times:
+interpreter processes, the trees alternating; a round runs 3 processes per
+tree (1 with --quick) and keeps each metric's least value, so a slow spell
+of a shared host shorter than a round moves none of its metrics.  A
+process times:
 
   kernel layer     microseconds per call of core's private kernels on a
                    (1, 100, 5) stack, as the solver loop calls them, the
@@ -27,6 +29,12 @@ round.  A process times:
                    sigma 0.05 with bound 0.1, estimated safeguards and the
                    shell check, the l1pca_traced config), likewise; the
                    best of 3 runs
+  sampling layer   microseconds per estimate_constants call on that noisy
+                   L1-PCA instance at the data seed, as l1pca_traced sets
+                   it up, and per brute_force_sphere_oracle call at 100 000
+                   angles on the circle grid's problem; the best of 7
+                   calls; and the oracle's tracemalloc peak in KiB at
+                   100 000 and 1 000 000 angles
 
 and, once per tree in a process of its own:
 
@@ -38,7 +46,9 @@ and, once per tree in a process of its own:
                    each algorithm on the benchmark's circle grid config
                    (6x2 L1-PCA data, p = 1, beta 0.1, harmonic eta0 0.03),
                    a 2 000-epoch grid minus a 1 000-epoch grid, whose
-                   surviving candidates are the same.  The counts repeat
+                   surviving candidates are the same; and, as
+                   sample_ops, per sample of that noisy estimate_constants
+                   call, 400 samples minus 200.  The counts repeat
                    exactly, so --against gives their exact difference,
                    ./src minus REV.  c_call does not see operators such as
                    @ and -, so a count is a proxy for numpy dispatches, not
@@ -63,6 +73,7 @@ import tarfile
 import tempfile
 import time
 import timeit
+import tracemalloc
 from functools import partial
 
 KERNEL_SHAPE = (1, 100, 5)
@@ -73,9 +84,12 @@ GRID_SEED = 0  # data and grid seed of the ops layer's circle grid: 3, 5 and 10 
 TOP_EIGENVALUES = (10.0, 8.0, 6.0, 4.0, 2.0)
 ALGORITHMS = ("ncdf_sgd", "ncdf_proxsgd", "rsgd_baseline")
 OPS_ITERS = (1_000, 2_000)  # the ops layer counts the second run minus the first
-MODES = {  # rounds, kernel calls per timed batch, iterations per run
-    "quick": (3, 2_000, 300),
-    "full": (7, 20_000, 2_000),
+OPS_SAMPLES = (200, 400)  # and the second estimate minus the first
+SPHERE_STEPS = (100_000, 1_000_000)  # the oracle is timed at the first; its peak read at both
+SAMPLING_REPEATS = 7
+MODES = {  # rounds, processes per tree and round, kernel calls per timed batch, iterations per run
+    "quick": (3, 1, 2_000, 300),
+    "full": (7, 3, 20_000, 2_000),
 }
 
 
@@ -104,6 +118,14 @@ def iteration_runs(iters):
             yield f"{algorithm}.{label}", partial(run, problem, cfg)
 
 
+def noisy_problem():
+    """The noisy 12x3 L1-PCA problem of bench/workloads.py's l1pca_traced at the data seed."""
+    from stiefelcd.problems import NoiseModel, attach_noise, gaussian_matrix, make_l1_pca
+
+    data = gaussian_matrix(30, 12, seed=DATA_SEED)
+    return attach_noise(make_l1_pca(data, 3), NoiseModel(sigma=0.05, bound=0.1))
+
+
 def noisy_runs(iters):
     """(metric suffix, run callable) of the noisy L1-PCA runs, trace off and at stride 1.
 
@@ -112,11 +134,9 @@ def noisy_runs(iters):
     steps are the largest that the safeguards allow.
     """
     from stiefelcd import solvers
-    from stiefelcd.problems import NoiseModel, attach_noise, estimate_constants
-    from stiefelcd.problems import gaussian_matrix, make_l1_pca
+    from stiefelcd.problems import estimate_constants
 
-    data = gaussian_matrix(30, 12, seed=DATA_SEED)
-    problem = attach_noise(make_l1_pca(data, 3), NoiseModel(sigma=0.05, bound=0.1))
+    problem = noisy_problem()
     m1, mt, mh = estimate_constants(problem, seed=DATA_SEED)
     beta = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
     for algorithm, eta in (("ncdf_sgd", 1.0 / (2.0 * beta)), ("ncdf_proxsgd", 1.0 / (19.0 * mt))):
@@ -134,12 +154,18 @@ def noisy_runs(iters):
             yield f"noisy.{algorithm}.{label}", partial(run, problem, cfg)
 
 
+def circle_problem():
+    """The 2x1 L1-PCA problem of the circle grid config (6x2 data)."""
+    from stiefelcd.problems import gaussian_matrix, make_l1_pca
+
+    return make_l1_pca(gaussian_matrix(6, 2, seed=GRID_SEED), 1)
+
+
 def grid_runs(budget_epochs):
     """(metric name, grid callable) for each algorithm on the circle grid config."""
     from stiefelcd import solvers
-    from stiefelcd.problems import gaussian_matrix, make_l1_pca
 
-    problem = make_l1_pca(gaussian_matrix(6, 2, seed=GRID_SEED), 1)
+    problem = circle_problem()
     cfg = solvers.SolverConfig(
         beta=0.1, schedule=solvers.StepSchedule(kind="harmonic_decay", eta0=0.03), seed=GRID_SEED
     )
@@ -164,20 +190,39 @@ def count_calls(run):
     return counts
 
 
+def sampling_runs(samples):
+    """(metric name, estimate callable) of estimate_constants on the noisy L1-PCA problem."""
+    from stiefelcd.problems import estimate_constants
+
+    estimate = partial(estimate_constants, noisy_problem(), samples, DATA_SEED)
+    yield "estimate_constants.noisy", estimate
+
+
 def count_ops(src):
-    """Calls of each run and grid of the stiefelcd under src in OPS_ITERS' extra iterations."""
+    """Calls of the stiefelcd under src: {"ops": in OPS_ITERS' extra iterations of each run
+    and grid, "sample_ops": in OPS_SAMPLES' extra samples of each estimate}."""
     sys.path.insert(0, src)
-    short, long = OPS_ITERS
-    out = {}
-    pairs = [*zip(iteration_runs(short), iteration_runs(long))]
-    pairs += zip(noisy_runs(short), noisy_runs(long))
-    pairs += zip(grid_runs(short), grid_runs(long))
-    for (name, run_short), (_, run_long) in pairs:
-        run_short()  # warm: fills one-time caches
-        a, b = count_calls(run_short), count_calls(run_long)
-        for event, label in (("call", "python"), ("c_call", "c")):
-            out[f"{name}.{label}_calls"] = b[event] - a[event]
+    out = {"ops": {}, "sample_ops": {}}
+    layers = [("ops", OPS_ITERS, runs) for runs in (iteration_runs, noisy_runs, grid_runs)]
+    for layer, (short, long), runs in [*layers, ("sample_ops", OPS_SAMPLES, sampling_runs)]:
+        for (name, run_short), (_, run_long) in zip(runs(short), runs(long)):
+            run_short()  # warm: fills one-time caches
+            a, b = count_calls(run_short), count_calls(run_long)
+            for event, label in (("call", "python"), ("c_call", "c")):
+                out[layer][f"{name}.{label}_calls"] = b[event] - a[event]
     return out
+
+
+def sphere_peak_kib(problem, steps):
+    """tracemalloc's peak, in KiB, over one brute_force_sphere_oracle call."""
+    from stiefelcd.diagnostics import brute_force_sphere_oracle
+
+    tracemalloc.start()
+    try:
+        brute_force_sphere_oracle(problem, steps)
+        return tracemalloc.get_traced_memory()[1] / 1024.0
+    finally:
+        tracemalloc.stop()
 
 
 def measure(src, calls, iters):
@@ -225,6 +270,19 @@ def measure(src, calls, iters):
             run()
             runs.append(time.perf_counter() - t0)
         out["iteration_us." + name] = 1e6 * min(runs) / iters
+    from stiefelcd.diagnostics import brute_force_sphere_oracle
+    from stiefelcd.problems import estimate_constants
+
+    noisy, circle = noisy_problem(), circle_problem()
+    sampling = {
+        "estimate_constants": lambda: estimate_constants(noisy, seed=DATA_SEED),
+        "sphere_oracle": lambda: brute_force_sphere_oracle(circle, SPHERE_STEPS[0]),
+    }
+    for name, fn in sampling.items():
+        fn()  # warm
+        out["sampling_us." + name] = 1e6 * min(timeit.repeat(fn, number=1, repeat=SAMPLING_REPEATS))
+    for steps in SPHERE_STEPS:
+        out[f"sampling_peak_kib.sphere_oracle.{steps}"] = sphere_peak_kib(circle, steps)
     out["numpy"] = np.__version__
     return out
 
@@ -259,18 +317,27 @@ def main():
         print(json.dumps(count_ops(args.count_ops)))
         return
     mode = "quick" if args.quick else "full"
-    rounds, calls, iters = MODES[mode]
+    rounds, processes, calls, iters = MODES[mode]
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"worktree": os.path.abspath("src")}
         if args.against:
             trees = {args.against: extract(args.against, tmp), **trees}
+        commands = {
+            label: [sys.executable, __file__, "--measure", src, str(calls), str(iters)]
+            for label, src in trees.items()
+        }
         samples = {label: [] for label in trees}
         for r in range(rounds):
             order = list(trees) if r % 2 == 0 else list(trees)[::-1]
-            for label in order:
-                cmd = [sys.executable, __file__, "--measure", trees[label], str(calls), str(iters)]
-                done = subprocess.run(cmd, check=True, capture_output=True, text=True)
-                samples[label].append(json.loads(done.stdout))
+            measured = {label: [] for label in trees}
+            for _ in range(processes):
+                for label in order:
+                    done = subprocess.run(
+                        commands[label], check=True, capture_output=True, text=True
+                    )
+                    measured[label].append(json.loads(done.stdout))
+            for label, outs in measured.items():  # numpy's version string is the same in each
+                samples[label].append({name: min(o[name] for o in outs) for name in outs[0]})
         counted = {}
         for label, src in trees.items():
             cmd = [sys.executable, __file__, "--count-ops", src]
@@ -286,17 +353,21 @@ def main():
             )
             pairs = zip(samples["worktree"], samples[args.against], strict=True)
             metrics[name]["paired_ratio"] = summary([a[name] / b[name] for a, b in pairs])
-    extra = OPS_ITERS[1] - OPS_ITERS[0]
-    ops = {}  # calls per iteration; the difference of the integer counts, so it is exact
-    for name in counted["worktree"]:
-        ops[name] = {label: counts[name] / extra for label, counts in counted.items()}
-        if args.against:
-            change = counted["worktree"][name] - counted[args.against][name]
-            ops[name]["difference"] = change / extra
+    # calls per iteration, or per sample; the difference of the integer counts, so it is exact
+    ops = {"ops": {}, "sample_ops": {}}
+    for layer, (short, long) in (("ops", OPS_ITERS), ("sample_ops", OPS_SAMPLES)):
+        for name in counted["worktree"][layer]:
+            ops[layer][name] = {
+                label: counts[layer][name] / (long - short) for label, counts in counted.items()
+            }
+            if args.against:
+                change = counted["worktree"][layer][name] - counted[args.against][layer][name]
+                ops[layer][name]["difference"] = change / (long - short)
     report = {
         "script": "tools/layers.py",
         "mode": mode,
         "rounds": rounds,
+        "processes_per_round": processes,
         "trees": list(trees),
         "environment": {
             "python": platform.python_version(),
@@ -315,17 +386,20 @@ def main():
             "iteration": [100, 5],
             "noisy": [30, 12, 3],
             "grid": [6, 2, 1],
+            "sphere_steps": list(SPHERE_STEPS),
         },
         "verify_spectrum": list(VERIFY_SPECTRUM),
         "seeds": {"data": DATA_SEED, "kernel_x": X_SEED, "run": RUN_SEED, "grid": GRID_SEED},
         "kernel_calls_per_batch": calls,
         "verify_kernel_calls_per_batch": calls // VERIFY_BATCH_DIVISOR,
         "iterations_per_run": iters,
+        "sampling_repeats": SAMPLING_REPEATS,
         "metrics": metrics,
         "ops_iterations": list(OPS_ITERS),
-        "ops_note": "calls per iteration; c_call does not see operators such as @ and -, so a "
-        "count is a proxy for numpy dispatches, not for flops",
-        "ops": ops,
+        "ops_samples": list(OPS_SAMPLES),
+        "ops_note": "calls per iteration, and sample_ops per sample; c_call does not see "
+        "operators such as @ and -, so a count is a proxy for numpy dispatches, not for flops",
+        **ops,
     }
     text = json.dumps(report, indent=1)
     if args.out:

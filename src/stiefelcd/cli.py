@@ -47,6 +47,7 @@ from .diagnostics import (
 from .errors import ConfigurationError, DivergenceError, SafeguardViolationError
 from .problems import (
     NoiseModel,
+    _shell_beta,
     attach_noise,
     estimate_constants,
     gaussian_matrix,
@@ -61,6 +62,7 @@ from .problems import (
 from .core import feasibility_violation, sym
 from .solvers import (
     ALGORITHM_RUNNERS,
+    SCHEDULE_KINDS,
     SolverConfig,
     StepSchedule,
     best_grid_step,
@@ -296,9 +298,7 @@ def build_solver(conf: dict, problem):
         schedule = StepSchedule(**sched)
     except ConfigurationError as err:
         raise ConfigurationError(f"solver.schedule.{err}") from err
-    # a custom schedule reads values only, and the other kinds all its keys but values
-    unread = {"eta0", "epoch_len"} if schedule.kind == "custom" else {"values"}
-    unread = sorted(unread & set(sched_spec))
+    unread = sorted(set(sched_spec) - {"kind", *SCHEDULE_KINDS[schedule.kind]})
     if unread:
         raise ConfigurationError(
             f"solver.schedule: kind {schedule.kind!r} excludes the keys {unread}"
@@ -396,8 +396,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     reports = run_identity_suite(seed=args.seed, samples=args.samples, tol_scale=args.tol_scale)
     problem = _internal_smooth_problem(np.random.default_rng(args.seed))
-    m1, mt, mh = constants = estimate_constants(problem, seed=args.seed)
-    beta = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
+    beta = _shell_beta(constants := estimate_constants(problem, seed=args.seed))
     reports += run_stationarity_suite(
         problem, beta, seed=args.seed, samples=min(args.samples, 500), constants=constants
     )

@@ -182,8 +182,7 @@ def _norm(m) -> float:
 
 def _violation(x) -> float:
     """feasibility_violation of an unchecked 2-d C-contiguous x."""
-    r = (_gram(x) - _eye(x.shape[1], 2)).ravel()
-    return math.sqrt(r.dot(r))  # bitwise np.linalg.norm(r), without its wrapper
+    return _norm(_gram(x) - _eye(x.shape[1], 2))
 
 
 def _map(x: np.ndarray, poly: np.ndarray) -> np.ndarray:

@@ -51,6 +51,7 @@ from .errors import ConfigurationError, DimensionError
 from .problems import (
     STACK_ENTRIES,
     ProblemDefinition,
+    _shell_beta,
     estimate_constants,
     make_quadratic_trace,
 )
@@ -267,9 +268,9 @@ def _descent_gaps(problem, beta, m1, rng, samples):
 
 def _check_stationarity_bound(rng, samples, scale):
     problem = _internal_smooth_problem(rng)
-    m1, mt, mh = estimate_constants(problem, seed=int(rng.integers(2**31)))
-    beta = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
-    return _stacked(_stationarity_gaps, problem, beta, m1, rng, samples), 0.0 * scale
+    constants = estimate_constants(problem, seed=int(rng.integers(2**31)))
+    beta = _shell_beta(constants)
+    return _stacked(_stationarity_gaps, problem, beta, constants[0], rng, samples), 0.0 * scale
 
 
 def _check_projection_descent(rng, samples, scale):

@@ -414,6 +414,12 @@ def _max_transported(mt: float, x, w, resid, poly) -> float:
     return max([mt, *_fro(_jacobian(x, w, resid, poly)).tolist()]) if len(x) else mt
 
 
+def _shell_beta(constants) -> float:
+    """The least beta for safeguarded runs, from estimate_constants' (M1, Mt, Mh)."""
+    m1, mt, mh = constants
+    return max(16.0 * m1, 60.0 * mt, 16.0 * mh)
+
+
 def estimate_constants(problem: ProblemDefinition, samples: int = 200, seed: int = 0):
     """Sampled bounds (M1, Mt, Mh) for safeguard configuration.
 

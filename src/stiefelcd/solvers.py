@@ -64,12 +64,19 @@ from .core import (
 )
 from .core import _finite, _integer, _number, _positive
 from .errors import ConfigurationError, DivergenceError, SafeguardViolationError
-from .problems import ProblemDefinition, _shaped
+from .problems import ProblemDefinition, _shaped, _shell_beta
 
-SCHEDULE_KINDS = ("harmonic_decay", "constant", "custom")
+# each schedule kind and the StepSchedule keys it reads, besides kind
+SCHEDULE_KINDS = {
+    "harmonic_decay": ("eta0", "epoch_len"),
+    "constant": ("eta0", "epoch_len"),
+    "custom": ("values",),
+}
 
 # iterates whose Gram residual passes this are treated as runaways
 DIVERGENCE_FEAS_LIMIT = 10.0
+# and shell-checked ones past this have left the shell
+_SHELL_LIMIT = SHELL_RADIUS + 1e-12
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -127,9 +134,9 @@ class StepSchedule:
     values: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ConfigurationError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        if self.kind == "custom":
+        if self.kind not in (kinds := tuple(SCHEDULE_KINDS)):
+            raise ConfigurationError(f"kind must be one of {kinds}, got {self.kind!r}")
+        if "values" in SCHEDULE_KINDS[self.kind]:
             _finite("eta0", self.eta0)
             if not isinstance(self.values, (tuple, list)) or not self.values:
                 raise ConfigurationError("values must be a nonempty sequence for a custom schedule")
@@ -144,24 +151,35 @@ class StepSchedule:
         _integer("epoch_len", self.epoch_len, 1)
 
     def step(self, k: int) -> float:
-        if self.kind == "constant":
-            return self.eta0
-        if self.kind == "harmonic_decay":
-            return self.eta0 / (0.1 * (k // self.epoch_len) + 1.0)
-        if k >= len(self.values):
-            raise ConfigurationError(
-                f"custom schedule has {len(self.values)} values, needed step {k}"
-            )
-        return self.values[k]
+        return _steps(self, k, "k", one=True)[0][0]
 
     def steps(self, n: int) -> list:
         """step(0), ..., step(n - 1); raises ConfigurationError if a custom schedule is shorter."""
-        if self.kind == "constant":
-            return [self.eta0] * n
-        if self.kind == "harmonic_decay":  # k // min(epoch_len, n) = k // epoch_len for k < n
-            return (self.eta0 / (0.1 * (np.arange(n) // min(self.epoch_len, n)) + 1.0)).tolist()
-        # a schedule shorter than n raises the short-schedule error at its first missing step
-        return list(self.values[:n]) if n <= len(self.values) else self.step(len(self.values))
+        return _steps(self, n, "n")[0]
+
+
+def _steps(schedule: StepSchedule, index, name: str, etas=None, one=False) -> list:
+    """The one step formula: for each eta0 in etas (default schedule.eta0; a custom schedule
+    reads its values instead), the list [step(index)] if one, else step(0), ..., step(index - 1).
+    A bad index or a list too long to allocate is a ConfigurationError naming name.
+    """
+    i = _integer(name, index, 0)
+    start, stop = (i, i + 1) if one else (0, i)
+    if schedule.kind == "custom":
+        if stop > (size := len(schedule.values)):  # names the first missing step
+            raise ConfigurationError(
+                f"custom schedule has {size} values, needed step {max(start, size)}"
+            )
+        return [list(schedule.values[start:stop])]
+    etas = (schedule.eta0,) if etas is None else etas
+    try:
+        if schedule.kind == "constant":
+            return [[eta] * (stop - start) for eta in etas]
+        # k // min(epoch_len, stop) = k // epoch_len for k < stop, in int64 for any epoch_len
+        divisors = 0.1 * (np.arange(start, stop) // min(schedule.epoch_len, stop)) + 1.0
+        return [(eta / divisors).tolist() for eta in etas]
+    except (MemoryError, OverflowError, ValueError) as err:  # ValueError: past numpy's limit
+        raise ConfigurationError(f"{name}: {index} steps do not fit in memory") from err
 
 
 @dataclass(frozen=True)
@@ -248,22 +266,6 @@ def _initial_points(problem: ProblemDefinition, seeds) -> np.ndarray:
     return _polar(np.stack([rng.standard_normal((problem.n, problem.p)) for rng in rngs]))[0]
 
 
-def _step_list(schedule: StepSchedule, n: int, name: str, etas=None) -> list:
-    """schedule.steps(n), or with etas that list for each eta0 in etas (not for a custom
-    schedule); a list too long to allocate is a ConfigurationError naming name."""
-    try:
-        if etas is None:
-            return schedule.steps(n)
-        if schedule.kind == "constant":
-            return [[eta] * n for eta in etas]
-        divisors = 0.1 * (np.arange(n) // min(schedule.epoch_len, n)) + 1.0  # steps()' divisors
-        return [(eta / divisors).tolist() for eta in etas]
-    except ConfigurationError:  # a short custom schedule
-        raise
-    except (MemoryError, OverflowError, ValueError) as err:  # ValueError: past numpy's limit
-        raise ConfigurationError(f"{name}: {n} steps do not fit in memory") from err
-
-
 def stationarity_estimate(problem: ProblemDefinition, point) -> float:
     """Norm of the projected subgradient ||W - X sym(X'W)||_F at a feasible point.
 
@@ -297,40 +299,25 @@ def _stationarity(x, w):
     return norms, np.isfinite(w).all(axis=(-2, -1))
 
 
-def _check_algorithm1_safeguards(problem: ProblemDefinition, cfg: SolverConfig, biggest: float):
+def _sgd_cap(problem: ProblemDefinition, cfg: SolverConfig):
     if not cfg.feas_shell_check:
-        return
-    m1, mt, mh = cfg.safeguards
-    needed = max(16.0 * m1, 60.0 * mt, 16.0 * mh)
-    if cfg.beta < needed:
+        return math.inf, ""
+    if cfg.beta < (needed := _shell_beta(cfg.safeguards)):
         raise ConfigurationError(
             f"feas_shell_check requires beta >= max(16 M1, 60 Mt, 16 Mh) = {needed:.6g}, "
             f"got beta = {cfg.beta:.6g}"
         )
-    cap = 1.0 / (2.0 * cfg.beta)
-    if biggest > cap:
-        raise ConfigurationError(
-            f"feas_shell_check requires steps <= 1/(2 beta) = {cap:.6g}, "
-            f"largest scheduled step is {biggest:.6g}"
-        )
+    return 1.0 / (2.0 * cfg.beta), "1/(2 beta)"
 
 
-def _check_algorithm2_safeguards(problem: ProblemDefinition, cfg: SolverConfig, biggest: float):
+def _prox_cap(problem: ProblemDefinition, cfg: SolverConfig):
     reg = problem.reg
     if reg is not None and reg.prox is None:
         raise ConfigurationError("proximal solver needs a regularizer with a prox")
     if not cfg.feas_shell_check:
-        return
-    _, mt, _ = cfg.safeguards
-    denom = 19.0 * (mt + (reg.lipschitz if reg is not None else 0.0))
-    if denom <= 0:
-        return
-    cap = 1.0 / denom
-    if biggest > cap:
-        raise ConfigurationError(
-            f"feas_shell_check requires steps <= 1/(19 (Mt + Mr)) = {cap:.6g}, "
-            f"largest scheduled step is {biggest:.6g}"
-        )
+        return math.inf, ""
+    denom = 19.0 * (cfg.safeguards[1] + (reg.lipschitz if reg is not None else 0.0))
+    return (1.0 / denom, "1/(19 (Mt + Mr))") if denom > 0 else (math.inf, "")
 
 
 def _guard(feas: float, k: int, shell: bool):
@@ -344,7 +331,7 @@ def _guard(feas: float, k: int, shell: bool):
         return DivergenceError(
             f"Gram residual {feas:.3g} exceeded the divergence guard at iteration {k}"
         )
-    if shell and feas > SHELL_RADIUS + 1e-12:
+    if shell and feas > _SHELL_LIMIT:
         return SafeguardViolationError(
             f"iterate left the 1/6 feasibility shell at iteration {k} "
             f"(residual {feas:.6g}); the bound beta >= max(16 M1, 60 Mt, 16 Mh) "
@@ -378,12 +365,13 @@ def _retract(y):
 class _Method:
     """One algorithm's iteration, split where the driver must go per run.
 
-    check(problem, cfg, biggest)           safeguard checks before the run, given its largest step
+    cap(problem, cfg)                      (largest step the safeguards allow, its formula),
+                                           or ConfigurationError where no step would pass
     step(x, A(x), d, eta, beta, G - I, M)  update algebra on the stacked iterate
     retract(y)                             applied to the update's finite slices, if set
     """
 
-    check: Callable
+    cap: Callable
     step: Callable
     label: str  # names the step in the driver's non-finite DivergenceError
     retract: Optional[Callable] = None
@@ -392,9 +380,9 @@ class _Method:
 
 
 _METHODS = {
-    "ncdf_sgd": _Method(_check_algorithm1_safeguards, _sgd_step, "subgradient", at_map=True),
-    "ncdf_proxsgd": _Method(_check_algorithm2_safeguards, _prox_step, "proximal", proximal=True),
-    "rsgd_baseline": _Method(lambda *_: None, _baseline_step, "baseline", retract=_retract),
+    "ncdf_sgd": _Method(_sgd_cap, _sgd_step, "subgradient", at_map=True),
+    "ncdf_proxsgd": _Method(_prox_cap, _prox_step, "proximal", proximal=True),
+    "rsgd_baseline": _Method(lambda *_: (math.inf, ""), _baseline_step, "baseline", _retract),
 }
 
 
@@ -405,8 +393,13 @@ def _run_single(problem, cfg, x0, method: _Method) -> SolverResult:
     custom schedule shorter than max_iters fails before the first oracle
     call, with no partial run.
     """
-    steps = _step_list(cfg.schedule, cfg.max_iters, "max_iters")
-    method.check(problem, cfg, max(steps))
+    (steps,) = _steps(cfg.schedule, cfg.max_iters, "max_iters")
+    cap, rule = method.cap(problem, cfg)
+    if (biggest := max(steps)) > cap:
+        raise ConfigurationError(
+            f"feas_shell_check requires steps <= {rule} = {cap:.6g}, "
+            f"largest scheduled step is {biggest:.6g}"
+        )
     if x0 is None:
         x = default_initial_point(problem, cfg.seed)
     else:
@@ -559,7 +552,7 @@ def _lockstep(problem, method: _Method, cfg: SolverConfig, seeds, steps, x) -> l
     ends, at the guard or at a trace or stopping row.
     """
     shell = cfg.feas_shell_check
-    limit = min(DIVERGENCE_FEAS_LIMIT, SHELL_RADIUS + 1e-12) if shell else DIVERGENCE_FEAS_LIMIT
+    limit = min(DIVERGENCE_FEAS_LIMIT, _SHELL_LIMIT) if shell else DIVERGENCE_FEAS_LIMIT
     passes = limit.__ge__  # f <= limit, false for NaN; every residual that passes skips the guard
     tol_stat, tol_feas = cfg.stop_tol_stationarity, cfg.stop_tol_feasibility
     stop_on = tol_stat > 0  # SolverConfig makes both tolerances positive or neither
@@ -661,12 +654,14 @@ def run_step_grid(
     Candidate i runs cfg with eta0 set to the candidate, max_iters to
     budget_epochs epochs, tracing off and a seed derived from (cfg.seed,
     i); its row is bitwise what the single run of that config scores with
-    tracing off.  The candidates advance in lockstep as one stacked
-    iterate.  A candidate that a guard, a non-finite step or a non-finite
-    stationarity output ends, or that fails a configuration check, scores
-    +inf; an error of an oracle or value callable propagates, whatever its
-    type.  A custom schedule is rejected, because it ignores the eta0 that
-    the grid varies.
+    tracing off.  The method's step cap is computed once: a candidate whose
+    largest step exceeds it scores +inf without running, and a cap that
+    raises (the single run's pre-run error) rejects every candidate.  The
+    others advance in lockstep as one stacked iterate; one that a guard, a
+    non-finite step or a non-finite stationarity output ends scores +inf.
+    An error of an oracle or value callable propagates, whatever its type.
+    A custom schedule is rejected, because it ignores the eta0 that the
+    grid varies.
     """
     if algorithm not in _METHODS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
@@ -680,18 +675,16 @@ def run_step_grid(
     candidates = grid_candidates()
     budget = budget_epochs * cfg.schedule.epoch_len
     shared = replace(cfg, max_iters=budget, trace_stride=budget)
-    kept, seeds, steps = [], [], []
-    rows = _step_list(cfg.schedule, budget, "budget_epochs", candidates)  # one set of divisors
-    for i, row in enumerate(rows):
-        try:
-            method.check(problem, shared, max(row))
-        except ConfigurationError:
-            continue
-        kept.append(i)
-        seeds.append(int(np.random.SeedSequence([cfg.seed, 1000 + i]).generate_state(1)[0]))
-        steps.append(row)
+    rows = _steps(cfg.schedule, budget, "budget_epochs", candidates)
+    try:
+        cap = method.cap(problem, shared)[0]
+    except ConfigurationError:  # no step passes: every candidate is rejected
+        cap = -math.inf
+    kept = [i for i, row in enumerate(rows) if max(row) <= cap]
+    seeds = [int(np.random.SeedSequence([cfg.seed, 1000 + i]).generate_state(1)[0]) for i in kept]
     scores = {}
     if kept:
+        steps = [rows[i] for i in kept]
         ends = _lockstep(problem, method, shared, seeds, steps, _initial_points(problem, seeds))
         done = {i: o.projected.matrix for i, o in zip(kept, ends) if isinstance(o, SolverResult)}
         if done:  # one f_values call scores every finished candidate, each bitwise its f_value

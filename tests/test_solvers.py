@@ -142,7 +142,7 @@ def test_schedule_steps_equal_step_bitwise(sched):
     assert [float(v).hex() for v in steps] == [float(v).hex() for v in expected]
     if sched.kind != "custom":  # the grid's rows, each eta0 over divisors formed once
         etas = [sched.eta0, 0.3, 9e-2]
-        rows = solvers._step_list(sched, 2500, "budget_epochs", etas)
+        rows = solvers._steps(sched, 2500, "budget_epochs", etas)
         for eta, row in zip(etas, rows, strict=True):
             expected = replace(sched, eta0=eta).steps(2500)
             assert [type(v) for v in row] == [type(v) for v in expected]
@@ -2492,3 +2492,176 @@ def test_a_step_list_too_large_to_allocate_is_a_configuration_error_naming_its_s
     budget = 2**62 * schedule.epoch_len
     with pytest.raises(ConfigurationError, match=f"^budget_epochs: {budget} steps do not fit"):
         run_step_grid(problem, SolverConfig(schedule=schedule), 2**62, algorithm)
+
+
+# ---------------------------------------------------------------------------
+# one step formula and one step cap, shared by step, steps, runs and the grid
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: StepSchedule(kind="custom", values=(0.5, 0.25, 0.125)).step(-1), "k must be >= 0"),
+    (lambda: StepSchedule(eta0=1.0).step(-1), "k must be >= 0"),
+    (lambda: StepSchedule(kind="custom", values=(0.5, 0.25, 0.125)).steps(-1), "n must be >= 0"),
+    (lambda: StepSchedule().step(2.5), "k must be an integer"),
+    (lambda: StepSchedule(kind="custom", values=(0.5, 0.25)).step(1.5), "k must be an integer"),
+    (lambda: StepSchedule().steps(3.0), "n must be an integer"),
+    (lambda: StepSchedule(kind="constant").step(True), "k must be an integer"),
+])
+def test_a_bad_step_index_is_a_configuration_error_naming_it(call, name):
+    with pytest.raises(ConfigurationError, match=f"^{name}"):
+        call()
+
+
+def test_no_steps_is_an_empty_list_for_every_kind():
+    for sched in (StepSchedule(), StepSchedule(kind="constant", epoch_len=7),
+                  StepSchedule(kind="custom", values=(0.5,))):
+        assert sched.steps(0) == [] and sched.steps(np.int64(0)) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(solvers.SCHEDULE_KINDS)),
+    eta0=st.one_of(st.integers(1, 10**6), st.floats(1e-12, 1e12, allow_subnormal=False)),
+    epoch_len=st.one_of(st.integers(1, 60), st.integers(1, 10**30)),
+    n=st.integers(0, 3000),
+    k=st.one_of(st.integers(0, 5000), st.integers(0, 2**62)),
+    size=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_steps_and_grid_rows_read_one_formula_bitwise(kind, eta0, epoch_len, n, k, size, seed):
+    values = tuple(np.random.default_rng(seed).uniform(1e-6, 1.0, size).tolist())
+    sched = StepSchedule(kind=kind, eta0=eta0, epoch_len=epoch_len, values=values)
+    bits = lambda steps: [(type(v), float(v).hex()) for v in steps]  # noqa: E731
+    k = k % size if kind == "custom" else k
+
+    if kind == "custom" and n > size:  # the list and its first missing step fail alike
+        message = f"custom schedule has {size} values, needed step {size}"
+        for call in (lambda: sched.steps(n), lambda: sched.step(size)):
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                call()
+        n = size
+    with mock.patch.object(solvers, "_steps", wraps=solvers._steps) as formula:
+        steps, step = sched.steps(n), sched.step(k)
+    assert formula.call_count == 2  # neither forms its steps on its own
+    assert bits(steps) == bits([sched.step(i) for i in range(n)])
+    if k <= 3000:
+        assert bits([step]) == bits(sched.steps(k + 1)[k:])
+    if kind == "harmonic_decay":  # the step is the Python scalar formula, at any index
+        for i in (*range(min(n, 50)), n, k):
+            assert bits([sched.step(i)]) == bits([eta0 / (0.1 * (i // epoch_len) + 1.0)])
+    if kind != "custom":  # the grid's rows, each eta0 over one set of divisors
+        etas = (eta0, *grid_candidates()[::3])
+        rows = solvers._steps(sched, n, "budget_epochs", etas)
+        assert len(rows) == len(etas)
+        for eta, row in zip(etas, rows):
+            assert bits(row) == bits(replace(sched, eta0=eta).steps(n))
+
+
+def test_a_far_step_is_formed_without_its_list():
+    import tracemalloc
+
+    for sched in (StepSchedule(eta0=0.3, epoch_len=7), StepSchedule(kind="constant", eta0=0.3)):
+        tracemalloc.start()
+        try:
+            step = sched.step(2**62)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        expected = 0.3 if sched.kind == "constant" else 0.3 / (0.1 * (2**62 // 7) + 1.0)
+        assert step.hex() == expected.hex()
+
+
+class _Reached(Exception):
+    """Raised by a recorded _lockstep in place of running."""
+
+
+def _frozen_pre_run_error(problem, cfg, algorithm, biggest):
+    """The pre-run check's message, worded as the per-method checks worded it, or None."""
+    reg, guards = problem.reg, cfg.safeguards
+    if algorithm == "ncdf_proxsgd":
+        if reg is not None and reg.prox is None:
+            return "proximal solver needs a regularizer with a prox"
+        denom = 19.0 * (guards[1] + (reg.lipschitz if reg is not None else 0.0))
+        if cfg.feas_shell_check and denom > 0 and biggest > 1.0 / denom:
+            return (f"feas_shell_check requires steps <= 1/(19 (Mt + Mr)) = {1.0 / denom:.6g}, "
+                    f"largest scheduled step is {biggest:.6g}")
+    if algorithm == "ncdf_sgd" and cfg.feas_shell_check:
+        needed = max(16.0 * guards[0], 60.0 * guards[1], 16.0 * guards[2])
+        if cfg.beta < needed:
+            return (f"feas_shell_check requires beta >= max(16 M1, 60 Mt, 16 Mh) = {needed:.6g}, "
+                    f"got beta = {cfg.beta:.6g}")
+        if biggest > (cap := 1.0 / (2.0 * cfg.beta)):
+            return (f"feas_shell_check requires steps <= 1/(2 beta) = {cap:.6g}, "
+                    f"largest scheduled step is {biggest:.6g}")
+    return None
+
+
+_GUARD = st.one_of(st.sampled_from([0.0, math.inf]), st.floats(1e-6, 1e-2), st.floats(1e-4, 1e3))
+
+
+_ZERO = (0.0, 0.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+# a cap equal to a candidate's step keeps it; a decaying row is capped by its first step
+@example("ncdf_sgd", _ZERO, 1.0, True, "none", 0.0, "constant", 1, 1)
+@example("ncdf_sgd", _ZERO, 1.0 / (2.0 * 0.09), True, "none", 0.0, "harmonic_decay", 1, 3)
+@example("ncdf_proxsgd", (0.0, 1.0 / 9.5, 0.0), 1.0, True, "none", 0.0, "constant", 2, 1)
+@given(
+    algorithm=st.sampled_from(solvers.ALGORITHMS),
+    safeguards=st.tuples(_GUARD, _GUARD, _GUARD),
+    # 1 / (2 beta) lands on a grid candidate for the first betas
+    beta=st.one_of(st.sampled_from([1.0 / (2.0 * eta) for eta in grid_candidates()]),
+                   st.floats(1e-3, 1e5)),
+    shell=st.booleans(),
+    reg=st.sampled_from(["none", "no prox", "lipschitz"]),
+    lipschitz=st.one_of(st.sampled_from([0.0, math.inf]), st.floats(1e-4, 1e3)),
+    kind=st.sampled_from(["constant", "harmonic_decay"]),
+    epoch_len=st.integers(1, 3),
+    budget_epochs=st.integers(1, 3),
+)
+def test_a_grid_candidate_runs_exactly_when_its_single_run_passes_the_pre_run_check(
+    algorithm, safeguards, beta, shell, reg, lipschitz, kind, epoch_len, budget_epochs
+):
+    problem = make_sparse_pca(spiked_covariance(6, [3.0, 1.0], seed=1), 2, 0.1)
+    if reg == "none":
+        problem = replace(problem, reg=None)
+    else:
+        prox = None if reg == "no prox" else problem.reg.prox
+        problem = replace(problem, reg=replace(problem.reg, prox=prox, lipschitz=lipschitz))
+    cfg = SolverConfig(beta=beta, safeguards=safeguards, feas_shell_check=shell,
+                       schedule=StepSchedule(kind=kind, eta0=0.1, epoch_len=epoch_len), seed=3)
+    calls = []
+
+    def record(problem, method, cfg, seeds, steps, x):
+        calls.append(steps)
+        raise _Reached
+
+    budget = budget_epochs * epoch_len
+    with mock.patch.object(solvers, "_lockstep", record):
+        with mock.patch.object(solvers, "_steps", wraps=solvers._steps) as formula:
+            try:
+                rows = run_step_grid(problem, cfg, budget_epochs, algorithm)
+                assert [val for _, val in rows] == [math.inf] * len(rows)
+            except _Reached:
+                pass
+        assert formula.call_count == 1  # the grid's rows come from the one formula
+        grid_runs = [row[0] for row in (calls[0] if calls else [])]  # a row's first step is eta0
+        for row in calls[0] if calls else []:
+            expected = replace(cfg.schedule, eta0=row[0]).steps(budget)
+            assert [v.hex() for v in row] == [v.hex() for v in expected]
+        single_runs = []
+        for eta in grid_candidates():
+            single = replace(cfg, schedule=replace(cfg.schedule, eta0=eta), max_iters=budget)
+            expected = _frozen_pre_run_error(
+                problem, single, algorithm, max(single.schedule.steps(budget))
+            )
+            try:
+                RUNNERS[algorithm](problem, single)
+            except _Reached:
+                assert expected is None
+                single_runs.append(eta)
+            except ConfigurationError as err:
+                assert str(err) == expected
+    assert grid_runs == single_runs

@@ -486,8 +486,6 @@ def _shell_points(rng, n: int, p: int, radius_of, samples: int) -> np.ndarray:
     are those of samples successive random_shell_point calls.  The SVD,
     eigh, root and products then run once on the whole stack.
     """
-    if n < p or p < 1:
-        raise DimensionError(f"need n >= p >= 1, got ({n}, {p})")
     radii, zero = [], []
     g, s = np.empty((samples, n, p)), np.zeros((samples, p, p))
     for i in range(samples):

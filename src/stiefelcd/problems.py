@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import _fro, _jacobian, _map, _norm, _shell_points, _state, random_shell_point
-from .core import _integer, _nonnegative, _number
+from .core import _finite, _integer, _nonnegative, _number
 from .errors import ConfigurationError, DimensionError
 
 SubgradOracle = Callable[[np.ndarray, np.random.Generator], np.ndarray]
@@ -479,6 +479,10 @@ def estimate_constants(problem: ProblemDefinition, samples: int = 200, seed: int
 
 def gaussian_matrix(rows: int, cols: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """Seeded iid Gaussian matrix."""
+    _integer("rows", rows, 1)
+    _integer("cols", cols, 1)
+    _integer("seed", seed, 0)
+    _finite("scale", scale)
     rng = np.random.default_rng(seed)
     return scale * rng.standard_normal((rows, cols))
 
@@ -489,11 +493,13 @@ def spiked_covariance(n: int, top_eigenvalues, seed: int) -> np.ndarray:
     The remaining spectrum is uniform on [0, 1); eigenvectors
     come from the QR factor of a seeded Gaussian matrix.
     """
+    _integer("n", n, 1)
+    _integer("seed", seed, 0)
     top = np.asarray(top_eigenvalues, dtype=float)
     if top.ndim != 1 or top.size > n:
         raise ValueError("need at most n leading eigenvalues")
-    if np.any(top < 0):
-        raise ValueError("eigenvalues must be nonnegative")
+    for value in top.tolist():
+        _nonnegative("top_eigenvalues", value)
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     evals = np.concatenate([top, rng.random(n - top.size)])

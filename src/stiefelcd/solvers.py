@@ -63,7 +63,7 @@ from .core import (
     validate_matrix,
 )
 from .core import _finite, _integer, _number, _positive
-from .errors import ConfigurationError, DivergenceError, SafeguardViolationError
+from .errors import ConfigurationError, DimensionError, DivergenceError, SafeguardViolationError
 from .problems import ProblemDefinition, _shaped, _shell_beta
 
 # each schedule kind and the StepSchedule keys it reads, besides kind
@@ -273,12 +273,11 @@ def stationarity_estimate(problem: ProblemDefinition, point) -> float:
     called without a generator, so for composite objectives this is an
     upper estimate tied to that selection; nan if that element is not finite.
     """
-    if isinstance(point, StiefelPoint):
-        x = point.matrix
-    else:
-        x = validate_matrix(point, "point")
-        if feasibility_violation(x) > 1e-8:
-            raise ValueError("stationarity estimate requires a feasible point")
+    x = point.matrix if isinstance(point, StiefelPoint) else validate_matrix(point, "point")
+    if x.shape != (problem.n, problem.p):
+        raise DimensionError(f"point shape {x.shape} != problem shape {(problem.n, problem.p)}")
+    if not isinstance(point, StiefelPoint) and feasibility_violation(x) > 1e-8:
+        raise ValueError("stationarity estimate requires a feasible point")
     w = np.ascontiguousarray(_shaped(problem.f_subgrad(x), x.shape))  # F order rounds otherwise
     norm, finite = _stationarity(x[None], w[None])
     return float(norm[0]) if finite[0] else math.nan

@@ -897,3 +897,23 @@ def test_readme_command_line_section_names_every_config_key():
     named |= set(example_keys(example))
     keys = {path.rsplit(".", 1)[-1] for path in _schema_paths()}
     assert keys - named == set()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([1, 2], "config {path} must be a JSON object at top level"),
+        ({"problem": {"kind": "l1_pca", "rows": 5, "n": 3}}, "problem.p: required field missing"),
+        ({"problem": {"kind": "l1_pca", "rows": 5, "n": 0, "p": 1}},
+         "problem.n: must be >= 1, got 0"),
+        ({"problem": {"kind": "orthogonal_mlp", "n_samples": 4}},
+         "problem.widths: expected [d_in, hidden, d_out]"),
+        ({"problem": {"kind": "quadratic_trace", "n": 4, "p": 2,
+                      "noise": {"sigma": 0.1, "bound": 0}}},
+         "problem.noise: bound must be positive, got 0.0"),
+    ],
+)
+def test_each_config_fault_exits_3_with_its_exact_message(tmp_path, capsys, config, message):
+    path = write_config(tmp_path, config)
+    assert main(["run", path]) == 3
+    assert capsys.readouterr().err == f"configuration error: {message.format(path=path)}\n"

@@ -766,3 +766,23 @@ def test_shell_points_reject_a_negative_radius_and_a_wide_shape():
         core.random_shell_point(rng, 5, 2, -1.0)
     with pytest.raises(DimensionError):
         core.random_shell_point(rng, 2, 5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: core.sym([[1.0, np.nan], [np.nan, 1.0]]), ValueError,
+         "sym input contains non-finite entries"),
+        (lambda: core.jacobian_apply(np.eye(5, 2), np.eye(4, 2)), DimensionError,
+         "direction shape (4, 2) != base shape (5, 2)"),
+        (lambda: core.project_tangent(np.eye(5, 2), np.eye(5, 1)), DimensionError,
+         "shape (5, 1) != base shape (5, 2)"),
+        (lambda: core.ncdf_subgradient(lambda x: np.zeros((3, 2)), np.eye(4, 2),
+                                       core.PenaltyConfig()),
+         DimensionError, "subgradient shape (3, 2) != point shape (4, 2)"),
+    ],
+)
+def test_each_shape_and_finiteness_fault_raises_its_type_and_exact_message(call, error, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -836,3 +836,64 @@ def test_per_slice_adapter_propagates_the_first_slice_error_and_checks_shapes():
         wide = problems.ProblemDefinition(3, 1, lambda x: 0.0, lambda x, rng, out=out: out)
         with pytest.raises(DimensionError, match=r"shape \(\d, \d\) != expected shape \(3, 1\)"):
             wide.phi_subgrad(x, None)
+
+
+def _mlp(widths=(3, 2, 1), pairs=None, **keywords):
+    pairs = [(np.ones(3), np.ones(1))] if pairs is None else pairs
+    return lambda: problems.make_orthogonal_mlp(pairs, widths, **keywords)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: problems.ProblemDefinition(2, 3, np.sum, lambda x, rng: x), ValueError,
+         "need n >= p >= 1, got (2, 3)"),
+        (lambda: problems.make_quadratic_trace(np.ones((2, 3)), 1), ValueError,
+         "A must be square, got shape (2, 3)"),
+        (lambda: problems.make_quadratic_trace(np.diag([1.0, np.inf]), 1), ValueError,
+         "A contains non-finite entries"),
+        (lambda: problems.make_l1_pca(np.ones(3), 1), ValueError, "data must be 2-d, got ndim=1"),
+        (lambda: problems.make_l1_pca([[1.0, np.nan]], 1), ValueError,
+         "data contains non-finite entries"),
+        (lambda: problems.make_l1_pca(np.ones((5, 3)), 4), ValueError, "need 1 <= p <= 3, got 4"),
+        (_mlp(widths=(3, 2, 0)), ValueError, "output width must be positive, got 0"),
+        (_mlp(pairs=[(np.ones(2), np.ones(1))]), ValueError, "inputs have dimension 2, expected 3"),
+        (_mlp(pairs=[(np.ones(3), [np.nan])]), ValueError, "dataset contains non-finite entries"),
+        (_mlp(second_layer=np.ones((2, 2))), ValueError,
+         "second layer must be (1, 2), got (2, 2)"),
+        (_mlp(hidden_bias=np.ones(3)), ValueError, "hidden bias must be (2,), got (3,)"),
+        # the seeded data helpers check their sizes, seed, scale and eigenvalues
+        (lambda: problems.gaussian_matrix(3, 3, 0, np.nan), ConfigurationError,
+         "scale must be finite, got nan"),
+        (lambda: problems.gaussian_matrix(3, 3, True), ConfigurationError,
+         "seed must be an integer, got True"),
+        (lambda: problems.gaussian_matrix(2.5, 3, 0), ConfigurationError,
+         "rows must be an integer, got 2.5"),
+        (lambda: problems.gaussian_matrix(3, 0, 0), ConfigurationError, "cols must be >= 1, got 0"),
+        (lambda: problems.gaussian_matrix(3, 3, -1), ConfigurationError,
+         "seed must be >= 0, got -1"),
+        (lambda: problems.spiked_covariance(0, [], 0), ConfigurationError, "n must be >= 1, got 0"),
+        (lambda: problems.spiked_covariance(3, [1.0], -1), ConfigurationError,
+         "seed must be >= 0, got -1"),
+        (lambda: problems.spiked_covariance(3, [np.nan], 0), ConfigurationError,
+         "top_eigenvalues must be finite, got nan"),
+        (lambda: problems.spiked_covariance(3, [np.inf], 0), ConfigurationError,
+         "top_eigenvalues must be finite, got inf"),
+        (lambda: problems.spiked_covariance(3, [2.0, -1.0], 0), ConfigurationError,
+         "top_eigenvalues must be nonnegative, got -1.0"),
+        (lambda: problems.spiked_covariance(2, [3.0, 2.0, 1.0], 0), ValueError,
+         "need at most n leading eigenvalues"),
+    ],
+)
+def test_each_argument_fault_raises_its_type_and_exact_message(call, error, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_a_csv_with_a_non_finite_entry_names_its_file(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("1.0,nan\n2.0,3.0\n")
+    with pytest.raises(Exception) as info:
+        problems.load_matrix_csv(path)
+    assert (type(info.value), str(info.value)) == (ValueError, f"{path} contains non-finite entries")

@@ -469,6 +469,30 @@ def test_stationarity_estimate_rejects_infeasible():
         stationarity_estimate(problem, np.full((8, 3), 0.9))
 
 
+@pytest.mark.parametrize("kind", ["l1_pca", "quadratic_trace"])
+@pytest.mark.parametrize("shape", [(6, 3), (5, 2)])
+@pytest.mark.parametrize("certified", [False, True])
+def test_stationarity_estimate_rejects_a_point_of_another_shape_before_any_oracle_call(
+    kind, shape, certified
+):
+    # both problems are 6 x 2; a feasible 6 x 3 point used to return a number, and a
+    # 5 x 2 one to raise numpy's bare matmul error
+    data = gaussian_matrix(20, 6, seed=0)
+    base = make_l1_pca(data, 2) if kind == "l1_pca" else make_quadratic_trace(data.T @ data, 2)
+    calls = []
+
+    def oracle(x, rng):
+        calls.append(x)
+        return base.phi_subgrad(x, rng)
+
+    problem = replace(base, phi_subgrad=oracle)
+    point = np.eye(*shape)
+    with pytest.raises(DimensionError) as err:
+        stationarity_estimate(problem, project_stiefel(point) if certified else point)
+    assert str(err.value) == f"point shape {shape} != problem shape (6, 2)"
+    assert calls == []
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_stationarity_estimate_is_nan_where_the_exact_subgradient_is_not_finite(bad):
@@ -2293,6 +2317,8 @@ def refused_at(problem, q):
          block=4, max_iters=24, victim=0, k0=0, traced_shape=True)
 @example(algorithm="ncdf_proxsgd", scenario="nan_stat", seeds=[24, 25, 26],
          etas=[0.002, 0.004, 0.001], block=5, max_iters=11, victim=1, k0=6, traced_shape=True)
+@example(algorithm="ncdf_sgd", scenario="nan_stat", seeds=[4, 5], etas=[0.002, 0.004],
+         block=3, max_iters=9, victim=1, k0=3, traced_shape=False)
 @given(
     algorithm=st.sampled_from(sorted(RUNNERS)),
     scenario=st.sampled_from(LOCKSTEP_SCENARIOS),
